@@ -228,46 +228,64 @@ class FlagComplex:
 
 
 class DistanceOracle:
-    """Per-source BFS distances with an all-pairs cache on small complexes.
+    """Horizon-bounded BFS distances with one cache per complex.
 
-    Sources are cached independently; cache fill is idempotent, so concurrent
-    readers may race without torn results.  Below ``all_pairs_threshold``
-    vertices the cache simply fills once per queried source and is never
-    evicted, which amounts to an all-pairs table built on demand.
+    :meth:`ball` is the only place a BFS runs; every other query reads a
+    ball.  The cache keeps one table per source together with how far it
+    reaches: a table cut off after some layer is always kept (it is as small
+    as its radius makes it), a complete table only on complexes of at most
+    ``ALL_PAIRS_THRESHOLD`` vertices, which there amounts to an all-pairs
+    table built on demand.  Cache fill is idempotent, so concurrent readers
+    may race without torn results.
     """
 
     ALL_PAIRS_THRESHOLD = 2000
 
-    def __init__(self, complex_: FlagComplex, all_pairs_threshold: int | None = None):
+    def __init__(self, complex_: FlagComplex):
         self._x = complex_
-        self._cache: dict[int, dict[int, int]] = {}
-        self._threshold = (
-            self.ALL_PAIRS_THRESHOLD if all_pairs_threshold is None else all_pairs_threshold
-        )
+        self._cache: dict[int, tuple[dict[int, int], float]] = {}
+
+    def ball(self, source: int, radius: float) -> dict[int, int]:
+        """Exact distance from ``source`` to every vertex within ``radius``.
+
+        Entries farther than ``radius`` may be present (from a larger cached
+        ball) and are exact too; a vertex missing from the table lies
+        farther than ``radius`` or in another component.
+        """
+        hit = self._cache.get(source)
+        if hit is not None and hit[1] >= radius:
+            return hit[0]
+        table = self._bfs(source, radius)
+        n = self._x.n_vertices
+        # the last entry is the deepest layer; short of the radius, BFS ran dry
+        if len(table) == n or next(reversed(table.values())) < radius:
+            if n <= self.ALL_PAIRS_THRESHOLD:
+                self._cache[source] = (table, INF)
+        else:
+            self._cache[source] = (table, radius)
+        return table
 
     def distances_from(self, source: int) -> dict[int, int]:
         """BFS distance table from ``source`` to every reachable vertex."""
-        cached = self._cache.get(source)
-        if cached is not None:
-            return cached
-        table = self._bfs(source)
-        if self._x.n_vertices <= self._threshold:
-            self._cache[source] = table
-        return table
+        return self.ball(source, INF)
 
-    def _bfs(self, source: int) -> dict[int, int]:
+    def _bfs(self, source: int, radius: float) -> dict[int, int]:
         x = self._x
         if source not in x:
             raise ComplexError(f"unknown vertex {source}")
+        adj = x._adj
         dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in x.neighbors(u):
-                if w not in dist:
-                    dist[w] = du + 1
-                    queue.append(w)
+        frontier = [source]
+        depth = 0
+        while frontier and depth < radius:
+            depth += 1
+            layer = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = depth
+                        layer.append(w)
+            frontier = layer
         return dist
 
     def distance(self, u: int, v: int) -> float:
@@ -276,28 +294,15 @@ class DistanceOracle:
         return self.distances_from(u).get(v, INF)
 
     def distance_capped(self, u: int, v: int, cap: int) -> float:
-        """Distance if it is <= cap, else INF; explores only a bounded ball."""
-        x = self._x
-        cached = self._cache.get(u)
-        if cached is not None:
-            d = cached.get(v, INF)
-            return d if d <= cap else INF
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            d = dist[cur] + 1
-            if d > cap:
-                break
-            for w in x.neighbors(cur):
-                if w not in dist:
-                    if w == v:
-                        return d
-                    dist[w] = d
-                    queue.append(w)
-        return INF
+        """Distance if it is <= cap, else INF; explores only ball(u, cap)."""
+        d = self.ball(u, cap).get(v, INF)
+        return d if d <= cap else INF
+
+    def distance_within(self, u: int, v: int, radius: float) -> float:
+        """Exact distance, INF included; explores only ball(u, radius)
+        when v lies inside it."""
+        d = self.ball(u, radius).get(v)
+        return self.distance(u, v) if d is None else d
 
     def geodesic(self, u: int, v: int) -> tuple[int, ...] | None:
         """Lexicographically least geodesic from u to v, or None.
@@ -329,11 +334,18 @@ class FacetComplex:
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         fs = sorted({as_simplex(f) for f in facets})
+        # Facets through each vertex, in sorted order: a facet containing a
+        # also runs through a's rarest vertex, and the first one found there
+        # is the first in sorted order.
+        through: dict[int, list[int]] = {}
+        for j, b in enumerate(fs):
+            for v in b:
+                through.setdefault(v, []).append(j)
+        sets = [frozenset(b) for b in fs]
         for i, a in enumerate(fs):
-            sa = set(a)
-            for b in fs:
-                if b is not a and sa.issubset(b):
-                    raise ComplexError(f"facet {a} is contained in facet {b}")
+            for j in min((through[v] for v in a), key=len):
+                if j != i and sets[i] <= sets[j]:
+                    raise ComplexError(f"facet {a} is contained in facet {fs[j]}")
         if not fs:
             raise ComplexError("a facet complex has at least one facet")
         self._facets: tuple[Simplex, ...] = tuple(fs)

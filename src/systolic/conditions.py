@@ -83,7 +83,8 @@ def _close_paths(g: FlagComplex, v: int, u: int, w: int, max_len: int, min_len: 
     reflection symmetry by u < w.
     """
     nv = g.neighbors(v)
-    dist_w = g.oracle.distances_from(w)
+    # every prune below asks for at most max_len - 3 steps from w
+    dist_w = g.oracle.ball(w, max_len - 3)
     stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((u,), nv | {v, u})]
     while stack:
         path, blocked = stack.pop()
@@ -184,26 +185,41 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
 
 def triangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
     """For adjacent v, w equidistant from u, some common neighbor of v and w
-    is one step closer to u."""
+    is one step closer to u.
+
+    Each source reads only its ball of the trust radius: the edges (v, w)
+    with v < w are visited in sorted order of v inside the ball, then of w.
+    """
     g, region, bound = scope(x)
+    _require_connected(g, "the triangle condition")
     verts = sorted(region) if region is not None else list(g.vertices)
     vset = set(verts)
-    edges = [(v, w) for v, w in g.edges() if v in vset and w in vset]
+    higher = {v: sorted(w for w in g.neighbors(v) if w > v and w in vset) for v in verts}
 
     def check(u: int) -> TriangleViolation | None:
-        dist = g.oracle.distances_from(u)
-        for v, w in edges:
-            d = dist.get(v, INF)
-            if d < 2 or d > bound or d != dist.get(w, INF):
+        dist = g.oracle.ball(u, bound)
+        for v in sorted(dist):
+            d = dist[v]
+            if d < 2 or d > bound or v not in higher:
                 continue
-            if not any(dist.get(t, INF) == d - 1 for t in g.common_neighbors((v, w))):
-                return TriangleViolation(u, v, w, d)
+            for w in higher[v]:
+                if dist.get(w) != d:
+                    continue
+                if not any(dist.get(t) == d - 1 for t in g.neighbors(v) & g.neighbors(w)):
+                    return TriangleViolation(u, v, w, d)
         return None
 
     hit = first_violation(verts, check, jobs)
     if hit is None:
         return yes()
     return no(witness=hit, reason="no common neighbor descends toward u")
+
+
+def _require_connected(g: FlagComplex, what: str) -> None:
+    # Distance conditions quantify over finite distances; across components
+    # they would compare infinities.
+    if not g.is_connected():
+        raise ComplexError(f"{what} is about connected complexes")
 
 
 def triangle_violation_holds(x: FlagComplex | WindowView, w: TriangleViolation) -> bool:
@@ -219,34 +235,32 @@ def triangle_violation_holds(x: FlagComplex | WindowView, w: TriangleViolation) 
 
 def quadrangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
     """For v, w at distance 2 with a common neighbor z one step further from
-    u than both, some common neighbor of v and w is one step closer to u."""
+    u than both, some common neighbor of v and w is one step closer to u.
+
+    Each source reads only its ball of the trust radius: z runs over it in
+    sorted order, then the pairs v < w of neighbors of z one layer closer.
+    """
     g, region, bound = scope(x)
+    _require_connected(g, "the quadrangle condition")
     verts = sorted(region) if region is not None else list(g.vertices)
     vset = set(verts)
-    pairs_at: dict[int, list[tuple[int, int]]] = {}
-    for z in verts:
-        around = sorted(n for n in g.neighbors(z) if n in vset)
-        pairs_at[z] = [
-            (v, w)
-            for i, v in enumerate(around)
-            for w in around[i + 1 :]
-            if not g.adjacent(v, w)
-        ]
+    around = {z: sorted(n for n in g.neighbors(z) if n in vset) for z in verts}
 
     def check(u: int) -> QuadrangleViolation | None:
-        dist = g.oracle.distances_from(u)
-        for z in verts:
-            dz = dist.get(z, INF)
-            if dz < 3 or dz > bound:
+        dist = g.oracle.ball(u, bound)
+        for z in sorted(dist):
+            dz = dist[z]
+            if dz < 3 or dz > bound or z not in vset:
                 continue
             d = dz - 1
-            for v, w in pairs_at[z]:
-                if dist.get(v, INF) != d or dist.get(w, INF) != d:
-                    continue
-                if not any(
-                    dist.get(t, INF) == d - 1 for t in g.common_neighbors((v, w))
-                ):
-                    return QuadrangleViolation(u, v, w, z, d)
+            lower = [n for n in around[z] if dist.get(n) == d]
+            for i, v in enumerate(lower):
+                nv = g.neighbors(v)
+                for w in lower[i + 1 :]:
+                    if w in nv:
+                        continue
+                    if not any(dist.get(t) == d - 1 for t in nv & g.neighbors(w)):
+                        return QuadrangleViolation(u, v, w, z, d)
         return None
 
     hit = first_violation(verts, check, jobs)
@@ -371,10 +385,13 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
             raise ComplexError(
                 f"n={n} looks past the trusted horizon (margin {int(bound)})"
             )
-    dist = g.oracle.distances_from(v)
+    spheres: list[list[int]] = [[] for _ in range(n + 2)]
+    for u, d in g.oracle.ball(v, n + 1).items():
+        if d <= n + 1:
+            spheres[d].append(u)
     ball: set[int] = {v}
     for i in range(n + 1):
-        sphere = sorted(u for u, d in dist.items() if d == i + 1)
+        sphere = sorted(spheres[i + 1])
         if not sphere:
             break
         for sigma in g.cliques(within=sphere):
@@ -465,6 +482,7 @@ def sphere_domination_everywhere(x: FlagComplex | WindowView) -> Verdict:
     radius the input supports: eccentricity - 1 on a finite complex,
     margin - 1 on a window."""
     g, region, bound = scope(x)
+    _require_connected(g, "sphere domination")
     verts = sorted(region) if region is not None else list(g.vertices)
     for v in verts:
         if region is not None:

@@ -105,12 +105,16 @@ def validate_automorphism(x: FlagComplex | WindowView, h: Automorphism) -> Verdi
             return no(witness=MapViolation("unknown_source", u, v))
         if v not in g:
             return no(witness=MapViolation("unknown_image", u, v))
-    dom = sorted(h.mapping)
-    for i, u in enumerate(dom):
+    # A pair can disagree only if it is an edge on one side: v is a
+    # neighbor of u, or h(v) is a neighbor of h(u).
+    for u in sorted(h.mapping):
         hu = h.mapping[u]
-        for v in dom[i + 1 :]:
-            if g.adjacent(u, v) != g.adjacent(hu, h.mapping[v]):
-                kind = "edge_broken" if g.adjacent(u, v) else "edge_created"
+        nu, nhu = g.neighbors(u), g.neighbors(hu)
+        around = {v for v in nu if v in h.mapping}
+        around.update(h.inverse_mapping[w] for w in nhu if w in h.inverse_mapping)
+        for v in sorted(v for v in around if v > u):
+            if (v in nu) != (h.mapping[v] in nhu):
+                kind = "edge_broken" if v in nu else "edge_created"
                 return no(witness=MapViolation(kind, u, v))
     return yes(total=h.is_total_on(g))
 
@@ -275,7 +279,7 @@ def min_set_idempotence(x: FlagComplex | WindowView, h: Automorphism) -> Verdict
                 witness=MapViolation("image_leaves_min_set", v, hv),
                 reason="image has trusted displacement above the minimum",
             )
-        d_inside = sub.distance(v, hv)
+        d_inside = sub.oracle.distance_within(v, hv, length)
         if d_inside != length:
             return no(
                 witness=DistancePair(v, hv, d_inside, length),
@@ -426,7 +430,7 @@ def verify_local_geodesic(
             w = chain.gamma(b)
             if region is not None and w not in region:
                 continue
-            d = g.distance(u, w)
+            d = g.oracle.distance_within(u, w, bound)
             checked += 1
             if d != diff:
                 return no(

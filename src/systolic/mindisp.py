@@ -9,7 +9,6 @@ it does not, whether it carries a thick interval instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .collapse import DEFAULT_BUDGET
@@ -68,8 +67,9 @@ def _require_full_subcomplex(g: FlagComplex, sub: FlagComplex) -> None:
         for v in sub.neighbors(u):
             if u < v and not g.adjacent(u, v):
                 raise ComplexError(f"subcomplex edge {u}-{v} is absent from the ambient complex")
-        for v in sub.vertices:
-            if u < v and g.adjacent(u, v) and not sub.adjacent(u, v):
+        inner = sub.neighbors(u)
+        for v in sorted(g.neighbors(u)):
+            if u < v and v in sub and v not in inner:
                 raise ComplexError(
                     f"not a full subcomplex: ambient edge {u}-{v} is missing inside"
                 )
@@ -83,32 +83,42 @@ def isometric_embedding_check(
 
     ``sub`` must be a full subcomplex with ambient vertex ids.  On a window
     only pairs with both endpoints trusted and ambient distance within the
-    margin contribute; elsewhere every pair does.  The deviation of a pair is
-    never negative because every inner path is also an ambient path.
+    margin contribute, so each u is paired only with the vertices v > u of
+    its ambient ball of that radius; elsewhere every pair does.  The
+    deviation of a pair is never negative because every inner path is also
+    an ambient path.
     """
     g, region, bound = scope(x)
     _require_full_subcomplex(g, sub)
     verts = sorted(sub.vertices)
     if region is not None:
         verts = [v for v in verts if v in region]
+    members = set(verts)
     pairs = 0
     max_dev = 0.0
     witness: DistancePair | None = None
-    for u, v in itertools.combinations(verts, 2):
-        d_amb = g.distance(u, v)
-        if d_amb > bound:
-            continue
-        d_sub = sub.distance(u, v)
-        if d_sub < d_amb:
-            raise ComplexError(
-                f"inner distance below ambient for {u},{v}; subcomplex ids are inconsistent"
-            )
-        pairs += 1
-        dev = d_sub - d_amb
-        if dev > 0 and witness is None:
-            witness = DistancePair(u, v, d_sub, d_amb)
-        if dev > max_dev:
-            max_dev = dev
+    for i, u in enumerate(verts):
+        amb = g.oracle.ball(u, bound)
+        if region is None:
+            later = verts[i + 1 :]
+        else:
+            later = sorted(v for v in amb if v > u and v in members)
+        for v in later:
+            d_amb = amb.get(v, INF)
+            if d_amb > bound:
+                continue
+            # an isometric pair lies inside the inner ball of the same radius
+            d_sub = sub.oracle.distance_within(u, v, bound)
+            if d_sub < d_amb:
+                raise ComplexError(
+                    f"inner distance below ambient for {u},{v}; subcomplex ids are inconsistent"
+                )
+            pairs += 1
+            dev = d_sub - d_amb
+            if dev > 0 and witness is None:
+                witness = DistancePair(u, v, d_sub, d_amb)
+            if dev > max_dev:
+                max_dev = dev
     return EmbeddingReport(pairs, max_dev, witness, region is not None)
 
 
@@ -269,7 +279,7 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
                     continue
                 if region is not None and (u not in region or v not in region):
                     continue
-                d = g.distance(u, v)
+                d = g.oracle.distance_within(u, v, bound)
                 pairs += 1
                 if d != expected:
                     return no(

@@ -153,3 +153,60 @@ def cycle_space_rank_mod2(g: FlagComplex, triangles: list[tuple[int, int, int]])
         pr = rows.pop(pivot)
         rows = [r ^ pr if r >> col & 1 else r for r in rows]
     return rank
+
+
+def first_triangle_violation(g: FlagComplex) -> tuple[int, int, int, float] | None:
+    """First (u, v, w, d) breaking the triangle condition on a connected
+    complex: sources in sorted order, then every edge v < w in sorted order,
+    with Floyd-Warshall distances."""
+    dist = floyd_warshall(g)
+    edges = sorted(g.edges())
+    for u in g.vertices:
+        for v, w in edges:
+            d = dist[(u, v)]
+            if d < 2 or d != dist[(u, w)]:
+                continue
+            common = set(g.neighbors(v)) & set(g.neighbors(w))
+            if not any(dist[(u, t)] == d - 1 for t in common):
+                return (u, v, w, d)
+    return None
+
+
+def first_quadrangle_violation(g: FlagComplex) -> tuple[int, int, int, int, float] | None:
+    """First (u, v, w, z, d) breaking the quadrangle condition on a connected
+    complex: sources, then z, then non-adjacent neighbor pairs v < w of z,
+    all in sorted order, with Floyd-Warshall distances."""
+    dist = floyd_warshall(g)
+    for u in g.vertices:
+        for z in g.vertices:
+            d = dist[(u, z)] - 1
+            if d < 2:
+                continue
+            for v, w in itertools.combinations(sorted(g.neighbors(z)), 2):
+                if g.adjacent(v, w) or dist[(u, v)] != d or dist[(u, w)] != d:
+                    continue
+                common = set(g.neighbors(v)) & set(g.neighbors(w))
+                if not any(dist[(u, t)] == d - 1 for t in common):
+                    return (u, v, w, z, d)
+    return None
+
+
+def first_map_violation(g: FlagComplex, mapping: dict[int, int]) -> tuple[str, int, int] | None:
+    """First domain pair u < v whose adjacency the map changes, scanning
+    every pair; the map's vertices are assumed to be vertices of g."""
+    for u, v in itertools.combinations(sorted(mapping), 2):
+        before = g.adjacent(u, v)
+        if before != g.adjacent(mapping[u], mapping[v]):
+            return ("edge_broken" if before else "edge_created", u, v)
+    return None
+
+
+def first_nested_facets(facets: list[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First pair (a, b) of distinct facets with a inside b, both in sorted
+    order, scanning every pair."""
+    fs = sorted({tuple(sorted(set(f))) for f in facets})
+    for a in fs:
+        for b in fs:
+            if a != b and set(a) <= set(b):
+                return (a, b)
+    return None

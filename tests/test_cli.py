@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import systolic
 from systolic.cli import main
 from systolic.report import strip_timing
 
@@ -73,6 +77,28 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "--input", str(f), "--checks", "tc")
         assert code == 2
         assert "line" in err
+
+
+class TestDisconnectedInput:
+    @pytest.mark.parametrize("token", ["sd", "tc", "qc", "weakly-modular"])
+    @pytest.mark.parametrize("spec", ["random:n=10,p=0.1,seed=1", "random:n=12,p=0.15,seed=1"])
+    def test_distance_checks_exit_two(self, capsys, spec, token):
+        code, out, err = run(capsys, "check", "--gen", spec, "--checks", token)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "connected" in err
+
+    def test_no_traceback_from_the_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(systolic.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "systolic.cli", "check", "--gen",
+             "random:n=10,p=0.1,seed=1", "--checks", "sd"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestCheckCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import systolic as S
 from systolic import ComplexError, FacetComplex, FlagComplex
 
-from _oracles import all_cliques, floyd_warshall
+from _oracles import all_cliques, first_nested_facets, floyd_warshall
 
 INF = math.inf
 
@@ -130,6 +130,41 @@ class TestDistances:
                     if duv != INF and dvw != INF:
                         assert duw <= duv + dvw
 
+    @given(graph_params, st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_ball_matches_floyd_warshall(self, params, small, step):
+        n, p, seed = params
+        g = random_graph(min(n, 25), p, seed)
+        exact = floyd_warshall(g)
+        o = g.oracle
+        last = g.vertices[-1]
+        for u in g.vertices[:5]:
+            # a small ball first, then a larger one, then the whole component
+            for r in (small, small + step, INF):
+                table = o.ball(u, r)
+                for v in g.vertices:
+                    d = exact[(u, v)]
+                    if d <= r and d != INF:
+                        assert table[v] == d
+                    if v in table:
+                        assert table[v] == d  # farther entries are exact too
+                d = exact[(u, last)]
+                assert o.distance_capped(u, last, r) == (d if d <= r else INF)
+            assert o.distances_from(u) == {v: d for v in g.vertices if (d := exact[(u, v)]) != INF}
+            for v in g.vertices:
+                assert o.distance_within(v, u, small) == exact[(v, u)]
+
+    def test_ball_cache_keeps_bounded_and_small_complete_tables(self, window10):
+        g = FlagComplex(window10.complex.vertices, window10.complex.edges())
+        o = g.oracle
+        base = window10.basepoint
+        first = o.ball(base, 2)
+        assert max(first.values()) == 2 and len(first) == 19
+        assert o.ball(base, 1) is first  # a smaller radius is served from the cache
+        whole = o.ball(base, INF)
+        assert len(whole) == g.n_vertices
+        assert o.ball(base, 3) is whole  # a complete table serves every radius
+
     def test_distance_capped(self, icosa):
         o = icosa.oracle
         assert o.distance_capped(0, 11, 3) == 3
@@ -164,6 +199,17 @@ class TestFacetsAndFlagness:
     def test_antichain_enforced(self):
         with pytest.raises(ComplexError):
             FacetComplex([(0, 1, 2), (0, 1)])
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=4), min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_nested_facet_message_names_first_pair(self, facets):
+        nested = first_nested_facets([tuple(f) for f in facets])
+        if nested is None:
+            assert FacetComplex(facets).facets
+        else:
+            with pytest.raises(ComplexError) as exc:
+                FacetComplex(facets)
+            assert str(exc.value) == f"facet {nested[0]} is contained in facet {nested[1]}"
 
     def test_is_flag_yes(self):
         fc = FacetComplex([(0, 1, 2), (1, 2, 3)])

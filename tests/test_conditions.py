@@ -12,7 +12,11 @@ from systolic.verdict import (
     SphereSimplexViolation,
 )
 
-from _oracles import brute_force_full_cycles
+from _oracles import (
+    brute_force_full_cycles,
+    first_quadrangle_violation,
+    first_triangle_violation,
+)
 
 INF = math.inf
 
@@ -205,6 +209,53 @@ class TestWeaklyModular:
         assert S.is_weakly_modular(window10).is_yes
         assert S.is_weakly_modular(S.cycle(6)).is_no
         assert S.is_weakly_modular(S.wheel(6)).is_yes
+
+    @given(
+        st.integers(min_value=4, max_value=16),
+        st.floats(min_value=0.15, max_value=0.7),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_witnesses_match_full_scans(self, n, p, seed):
+        g = S.random_flag_complex(n, p, seed)
+        if not g.is_connected():
+            return
+        tc, qc = S.triangle_condition(g), S.quadrangle_condition(g)
+        want_tc, want_qc = first_triangle_violation(g), first_quadrangle_violation(g)
+        assert tc.is_no == (want_tc is not None)
+        assert qc.is_no == (want_qc is not None)
+        if tc.is_no:
+            w = tc.witness
+            assert (w.u, w.v, w.w, w.distance) == want_tc
+        if qc.is_no:
+            w = qc.witness
+            assert (w.u, w.v, w.w, w.z, w.distance) == want_qc
+
+
+class TestDisconnectedInput:
+    # Two components; the scans would otherwise compare infinite distances.
+    TWO_EDGES = FlagComplex([0, 1, 2, 3], [(0, 1), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            S.triangle_condition,
+            S.quadrangle_condition,
+            S.is_weakly_modular,
+            S.sphere_domination_everywhere,
+        ],
+    )
+    def test_distance_scans_reject_disconnected(self, scan):
+        with pytest.raises(ComplexError, match="connected"):
+            scan(self.TWO_EDGES)
+
+    def test_random_complexes_from_the_cli_examples(self):
+        for n, p in ((10, 0.1), (12, 0.15)):
+            g = S.random_flag_complex(n, p, 1)
+            assert not g.is_connected()
+            for scan in (S.triangle_condition, S.sphere_domination_everywhere):
+                with pytest.raises(ComplexError):
+                    scan(g)
 
 
 class TestExtendedWheels:

@@ -7,7 +7,7 @@ import systolic as S
 from systolic import Automorphism, ComplexError
 from systolic.verdict import MapViolation
 
-from _oracles import all_automorphisms, brute_force_invariant_simplices
+from _oracles import all_automorphisms, brute_force_invariant_simplices, first_map_violation
 
 INF = math.inf
 
@@ -73,6 +73,25 @@ class TestValidate:
         assert v.is_no
         assert isinstance(v.witness, MapViolation)
         assert v.witness.kind in ("edge_broken", "edge_created")
+
+    @given(
+        st.integers(min_value=2, max_value=14),
+        st.floats(min_value=0.1, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_first_witness_matches_all_pairs_scan(self, n, p, seed, rnd):
+        g = S.random_flag_complex(n, p, seed)
+        verts = list(g.vertices)
+        domain = rnd.sample(verts, rnd.randint(1, n))
+        mapping = dict(zip(domain, rnd.sample(verts, len(domain))))
+        v = S.validate_automorphism(g, Automorphism(mapping))
+        want = first_map_violation(g, mapping)
+        if want is None:
+            assert v.is_yes
+        else:
+            assert v.is_no and v.witness == MapViolation(*want)
 
     def test_unknown_image_detected(self, octa):
         v = S.validate_automorphism(octa, Automorphism({0: 77}))

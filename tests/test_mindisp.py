@@ -48,8 +48,14 @@ class TestEmbedding:
         from systolic import FlagComplex
 
         missing_edge = FlagComplex([0, 2, 4], [(0, 2)])  # 0-4 and 2-4 dropped
-        with pytest.raises(ComplexError):
+        with pytest.raises(ComplexError, match="ambient edge 0-4 is missing inside"):
             S.isometric_embedding_check(octa, missing_edge)
+
+    def test_rejects_foreign_edge(self, octa):
+        from systolic import FlagComplex
+
+        with pytest.raises(ComplexError, match="subcomplex edge 0-1 is absent"):
+            S.isometric_embedding_check(octa, FlagComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)]))
 
     def test_rejects_foreign_vertices(self, octa):
         from systolic import FlagComplex
