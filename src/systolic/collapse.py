@@ -1,11 +1,17 @@
 """Semi-decision oracle for simple connectivity of finite flag complexes.
 
-A positive answer is certified by a sequence of elementary collapses ending
-in a single vertex (collapsible implies contractible implies simply
-connected).  A negative answer is certified by non-vanishing first integral
-homology, computed exactly with a Smith normal form over the integers.  When
-neither certificate is found within budget the oracle reports unknown; it
-never guesses.
+The oracle looks for a negative certificate first: non-vanishing first
+integral homology.  It is computed exactly, on disconnected complexes too.
+The rank of d1 is V minus the number of components, so d1 needs no matrix;
+torsion comes from d2 alone.  The boundary matrix d2 is held sparse and
+reduced by pivots on entries of +-1, each an invariant factor of 1; only the
+residual goes through a dense Smith normal form.  Only when first homology
+vanishes does the oracle search for a positive certificate: a sequence of
+elementary collapses ending in a single vertex (collapsible implies
+contractible implies simply connected).  A complex that collapses has
+trivial homology, so the search could not have answered Yes where homology
+answers No.  When neither certificate is found within budget the oracle
+reports unknown; it never guesses.
 """
 
 from __future__ import annotations
@@ -266,46 +272,94 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def _unit_pivots(n_rows: int, columns: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
+    """Pivot a sparse integer matrix on entries of +-1 while any remain.
+
+    ``columns`` holds each column's non-zero entries {row: value} and is
+    consumed.  Each pivot is a unimodular row and column operation that splits
+    off one invariant factor 1, so the invariant factors of the matrix are that
+    many 1s plus those of the residual.  Returns (pivot count, residual), the
+    residual being the dense matrix of every row and column never pivoted,
+    zero ones included.  The shortest row goes first, to keep fill-in small.
+    """
+    # row index: the columns of each row; rows are short, and a list takes
+    # a third of the memory of a set
+    rows: list[list[int]] = [[] for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i in col:
+            rows[i].append(j)
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapq.heapify(heap)
+    live_rows = bytearray(b"\x01") * n_rows
+    live_cols = bytearray(b"\x01") * len(columns)
+    pivots = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        if not live_rows[i] or size != len(rows[i]):
+            continue
+        units = [j for j in rows[i] if abs(columns[j][i]) == 1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: (len(columns[c]), c))
+        sign = columns[j].pop(i)  # +-1 is its own inverse
+        pivot_row = {c: columns[c].pop(i) for c in rows[i] if c != j}
+        for r, a in columns[j].items():
+            factor = a * sign
+            row_r = rows[r]
+            row_r.remove(j)
+            for c, b in pivot_row.items():
+                col = columns[c]
+                old = col.get(r, 0)
+                value = old - factor * b
+                if value:
+                    col[r] = value
+                    if not old:
+                        row_r.append(c)
+                else:
+                    del col[r]
+                    row_r.remove(c)
+            heapq.heappush(heap, (len(row_r), r))
+        columns[j] = {}
+        rows[i] = []
+        live_rows[i] = live_cols[j] = 0
+        pivots += 1
+    residual_cols = [columns[j] for j in range(len(columns)) if live_cols[j]]
+    return pivots, [[col.get(i, 0) for col in residual_cols] for i in range(n_rows) if live_rows[i]]
+
+
+def _boundary_columns(x: FlagComplex) -> list[dict[int, int]]:
+    """d2 as sparse columns, one per triangle (a, b, c): {edge: +-1}, the
+    edges numbered in the order of ``x.edges()``."""
+    eidx = {e: i for i, e in enumerate(x.edges())}
+    return [
+        {eidx[(b, c)]: 1, eidx[(a, c)]: -1, eidx[(a, b)]: 1}
+        for a, b, c in (t for t in x.cliques(max_size=3) if len(t) == 3)
+    ]
+
+
 def first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     """(free rank, torsion coefficients > 1) of first integral homology.
 
-    Meaningful for connected complexes; callers check connectivity.
+    Exact on disconnected complexes too.  rank d1 is V minus the number of
+    components; d2 is reduced by unit pivots, and only the residual goes
+    through the Smith normal form.
     """
-    verts = x.vertices
-    vidx = {v: i for i, v in enumerate(verts)}
-    edges = list(x.edges())
-    eidx = {e: i for i, e in enumerate(edges)}
-    triangles = [c for c in x.cliques(max_size=3) if len(c) == 3]
-
-    if not edges:
+    n_edges = x.n_edges
+    if not n_edges:
         return 0, []
-    d1 = [[0] * len(edges) for _ in verts]
-    for j, (u, v) in enumerate(edges):
-        d1[vidx[u]][j] -= 1
-        d1[vidx[v]][j] += 1
-    rank1 = len(_smith_diagonal(d1))
-
-    rank2 = 0
-    torsion: list[int] = []
-    if triangles:
-        d2 = [[0] * len(triangles) for _ in edges]
-        for j, (a, b, c) in enumerate(triangles):
-            d2[eidx[(b, c)]][j] += 1
-            d2[eidx[(a, c)]][j] -= 1
-            d2[eidx[(a, b)]][j] += 1
-        diag = _smith_diagonal(d2)
-        rank2 = len(diag)
-        torsion = [d for d in diag if d > 1]
-
-    betti1 = len(edges) - rank1 - rank2
-    return betti1, torsion
+    rank1 = x.n_vertices - len(x.connected_components())
+    units, residual = _unit_pivots(n_edges, _boundary_columns(x))
+    diag = _smith_diagonal(residual)
+    torsion = [d for d in diag if d > 1]
+    return n_edges - rank1 - units - len(diag), torsion
 
 
 def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Yes / No / Unknown for simple connectivity.
 
-    Yes comes from a collapse certificate, No from disconnectedness or
-    non-trivial first homology, Unknown otherwise.
+    No comes from disconnectedness or non-trivial first homology, checked
+    first; Yes from a collapse certificate, searched for only when first
+    homology vanishes; Unknown otherwise.
     """
     if x.n_vertices == 0:
         raise ComplexError("empty complex")
@@ -314,14 +368,14 @@ def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> 
         reps = sorted(min(c) for c in comps)
         return no(witness=tuple(reps[:2]), reason="disconnected")
 
-    if budget > 0:
-        collapsed = collapse_to_point(x, budget)
-        if collapsed.is_yes:
-            return yes(reason=collapsed.reason, **collapsed.detail)
     betti1, torsion = first_homology(x)
     if betti1 > 0 or torsion:
         return no(
             witness={"betti1": betti1, "torsion": torsion},
             reason="first integral homology is non-trivial",
         )
+    if budget > 0:
+        collapsed = collapse_to_point(x, budget)
+        if collapsed.is_yes:
+            return yes(reason=collapsed.reason, **collapsed.detail)
     return unknown(reason="no collapse found within budget; first homology vanishes")

@@ -11,7 +11,8 @@ import itertools
 import math
 
 from systolic import FlagComplex
-from systolic.verdict import FullCycle
+from systolic.collapse import collapse_to_point
+from systolic.verdict import FullCycle, Verdict, no, unknown, yes
 
 INF = math.inf
 
@@ -210,3 +211,125 @@ def first_nested_facets(facets: list[tuple[int, ...]]) -> tuple[tuple[int, ...],
             if a != b and set(a) <= set(b):
                 return (a, b)
     return None
+
+
+def smith_diagonal(rows: list[list[int]]) -> list[int]:
+    """Non-zero diagonal of the Smith normal form of a dense integer matrix,
+    by repeated smallest-pivot reduction."""
+    m = [row[:] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+
+    def smallest_pivot(t: int) -> tuple[int, int] | None:
+        best = None
+        where = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                a = m[i][j]
+                if a and (best is None or abs(a) < best):
+                    best, where = abs(a), (i, j)
+        return where
+
+    out: list[int] = []
+    t = 0
+    while t < nr and t < nc:
+        where = smallest_pivot(t)
+        if where is None:
+            break
+        pr, pc = where
+        m[t], m[pr] = m[pr], m[t]
+        for row in m:
+            row[t], row[pc] = row[pc], row[t]
+        clean = False
+        while not clean:
+            pivot = m[t][t]
+            for i in range(t + 1, nr):
+                q = m[i][t] // pivot
+                if q:
+                    for j in range(t, nc):
+                        m[i][j] -= q * m[t][j]
+            for j in range(t + 1, nc):
+                q = m[t][j] // pivot
+                if q:
+                    for i in range(t, nr):
+                        m[i][j] -= q * m[i][t]
+            if any(m[i][t] for i in range(t + 1, nr)) or any(
+                m[t][j] for j in range(t + 1, nc)
+            ):
+                # remainders survived (pivot did not divide); re-pivot here
+                where = smallest_pivot(t)
+                pr, pc = where
+                m[t], m[pr] = m[pr], m[t]
+                for row in m:
+                    row[t], row[pc] = row[pc], row[t]
+                continue
+            clean = True
+        pivot = m[t][t]
+        offender = None
+        for i in range(t + 1, nr):
+            if any(m[i][j] % pivot for j in range(t + 1, nc)):
+                offender = i
+                break
+        if offender is not None:
+            # fold the offending row in so the divisibility chain holds
+            for j in range(t, nc):
+                m[t][j] += m[offender][j]
+            continue
+        out.append(abs(pivot))
+        t += 1
+    out.sort()
+    return out
+
+
+def dense_first_homology(x: FlagComplex) -> tuple[int, list[int]]:
+    """(free rank, torsion coefficients > 1) of first integral homology from
+    the full dense boundary matrices d1 (V x E) and d2 (E x T), each through
+    smith_diagonal; the reference for the package's sparse first_homology."""
+    verts = x.vertices
+    vidx = {v: i for i, v in enumerate(verts)}
+    edges = list(x.edges())
+    eidx = {e: i for i, e in enumerate(edges)}
+    triangles = [c for c in x.cliques(max_size=3) if len(c) == 3]
+
+    if not edges:
+        return 0, []
+    d1 = [[0] * len(edges) for _ in verts]
+    for j, (u, v) in enumerate(edges):
+        d1[vidx[u]][j] -= 1
+        d1[vidx[v]][j] += 1
+    rank1 = len(smith_diagonal(d1))
+
+    rank2 = 0
+    torsion: list[int] = []
+    if triangles:
+        d2 = [[0] * len(triangles) for _ in edges]
+        for j, (a, b, c) in enumerate(triangles):
+            d2[eidx[(b, c)]][j] += 1
+            d2[eidx[(a, c)]][j] -= 1
+            d2[eidx[(a, b)]][j] += 1
+        diag = smith_diagonal(d2)
+        rank2 = len(diag)
+        torsion = [d for d in diag if d > 1]
+
+    betti1 = len(edges) - rank1 - rank2
+    return betti1, torsion
+
+
+def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:
+    """Simple connectivity in the older order: the collapse search first, then
+    dense_first_homology; the reference for simple_connectivity_oracle."""
+    comps = x.connected_components()
+    if len(comps) > 1:
+        reps = sorted(min(c) for c in comps)
+        return no(witness=tuple(reps[:2]), reason="disconnected")
+    if budget > 0:
+        collapsed = collapse_to_point(x, budget)
+        if collapsed.is_yes:
+            return yes(reason=collapsed.reason, **collapsed.detail)
+    betti1, torsion = dense_first_homology(x)
+    if betti1 > 0 or torsion:
+        return no(
+            witness={"betti1": betti1, "torsion": torsion},
+            reason="first integral homology is non-trivial",
+        )
+    return unknown(reason="no collapse found within budget; first homology vanishes")

@@ -1,10 +1,63 @@
+import itertools
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import systolic as S
+import systolic.collapse
 from systolic import FlagComplex
 from systolic.collapse import all_simplices, collapse_to_point
+from systolic.io import parse_complex_file
 
-from _oracles import cycle_space_rank_mod2
+from _oracles import collapse_first_oracle, cycle_space_rank_mod2, dense_first_homology
+
+# A connected, locally 6-large random complex with betti1 = 1: the collapse
+# search would spend its whole budget backtracking before homology answered.
+BACKTRACK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "backtrack_s1.txt")
+
+# The 6-vertex real projective plane.
+RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+
+
+def flag_rp2() -> FlagComplex:
+    """Barycentric subdivision of the 6-vertex RP^2 (31 vertices): the flag
+    complex of its face poset.  H1 = Z/2."""
+    faces = sorted(
+        {frozenset(f) for t in RP2_TRIANGLES for k in (1, 2, 3) for f in itertools.combinations(t, k)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    return FlagComplex(range(len(faces)), [
+        (i, j) for i, a in enumerate(faces) for j, b in enumerate(faces) if a < b
+    ])
+
+
+def disjoint_union(a: FlagComplex, b: FlagComplex) -> FlagComplex:
+    """a beside a copy of b whose vertices are moved past a's."""
+    shift = max(a.vertices) + 1
+    return FlagComplex(
+        list(a.vertices) + [v + shift for v in b.vertices],
+        list(a.edges()) + [(u + shift, v + shift) for u, v in b.edges()],
+    )
+
+
+# (n1, n2, p, seed): a random flag complex on n1 vertices, disjoint from a
+# second one on n2 vertices when n2 > 0; at most 14 vertices in all.
+union_params = st.tuples(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=13),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+def random_union(n1: int, n2: int, p: float, seed: int) -> FlagComplex:
+    n2 = min(n2, 14 - n1)
+    g = S.random_flag_complex(n1, p, seed)
+    if n2:
+        g = disjoint_union(g, S.random_flag_complex(n2, p, seed + 1))
+    return g
 
 
 class TestAllSimplices:
@@ -77,6 +130,29 @@ class TestHomology:
             rank1 = g.n_vertices - n_comp
             assert b1 == g.n_edges - rank1 - rank2, name
 
+    @pytest.mark.parametrize("p", [4, 5, 6, 7])
+    def test_hex_torus_matches_dense(self, p):
+        torus = S.hex_torus(p, p)
+        assert S.first_homology(torus) == dense_first_homology(torus) == (2, [])
+
+    def test_octahedron_matches_dense(self, octa):
+        assert S.first_homology(octa) == dense_first_homology(octa) == (0, [])
+
+    def test_flag_rp2_has_z2_torsion(self):
+        rp2 = flag_rp2()
+        assert rp2.n_vertices == 31
+        assert S.first_homology(rp2) == dense_first_homology(rp2) == (0, [2])
+
+    def test_two_disjoint_cycles(self):
+        g = disjoint_union(S.cycle(4), S.cycle(5))
+        assert S.first_homology(g) == dense_first_homology(g) == (2, [])
+
+    @given(union_params)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, params):
+        g = random_union(*params)
+        assert S.first_homology(g) == dense_first_homology(g)
+
 
 class TestOracle:
     def test_disconnected_is_no(self):
@@ -85,7 +161,8 @@ class TestOracle:
         assert v.is_no and v.witness == (0, 2)
 
     def test_collapse_gives_yes(self, small_corpus):
-        assert S.simple_connectivity_oracle(small_corpus["cone_c6"]).is_yes
+        v = S.simple_connectivity_oracle(small_corpus["cone_c6"])
+        assert v.is_yes and v.reason == "collapsed to a point"
 
     def test_homology_gives_no(self, torus44):
         v = S.simple_connectivity_oracle(torus44)
@@ -99,3 +176,39 @@ class TestOracle:
 
     def test_icosahedron_unknown(self, icosa):
         assert S.simple_connectivity_oracle(icosa).is_unknown
+
+    def test_rp2_torsion_is_no(self):
+        v = S.simple_connectivity_oracle(flag_rp2())
+        assert v.is_no
+        assert v.witness == {"betti1": 0, "torsion": [2]}
+
+    @given(union_params)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_collapse_first_order(self, params):
+        # a small budget keeps the backtracking collapse search short
+        g = random_union(*params)
+        assert S.simple_connectivity_oracle(g, 200) == collapse_first_oracle(g, 200)
+
+
+class TestOracleOrder:
+    """Homology answers before the collapse search is tried."""
+
+    @pytest.fixture
+    def no_collapse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("collapse search ran")
+
+        monkeypatch.setattr(systolic.collapse, "collapse_to_point", refuse)
+
+    def test_torus_needs_no_collapse(self, torus44, no_collapse):
+        v = S.simple_connectivity_oracle(torus44)
+        assert v.is_no and v.witness == {"betti1": 2, "torsion": []}
+
+    def test_backtrack_fixture_needs_no_collapse(self, no_collapse):
+        v = S.simple_connectivity_oracle(parse_complex_file(BACKTRACK).complex)
+        assert v.is_no and v.witness == {"betti1": 1, "torsion": []}
+
+    def test_zero_budget_sphere_is_unknown(self, octa):
+        v = S.simple_connectivity_oracle(octa, budget=0)
+        assert v.is_unknown
+        assert v.reason == "no collapse found within budget; first homology vanishes"

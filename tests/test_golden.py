@@ -1,10 +1,17 @@
-"""Golden reports of window operations.
+"""Golden reports of window and finite-complex operations.
 
-Each file under ``golden/`` is the JSON report of one CLI operation with the
-``wall_ms`` fields stripped.  They were captured before the distance layer
-became horizon-bounded; every checker must still print them byte for byte.
-The radius-26 window (2107 vertices) lies above
+Each ``.json`` file under ``golden/`` is the JSON report of one CLI operation
+with the ``wall_ms`` fields stripped; every checker must still print them byte
+for byte.  The window reports were captured before the distance layer became
+horizon-bounded.  The radius-26 window (2107 vertices) lies above
 ``DistanceOracle.ALL_PAIRS_THRESHOLD``, where complete tables are not cached.
+The finite-complex reports were captured while the simple-connectivity oracle
+still searched for a collapse before computing homology with dense matrices:
+the hex torus is a No from homology (twice, through ``systolic`` and the
+local-to-global route of ``weakly-systolic``), the cone a Yes from the
+collapse, and ``backtrack_s1.txt`` (``backtrack0_s1`` of the benchmark's
+random corpus, seed 1) is locally 6-large with betti1 = 1, where the old
+order spent its whole budget backtracking.
 """
 
 import os
@@ -30,6 +37,11 @@ CASES = {
     "embedding_lattice_r26_glide": [
         "theorems", "--gen", "lattice:radius=26,margin=4", "--auto", "glide", "--do", "embedding",
     ],
+    "check_hex_torus_6x6": [
+        "check", "--gen", "hex_torus:p=6,q=6", "--checks", "systolic,weakly-systolic", "--mode", "composite",
+    ],
+    "check_cone_over_cycle_7": ["check", "--gen", "cone_over_cycle:n=7", "--checks", "all"],
+    "check_backtrack_s1": ["check", "--input", os.path.join(GOLDEN, "backtrack_s1.txt"), "--checks", "all"],
 }
 
 
