@@ -169,8 +169,12 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
         return yes(reason="full cycles never have length below 4")
     g, region, _ = scope(x)
     for sigma in g.cliques(within=region):
-        link = g.link(sigma)
-        short = enumerate_full_cycles(link, k - 1)
+        common = g.common_neighbors(sigma)
+        # A full cycle has at least 4 vertices, so a smaller link holds
+        # none; sigma comes from cliques, so the link needs no clique test.
+        if len(common) < 4:
+            continue
+        short = enumerate_full_cycles(g.span(common), k - 1)
         if short:
             return no(
                 witness=CycleInLink(sigma, short[0]),
@@ -374,6 +378,17 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
     Single vertices count as simplices here, so the scan covers every
     dimension including zero.  On a window this requires n + 1 at most the
     margin, keeping all participating distances exact.
+
+    The spheres are the layers of ``ball(v, n + 1)``, as deep as the ball
+    reaches.  A neighbor of a vertex u of sphere i+1 inside the ball of
+    radius i lies in sphere i, so u's inner set is its neighbors there, and
+    a simplex's inner set is the meet of its vertices' inner sets.  Each
+    sphere is scanned in one pass over its simplices in ascending
+    lexicographic order (prefixes first, as ``FlagComplex.cliques`` yields
+    them), carrying the meet along.  A simplex is reached only after its
+    first vertex passed, so its inner set lies inside a non-empty simplex:
+    only vertices need the clique test, and above them only emptiness is
+    left.  The first failure in this order is the witness.
     """
     g, region, bound = scope(x)
     if n < 0:
@@ -385,24 +400,73 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
             raise ComplexError(
                 f"n={n} looks past the trusted horizon (margin {int(bound)})"
             )
-    spheres: list[list[int]] = [[] for _ in range(n + 2)]
-    for u, d in g.oracle.ball(v, n + 1).items():
-        if d <= n + 1:
+    dist = g.oracle.ball(v, n + 1)
+    depth = min(n + 1, max(dist.values()))
+    spheres: list[list[int]] = [[] for _ in range(depth + 1)]
+    for u, d in dist.items():
+        if d <= depth:
             spheres[d].append(u)
-    ball: set[int] = {v}
-    for i in range(n + 1):
-        sphere = sorted(spheres[i + 1])
-        if not sphere:
-            break
-        for sigma in g.cliques(within=sphere):
-            inner = g.common_neighbors(sigma) & ball
-            if not inner or not g.is_clique(inner):
-                return no(
-                    witness=SphereSimplexViolation(v, i, sigma, tuple(sorted(inner))),
-                    reason="sphere simplex undominated from the inner ball",
-                )
-        ball.update(sphere)
+    for i in range(depth):
+        below = frozenset(spheres[i])
+        hit = _first_undominated(g, sorted(spheres[i + 1]), below)
+        if hit is not None:
+            sigma, inner = hit
+            return no(
+                witness=SphereSimplexViolation(v, i, sigma, tuple(sorted(inner))),
+                reason="sphere simplex undominated from the inner ball",
+            )
     return yes()
+
+
+def _first_undominated(
+    g: FlagComplex, sphere: list[int], below: frozenset[int]
+) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    """First simplex of the sorted sphere, in the order of
+    ``FlagComplex.cliques``, whose inner set in ``below`` is empty or, for a
+    vertex, not a simplex; (simplex, inner set) or None."""
+    pool = frozenset(sphere)
+    nbrs = {u: g.neighbors(u) for u in sphere}
+    inner = {u: nbrs[u] & below for u in sphere}
+    path: list[int] = []
+
+    def grow(candidates: list[int], meet: frozenset[int]):
+        # simplices path + (u, ...) for u in candidates, each inside meet
+        for j, u in enumerate(candidates):
+            here = meet & inner[u]
+            path.append(u)
+            if not here:
+                return tuple(path), here
+            nu = nbrs[u]
+            nxt = [w for w in candidates[j + 1 :] if w in nu]
+            if nxt:
+                hit = grow(nxt, here)
+                if hit is not None:
+                    return hit
+            path.pop()
+        return None
+
+    # vertices take the clique test; each starts the walk over its upper
+    # neighbors, where only an empty meet can fail
+    for u in sphere:
+        here = inner[u]
+        if not here or (len(here) > 1 and not _spans_simplex(g, here)):
+            return (u,), here
+        up = sorted(w for w in nbrs[u] & pool if w > u)
+        if up:
+            path.append(u)
+            hit = grow(up, here)
+            if hit is not None:
+                return hit
+            path.pop()
+    return None
+
+
+def _spans_simplex(g: FlagComplex, vertices: frozenset[int]) -> bool:
+    rest = set(vertices)
+    while rest:
+        if not rest <= g.neighbors(rest.pop()):
+            return False
+    return True
 
 
 def sphere_domination_violation_holds(

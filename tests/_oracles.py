@@ -10,9 +10,19 @@ from __future__ import annotations
 import itertools
 import math
 
-from systolic import FlagComplex
+from systolic import FlagComplex, WindowView
 from systolic.collapse import collapse_to_point
-from systolic.verdict import FullCycle, Verdict, no, unknown, yes
+from systolic.complexes import ComplexError, scope
+from systolic.conditions import enumerate_full_cycles
+from systolic.verdict import (
+    CycleInLink,
+    FullCycle,
+    SphereSimplexViolation,
+    Verdict,
+    no,
+    unknown,
+    yes,
+)
 
 INF = math.inf
 
@@ -333,3 +343,56 @@ def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:
             reason="first integral homology is non-trivial",
         )
     return unknown(reason="no collapse found within budget; first homology vanishes")
+
+
+def first_sphere_violation(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
+    """Sphere domination at v to depth n, clique by clique: every clique of
+    each sphere in the order of ``FlagComplex.cliques``, its inner set rebuilt
+    from ``common_neighbors`` and re-tested with ``is_clique``; the reference
+    for the package's one-pass ``sphere_domination``."""
+    g, region, bound = scope(x)
+    if n < 0:
+        raise ComplexError("n must be non-negative")
+    if region is not None:
+        if v not in region:
+            raise ComplexError(f"vertex {v} is outside the trusted region")
+        if n + 1 > bound:
+            raise ComplexError(
+                f"n={n} looks past the trusted horizon (margin {int(bound)})"
+            )
+    spheres: list[list[int]] = [[] for _ in range(n + 2)]
+    for u, d in g.oracle.ball(v, n + 1).items():
+        if d <= n + 1:
+            spheres[d].append(u)
+    ball: set[int] = {v}
+    for i in range(n + 1):
+        sphere = sorted(spheres[i + 1])
+        if not sphere:
+            break
+        for sigma in g.cliques(within=sphere):
+            inner = g.common_neighbors(sigma) & ball
+            if not inner or not g.is_clique(inner):
+                return no(
+                    witness=SphereSimplexViolation(v, i, sigma, tuple(sorted(inner))),
+                    reason="sphere simplex undominated from the inner ball",
+                )
+        ball.update(sphere)
+    return yes()
+
+
+def first_short_link_cycle(x: FlagComplex | WindowView, k: int) -> Verdict:
+    """Local k-largeness by building the link of every simplex through
+    ``FlagComplex.link`` and enumerating its full cycles shorter than k; the
+    reference for the package's ``is_locally_k_large``."""
+    if k <= 4:
+        return yes(reason="full cycles never have length below 4")
+    g, region, _ = scope(x)
+    for sigma in g.cliques(within=region):
+        link = g.link(sigma)
+        short = enumerate_full_cycles(link, k - 1)
+        if short:
+            return no(
+                witness=CycleInLink(sigma, short[0]),
+                reason="short full cycle in a link",
+            )
+    return yes()

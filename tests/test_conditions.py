@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import systolic as S
-from systolic import ComplexError, FlagComplex
+from systolic import ComplexError, FlagComplex, WindowView
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
@@ -15,6 +16,8 @@ from systolic.verdict import (
 from _oracles import (
     brute_force_full_cycles,
     first_quadrangle_violation,
+    first_short_link_cycle,
+    first_sphere_violation,
     first_triangle_violation,
 )
 
@@ -338,6 +341,111 @@ class TestSphereDomination:
 
     def test_dominated_wheel_passes(self):
         assert S.sphere_domination_everywhere(S.extended_wheel5(True)).is_yes
+
+    def test_depth_past_the_complex_allocates_nothing_for_it(self):
+        # the layers come from the ball, which stops at the antipode, so a
+        # huge n costs what n = 1 costs and finds the same witness
+        octa = S.octahedron()
+        tracemalloc.start()
+        try:
+            v = S.sphere_domination(octa, 0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert v.is_no and v.witness == S.sphere_domination(octa, 0, 1).witness
+
+    @pytest.mark.parametrize(
+        "n, p, seed, i, simplex, inner_set",
+        [
+            # a vertex whose inner set is two non-adjacent vertices
+            (10, 0.3, 11, 3, (3,), (1, 6)),
+            # a triangle whose vertices' inner sets meet in nothing
+            (10, 0.4, 16, 1, (3, 4, 8), ()),
+            # the same on a 4-vertex simplex
+            (12, 0.4, 34, 1, (1, 2, 7, 8), ()),
+        ],
+    )
+    def test_named_witness_shapes(self, n, p, seed, i, simplex, inner_set):
+        g = S.random_flag_complex(n, p, seed)
+        v = S.sphere_domination_everywhere(g)
+        assert v.is_no
+        assert v.witness == SphereSimplexViolation(v=0, i=i, simplex=simplex, inner_set=inner_set)
+        assert S.sphere_domination_violation_holds(g, v.witness)
+        assert v == first_sphere_violation(g, 0, i)
+
+    def test_scan_needs_no_clique_enumeration(self, window10, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sphere domination must not call this")
+
+        monkeypatch.setattr(FlagComplex, "cliques", refuse)
+        monkeypatch.setattr(FlagComplex, "is_clique", refuse)
+        assert S.sphere_domination_everywhere(window10).is_yes
+
+
+def _random_connected(n, p, seed):
+    g = S.random_flag_complex(n, p, seed)
+    return g if g.is_connected() else None
+
+
+def _verdict_key(v):
+    return (v.answer, v.witness, v.reason)
+
+
+class TestAgainstReferences:
+    """The one-pass sphere scan and the cut link scan against the
+    clique-by-clique references in ``_oracles``."""
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sphere_domination_matches_reference(self, n, p, seed):
+        g = _random_connected(n, p, seed)
+        if g is None:
+            return
+        for v in g.vertices:
+            for depth in range(4):
+                got = S.sphere_domination(g, v, depth)
+                want = first_sphere_violation(g, v, depth)
+                assert _verdict_key(got) == _verdict_key(want)
+                if got.is_no:
+                    assert S.sphere_domination_violation_holds(g, got.witness)
+
+    @given(
+        st.integers(min_value=4, max_value=16),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_window_scans_match_references(self, n, p, seed, margin, extra):
+        g = _random_connected(n, p, seed)
+        if g is None:
+            return
+        x = WindowView(g, 0, margin + extra, margin)
+        for v in sorted(x.trusted_vertices):
+            for depth in range(margin):
+                got = S.sphere_domination(x, v, depth)
+                assert _verdict_key(got) == _verdict_key(first_sphere_violation(x, v, depth))
+        for k in (5, 6, 7):
+            got = S.is_locally_k_large(x, k)
+            assert _verdict_key(got) == _verdict_key(first_short_link_cycle(x, k))
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_locally_k_large_matches_reference(self, n, p, seed):
+        g = S.random_flag_complex(n, p, seed)
+        for k in (5, 6, 7):
+            got = S.is_locally_k_large(g, k)
+            assert _verdict_key(got) == _verdict_key(first_short_link_cycle(g, k))
 
 
 class TestWeaklySystolic:

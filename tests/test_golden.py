@@ -12,6 +12,12 @@ local-to-global route of ``weakly-systolic``), the cone a Yes from the
 collapse, and ``backtrack_s1.txt`` (``backtrack0_s1`` of the benchmark's
 random corpus, seed 1) is locally 6-large with betti1 = 1, where the old
 order spent its whole budget backtracking.
+The three ``check_sd_random_*`` reports were captured while sphere domination
+still enumerated every clique of each sphere and rebuilt its inner set from
+scratch: each is an SD No with a different witness shape (a vertex whose inner
+set is not a clique, at i = 3; an empty inner set on a triangle; an empty
+inner set on a 4-vertex simplex), next to ``locally-k-large`` and the
+composite ``weakly-systolic`` on the same complex.
 """
 
 import os
@@ -25,6 +31,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CHECKS = "flag,full-cycles,systole,k-large,locally-k-large,tc,qc,weakly-modular,w5hat,sd,weakly-systolic"
 ISOMETRY = "validate,displacement,classify,invariant-simplex,min-set,idempotence"
+SD_CHECKS = ["--checks", "sd,locally-k-large,weakly-systolic", "--mode", "composite"]
 THEOREMS = "embedding,min-systolic,wheel-domination,invariant-geodesic,dichotomy"
 
 CASES = {
@@ -42,6 +49,9 @@ CASES = {
     ],
     "check_cone_over_cycle_7": ["check", "--gen", "cone_over_cycle:n=7", "--checks", "all"],
     "check_backtrack_s1": ["check", "--input", os.path.join(GOLDEN, "backtrack_s1.txt"), "--checks", "all"],
+    "check_sd_random_n10_p03_s11": ["check", "--gen", "random:n=10,p=0.3,seed=11", *SD_CHECKS],
+    "check_sd_random_n10_p04_s16": ["check", "--gen", "random:n=10,p=0.4,seed=16", *SD_CHECKS],
+    "check_sd_random_n12_p04_s34": ["check", "--gen", "random:n=12,p=0.4,seed=34", *SD_CHECKS],
 }
 
 
