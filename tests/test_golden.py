@@ -18,6 +18,13 @@ scratch: each is an SD No with a different witness shape (a vertex whose inner
 set is not a clique, at i = 3; an empty inner set on a triangle; an empty
 inner set on a 4-vertex simplex), next to ``locally-k-large`` and the
 composite ``weakly-systolic`` on the same complex.
+The last group was captured while the CLI still dispatched tokens through one
+if-chain per subcommand: a glide window under ``--power 2`` (``isometry``
+applies the power to the map), a map read from an input file under ``--auto
+file`` with ``--power 2`` (``theorems`` hands the power only to
+``invariant-geodesic``), a ``check`` whose ``--require``d check says no (exit
+status 1), and the text that ``generate`` writes for a small window and its
+translation.
 """
 
 import os
@@ -52,17 +59,41 @@ CASES = {
     "check_sd_random_n10_p03_s11": ["check", "--gen", "random:n=10,p=0.3,seed=11", *SD_CHECKS],
     "check_sd_random_n10_p04_s16": ["check", "--gen", "random:n=10,p=0.4,seed=16", *SD_CHECKS],
     "check_sd_random_n12_p04_s34": ["check", "--gen", "random:n=12,p=0.4,seed=34", *SD_CHECKS],
+    "isometry_lattice_r8_glide_power2": [
+        "isometry", "--gen", "lattice:radius=8,margin=3", "--auto", "glide", "--power", "2", "--do", ISOMETRY,
+    ],
+    "theorems_file_thick_line_power2": [
+        "theorems", "--input", os.path.join(GOLDEN, "thick_line_k2_n10.txt"), "--auto", "file",
+        "--power", "2", "--do", "all",
+    ],
+    "check_require_octahedron": [
+        "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
+    ],
 }
 
+# exit status of the cases that do not exit 0
+EXIT_CODES = {"check_require_octahedron": 1}
 
-def report(argv, out_path) -> str:
-    code = main(argv + ["--format", "json", "--out", str(out_path)])
-    assert code == 0
+GENERATE = ["generate", "--gen", "lattice:radius=2,margin=1", "--auto", "t1"]
+
+
+def report(argv, out_path, code: int = 0) -> str:
+    assert main(argv + ["--format", "json", "--out", str(out_path)]) == code
     return strip_timing(out_path.read_text())
+
+
+def golden(filename: str) -> str:
+    with open(os.path.join(GOLDEN, filename), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical(name, tmp_path):
-    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
-        want = fh.read()
-    assert report(CASES[name], tmp_path / "report.json") == want
+    got = report(CASES[name], tmp_path / "report.json", EXIT_CODES.get(name, 0))
+    assert got == golden(name + ".json")
+
+
+def test_generated_text_is_byte_identical(tmp_path):
+    out = tmp_path / "window.txt"
+    assert main(GENERATE + ["--out", str(out)]) == 0
+    assert out.read_text() == golden("generate_lattice_r2_t1.txt")
