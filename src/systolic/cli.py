@@ -10,8 +10,14 @@ Subcommands::
 Generator specs are ``name`` or ``name:key=value,key=value``, for example
 ``lattice:radius=10,margin=4`` or ``thick_line:k=2,n=12``.  Exit status is 0
 when everything ran, 1 when a check named in --require answered no, and 2 on
-usage or input errors.  Output is deterministic for fixed inputs and options
-(--jobs never changes answers), except for wall_ms timing fields.
+usage or input errors.  Output is deterministic for fixed inputs and options,
+except for wall_ms timing fields.  --jobs is accepted and ignored: every scan
+runs in one thread.
+
+check, isometry and theorems each look their tokens up in one ordered table
+and share one command loop; generators and automorphisms have a table each.
+Every entry names the package function it calls inside its body, so wrappers
+installed on module attributes (as a tracer does) see every call.
 """
 
 from __future__ import annotations
@@ -21,94 +27,13 @@ import re
 import sys
 import time
 
+from . import conditions, generators, isometries, mindisp
 from .collapse import DEFAULT_BUDGET
-from .complexes import ComplexError, FacetComplex, FlagComplex, WindowView, is_flag
-from .conditions import (
-    MODES,
-    enumerate_full_cycles,
-    extended_wheel_condition,
-    is_k_large,
-    is_locally_k_large,
-    is_systolic,
-    is_weakly_modular,
-    is_weakly_systolic,
-    quadrangle_condition,
-    sphere_domination_everywhere,
-    systole,
-    triangle_condition,
-)
-from .generators import (
-    complete,
-    cone,
-    cycle,
-    cycle_rotation,
-    extended_wheel5,
-    hex_torus,
-    icosahedron,
-    lattice_glide,
-    lattice_translation,
-    octahedron,
-    octahedron_antipodal,
-    random_flag_complex,
-    thick_line,
-    torus_translation,
-    triangular_lattice_window,
-    wheel,
-)
+from .complexes import ComplexError, FacetComplex, WindowView, is_flag
 from .io import ParseError, format_complex, parse_complex_file
-from .isometries import (
-    Automorphism,
-    classify,
-    displacement_profile,
-    find_invariant_simplex,
-    min_set,
-    min_set_idempotence,
-    orbit_path,
-    validate_automorphism,
-    verify_local_geodesic,
-)
-from .mindisp import (
-    dichotomy_report,
-    invariant_geodesic_search,
-    isometric_embedding_check,
-    min_systolic_check,
-    wheel_domination_in_min,
-)
+from .isometries import Automorphism
 from .report import CheckRecord, render_json, render_text
 from .verdict import Verdict, no, yes
-
-CHECK_TOKENS = (
-    "flag",
-    "full-cycles",
-    "systole",
-    "k-large",
-    "locally-k-large",
-    "tc",
-    "qc",
-    "weakly-modular",
-    "w5hat",
-    "sd",
-    "weakly-systolic",
-    "systolic",
-)
-
-ISOMETRY_TOKENS = (
-    "validate",
-    "displacement",
-    "classify",
-    "invariant-simplex",
-    "min-set",
-    "idempotence",
-    "chain",
-)
-
-THEOREM_TOKENS = (
-    "embedding",
-    "min-systolic",
-    "wheel-domination",
-    "invariant-geodesic",
-    "dichotomy",
-)
 
 
 class CliError(Exception):
@@ -136,26 +61,16 @@ def parse_gen_spec(spec: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-def _int_param(params: dict[str, str], key: str, default: int | None = None) -> int:
+def _param(params: dict[str, str], key: str, kind=int, default=None):
     if key not in params:
         if default is None:
             raise CliError(f"generator needs parameter {key}=...")
         return default
     try:
-        return int(params[key])
+        return kind(params[key])
     except ValueError:
-        raise CliError(f"parameter {key} must be an integer, got {params[key]!r}") from None
-
-
-def _float_param(params: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in params:
-        if default is None:
-            raise CliError(f"generator needs parameter {key}=...")
-        return default
-    try:
-        return float(params[key])
-    except ValueError:
-        raise CliError(f"parameter {key} must be a number, got {params[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise CliError(f"parameter {key} must be {noun}, got {params[key]!r}") from None
 
 
 def _bool_param(params: dict[str, str], key: str, default: bool) -> bool:
@@ -169,87 +84,110 @@ def _bool_param(params: dict[str, str], key: str, default: bool) -> bool:
     raise CliError(f"parameter {key} must be a boolean, got {params[key]!r}")
 
 
-def build_generated(spec: str, radius: int, margin: int):
-    """Build (target, context) from a generator spec string.
+def _lattice(params: dict[str, str], radius: int, margin: int) -> tuple:
+    r = _param(params, "radius", default=radius)
+    m = _param(params, "margin", default=margin)
+    return generators.triangular_lattice_window(r, m), {}
 
-    ``context`` keeps what automorphism construction needs later.
-    """
+
+def _thick_line(params: dict[str, str], *_) -> tuple:
+    k = _param(params, "k")
+    n = _param(params, "n")
+    g, shift = generators.thick_line(k, n)
+    return g, {"shift": shift, "name": f"thick_line_k{k}_n{n}"}
+
+
+def _hex_torus(params: dict[str, str], *_) -> tuple:
+    p = _param(params, "p")
+    q = _param(params, "q")
+    return generators.hex_torus(p, q), {"p": p, "q": q, "name": f"hex_torus_{p}x{q}"}
+
+
+def _extended_wheel5(params: dict[str, str], *_) -> tuple:
+    dom = _bool_param(params, "dominated", False)
+    suffix = "dominated" if dom else "bare"
+    return generators.extended_wheel5(dom), {"name": f"extended_wheel5_{suffix}"}
+
+
+def _random(params: dict[str, str], *_) -> tuple:
+    n = _param(params, "n")
+    p = _param(params, "p", float)
+    seed = _param(params, "seed")
+    return generators.random_flag_complex(n, p, seed), {"name": f"random_n{n}_p{p}_s{seed}"}
+
+
+def _sized(params: dict[str, str], key: str, name: str, build) -> tuple:
+    """A generator of one integer parameter, named ``<name>_<value>``."""
+    size = _param(params, key)
+    return build(size), {key: size, "name": f"{name}_{size}"}
+
+
+# generator name -> f(params, default radius, default margin) -> (target,
+# context); the context keeps what automorphism construction needs later
+GENERATORS = {
+    "lattice": _lattice,
+    "thick_line": _thick_line,
+    "hex_torus": _hex_torus,
+    "octahedron": lambda params, *_: (generators.octahedron(), {"name": "octahedron"}),
+    "icosahedron": lambda params, *_: (generators.icosahedron(), {"name": "icosahedron"}),
+    "wheel": lambda params, *_: _sized(params, "k", "wheel", generators.wheel),
+    "extended_wheel5": _extended_wheel5,
+    "cycle": lambda params, *_: _sized(params, "n", "cycle", generators.cycle),
+    "complete": lambda params, *_: _sized(params, "n", "complete", generators.complete),
+    "cone_over_cycle": lambda params, *_: _sized(
+        params, "n", "cone_over_cycle", lambda n: generators.cone(generators.cycle(n))
+    ),
+    "random": _random,
+}
+
+
+def build_generated(spec: str, radius: int, margin: int):
+    """Build (target, context) from a generator spec string."""
     name, params = parse_gen_spec(spec)
-    if name == "lattice":
-        r = _int_param(params, "radius", radius)
-        m = _int_param(params, "margin", margin)
-        win = triangular_lattice_window(r, m)
-        return win, {"gen": "lattice"}
-    if name == "thick_line":
-        k = _int_param(params, "k")
-        n = _int_param(params, "n")
-        g, shift = thick_line(k, n)
-        return g, {"gen": "thick_line", "shift": shift, "name": f"thick_line_k{k}_n{n}"}
-    if name == "hex_torus":
-        p = _int_param(params, "p")
-        q = _int_param(params, "q")
-        return hex_torus(p, q), {"gen": "hex_torus", "p": p, "q": q, "name": f"hex_torus_{p}x{q}"}
-    if name == "octahedron":
-        return octahedron(), {"gen": "octahedron", "name": "octahedron"}
-    if name == "icosahedron":
-        return icosahedron(), {"gen": "icosahedron", "name": "icosahedron"}
-    if name == "wheel":
-        k = _int_param(params, "k")
-        return wheel(k), {"gen": "wheel", "name": f"wheel_{k}"}
-    if name == "extended_wheel5":
-        dom = _bool_param(params, "dominated", False)
-        suffix = "dominated" if dom else "bare"
-        return extended_wheel5(dom), {"gen": "extended_wheel5", "name": f"extended_wheel5_{suffix}"}
-    if name == "cycle":
-        n = _int_param(params, "n")
-        return cycle(n), {"gen": "cycle", "n": n, "name": f"cycle_{n}"}
-    if name == "complete":
-        n = _int_param(params, "n")
-        return complete(n), {"gen": "complete", "n": n, "name": f"complete_{n}"}
-    if name == "cone_over_cycle":
-        n = _int_param(params, "n")
-        return cone(cycle(n)), {"gen": "cone_over_cycle", "n": n, "name": f"cone_over_cycle_{n}"}
-    if name == "random":
-        n = _int_param(params, "n")
-        p = _float_param(params, "p")
-        seed = _int_param(params, "seed")
-        return (
-            random_flag_complex(n, p, seed),
-            {"gen": "random", "name": f"random_n{n}_p{p}_s{seed}"},
-        )
-    raise CliError(f"unknown generator {name!r}")
+    if name not in GENERATORS:
+        raise CliError(f"unknown generator {name!r}")
+    target, context = GENERATORS[name](params, radius, margin)
+    return target, {"gen": name, **context}
+
+
+def _cone_rotation(n: int) -> Automorphism:
+    mapping = {i: (i + 1) % n for i in range(n)}
+    mapping[n] = n  # apex fixed
+    return Automorphism(mapping, "rotate")
+
+
+def _file_auto(context: dict) -> Automorphism:
+    if context["file_auto"] is None:
+        raise CliError("the input file declares no map lines")
+    return context["file_auto"]
+
+
+# (generator, automorphism name) -> f(target, context); an input file has no
+# generator.  ``identity`` and the lattice translations ``t<n>`` are not listed.
+AUTOMORPHISMS = {
+    ("lattice", "glide"): lambda x, context: generators.lattice_glide(x),
+    ("thick_line", "shift"): lambda x, context: context["shift"],
+    ("hex_torus", "translate"): lambda x, context: generators.torus_translation(
+        x, context["p"], context["q"]
+    ),
+    ("octahedron", "antipodal"): lambda x, context: generators.octahedron_antipodal(),
+    ("cycle", "rotate"): lambda x, context: generators.cycle_rotation(context["n"]),
+    ("cone_over_cycle", "rotate"): lambda x, context: _cone_rotation(context["n"]),
+    (None, "file"): lambda x, context: _file_auto(context),
+}
 
 
 def resolve_auto(target, context: dict, auto_name: str) -> Automorphism:
-    g = target.complex if isinstance(target, WindowView) else target
     if auto_name == "identity":
+        g = target.complex if isinstance(target, WindowView) else target
         return Automorphism.identity(g)
-    kind = context.get("gen")
-    if kind == "lattice":
-        m = re.fullmatch(r"t(-?\d+)", auto_name)
-        if m:
-            return lattice_translation(target, int(m.group(1)))
-        if auto_name == "glide":
-            return lattice_glide(target)
-    if kind == "thick_line" and auto_name == "shift":
-        return context["shift"]
-    if kind == "hex_torus" and auto_name == "translate":
-        return torus_translation(target, context["p"], context["q"])
-    if kind == "octahedron" and auto_name == "antipodal":
-        return octahedron_antipodal()
-    if kind == "cycle" and auto_name == "rotate":
-        return cycle_rotation(context["n"])
-    if kind == "cone_over_cycle" and auto_name == "rotate":
-        n = context["n"]
-        mapping = {i: (i + 1) % n for i in range(n)}
-        mapping[n] = n  # apex fixed
-        return Automorphism(mapping, "rotate")
-    if kind is None and auto_name == "file":
-        auto = context.get("file_auto")
-        if auto is None:
-            raise CliError("the input file declares no map lines")
-        return auto
-    raise CliError(f"no automorphism named {auto_name!r} for this target")
+    kind = context["gen"]
+    m = re.fullmatch(r"t(-?\d+)", auto_name)
+    if kind == "lattice" and m:
+        return generators.lattice_translation(target, int(m.group(1)))
+    if (kind, auto_name) not in AUTOMORPHISMS:
+        raise CliError(f"no automorphism named {auto_name!r} for this target")
+    return AUTOMORPHISMS[kind, auto_name](target, context)
 
 
 def load_target(args):
@@ -268,212 +206,205 @@ def load_target(args):
 
 
 # ---------------------------------------------------------------------------
-# check subcommand
+# check, isometry and theorems
+#
+# Each subcommand has one table of token -> f(x, subject, args), in the order
+# that ``all`` runs.  x is the target; the subject is the load context for
+# check and the automorphism for isometry and theorems.
 
 
-def run_check(token: str, target, context: dict, args) -> Verdict:
-    if token == "flag":
-        fc: FacetComplex | None = context.get("facets")
-        if fc is None:
-            return yes(reason="defined by its 1-skeleton; flag by construction")
-        return is_flag(fc)
-    if token == "full-cycles":
-        cycles = enumerate_full_cycles(target, max_len=args.max_len)
-        return yes(
-            witness=[c for c in cycles[:50]],
-            count=len(cycles),
-            max_len=args.max_len,
-            truncated=len(cycles) > 50,
+def _flag(x, context: dict, args) -> Verdict:
+    fc: FacetComplex | None = context.get("facets")
+    if fc is None:
+        return yes(reason="defined by its 1-skeleton; flag by construction")
+    return is_flag(fc)
+
+
+def _full_cycles(x, context: dict, args) -> Verdict:
+    cycles = conditions.enumerate_full_cycles(x, max_len=args.max_len)
+    return yes(
+        witness=cycles[:50],
+        count=len(cycles),
+        max_len=args.max_len,
+        truncated=len(cycles) > 50,
+    )
+
+
+CHECKS = {
+    "flag": _flag,
+    "full-cycles": _full_cycles,
+    "systole": lambda x, context, args: yes(
+        value=conditions.systole(x, max_len=args.max_len), search_bound=args.max_len
+    ),
+    "k-large": lambda x, context, args: conditions.is_k_large(x, args.k),
+    "locally-k-large": lambda x, context, args: conditions.is_locally_k_large(x, args.k),
+    "tc": lambda x, context, args: conditions.triangle_condition(x),
+    "qc": lambda x, context, args: conditions.quadrangle_condition(x),
+    "weakly-modular": lambda x, context, args: conditions.is_weakly_modular(x),
+    "w5hat": lambda x, context, args: conditions.extended_wheel_condition(x),
+    "sd": lambda x, context, args: conditions.sphere_domination_everywhere(x),
+    "weakly-systolic": lambda x, context, args: conditions.is_weakly_systolic(
+        x, mode=args.mode, oracle_budget=args.oracle_budget
+    ),
+    "systolic": lambda x, context, args: conditions.is_systolic(
+        x, oracle_budget=args.oracle_budget
+    ),
+}
+
+
+def _displacement(x, h: Automorphism, args) -> Verdict:
+    prof = isometries.displacement_profile(x, h)
+    return yes(
+        translation_length=prof.translation_length,
+        min_vertices=list(prof.min_vertices[:25]),
+        min_count=len(prof.min_vertices),
+        values_computed=len(prof.values),
+        skipped=prof.skipped,
+    )
+
+
+def _classify(x, h: Automorphism, args) -> Verdict:
+    cls = isometries.classify(x, h)
+    return yes(
+        kind=cls.kind,
+        invariant_simplex=cls.invariant_simplex,
+        translation_length=cls.translation_length,
+    )
+
+
+def _min_set(x, h: Automorphism, args) -> Verdict:
+    sub = isometries.min_set(x, h)
+    verts = list(sub.vertices)
+    return yes(
+        vertices=verts[:200],
+        count=len(verts),
+        edges=sub.n_edges,
+        truncated=len(verts) > 200,
+    )
+
+
+def _chain(x, h: Automorphism, args) -> Verdict:
+    chain = isometries.orbit_path(x, h)
+    verdict = isometries.verify_local_geodesic(x, chain, gap=None)
+    detail = dict(verdict.detail)
+    detail.update(
+        start=chain.start,
+        stop=chain.stop,
+        period=chain.period,
+        vertices=list(chain.vertices[:100]),
+        truncated=len(chain.vertices) > 100,
+    )
+    return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)
+
+
+ISOMETRY = {
+    "validate": lambda x, h, args: isometries.validate_automorphism(x, h),
+    "displacement": _displacement,
+    "classify": _classify,
+    "invariant-simplex": lambda x, h, args: isometries.find_invariant_simplex(x, h),
+    "min-set": _min_set,
+    "idempotence": lambda x, h, args: isometries.min_set_idempotence(x, h),
+    "chain": _chain,
+}
+
+
+def _embedding(x, h: Automorphism, args) -> Verdict:
+    sub = isometries.min_set(x, h)
+    report = mindisp.isometric_embedding_check(x, sub)
+    base = dict(
+        pairs_checked=report.pairs_checked,
+        max_deviation=report.max_deviation,
+        min_vertices=sub.n_vertices,
+    )
+    if report.isometric:
+        return yes(**base)
+    return no(witness=report.witness, reason="the set is not isometrically embedded", **base)
+
+
+def _min_systolic(x, h: Automorphism, args) -> Verdict:
+    sub = isometries.min_set(x, h)
+    verdict = mindisp.min_systolic_check(sub, oracle_budget=args.oracle_budget)
+    detail = dict(verdict.detail)
+    detail["min_vertices"] = sub.n_vertices
+    return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)
+
+
+def _dichotomy(x, h: Automorphism, args) -> Verdict:
+    rep = mindisp.dichotomy_report(x, h)
+    if rep.kind == "elliptic":
+        answer = yes if rep.invariant_simplex_valid else no
+        return answer(
+            witness=rep.invariant_simplex,
+            kind=rep.kind,
+            translation_length=rep.translation_length,
         )
-    if token == "systole":
-        value = systole(target, max_len=args.max_len)
-        return yes(value=value, search_bound=args.max_len)
-    if token == "k-large":
-        return is_k_large(target, args.k)
-    if token == "locally-k-large":
-        return is_locally_k_large(target, args.k)
-    if token == "tc":
-        return triangle_condition(target, jobs=args.jobs)
-    if token == "qc":
-        return quadrangle_condition(target, jobs=args.jobs)
-    if token == "weakly-modular":
-        return is_weakly_modular(target, jobs=args.jobs)
-    if token == "w5hat":
-        return extended_wheel_condition(target)
-    if token == "sd":
-        return sphere_domination_everywhere(target)
-    if token == "weakly-systolic":
-        return is_weakly_systolic(
-            target, mode=args.mode, oracle_budget=args.oracle_budget, jobs=args.jobs
-        )
-    if token == "systolic":
-        return is_systolic(target, oracle_budget=args.oracle_budget)
-    raise CliError(f"unknown check {token!r}")
+    assert rep.thick_verdict is not None
+    detail = dict(
+        kind=rep.kind,
+        translation_length=rep.translation_length,
+        thickness=rep.thickness,
+        chain_start=rep.chain.start if rep.chain else None,
+        chain_stop=rep.chain.stop if rep.chain else None,
+    )
+    return Verdict(
+        rep.thick_verdict.answer,
+        rep.thick_witness,
+        rep.thick_verdict.reason,
+        detail,
+    )
 
 
-def cmd_check(args) -> int:
+THEOREMS = {
+    "embedding": _embedding,
+    "min-systolic": _min_systolic,
+    "wheel-domination": lambda x, h, args: mindisp.wheel_domination_in_min(
+        x, isometries.min_set(x, h)
+    ),
+    "invariant-geodesic": lambda x, h, args: mindisp.invariant_geodesic_search(
+        x, h, power=args.power
+    ),
+    "dichotomy": _dichotomy,
+}
+
+# subcommand -> (token table, option listing its tokens, what a token is called)
+SUBCOMMANDS = {
+    "check": (CHECKS, "checks", "check"),
+    "isometry": (ISOMETRY, "do", "isometry operation"),
+    "theorems": (THEOREMS, "do", "theorem check"),
+}
+
+
+def cmd_run(args) -> int:
+    """The command loop of check, isometry and theorems: one record per
+    token, in the order given."""
+    table, option, what = SUBCOMMANDS[args.command]
     target, context, name = load_target(args)
-    tokens = split_tokens(args.checks, CHECK_TOKENS, "check")
-    required = set(split_tokens(args.require, CHECK_TOKENS, "check")) if args.require else set()
+    subject, suffix = context, ""
+    if args.command != "check":
+        subject = resolve_auto(target, context, args.auto)
+        # isometry studies the power of the map; theorems hands --power to
+        # invariant-geodesic only
+        if args.command == "isometry" and args.power != 1:
+            subject = subject.power(args.power)
+        suffix = f"[{subject.name}]"
+    tokens = split_tokens(getattr(args, option), table, what)
+    required = set(split_tokens(getattr(args, "require", None), table, what))
     missing = required - set(tokens)
-    if missing:
+    # theorems accepts a --require naming a check it does not run
+    if missing and args.command == "check":
         raise CliError(f"--require names checks not being run: {sorted(missing)}")
     trusted = isinstance(target, WindowView)
     records = []
-    failed_required = False
+    status = 0
     for token in tokens:
         t0 = time.perf_counter()
-        verdict = run_check(token, target, context, args)
+        verdict = table[token](target, subject, args)
         wall = (time.perf_counter() - t0) * 1000
-        records.append(CheckRecord.from_verdict(token, name, verdict, trusted, wall))
+        records.append(CheckRecord.from_verdict(token + suffix, name, verdict, trusted, wall))
         if token in required and verdict.is_no:
-            failed_required = True
+            status = 1
     emit(records, args, config_for(args, name))
-    return 1 if failed_required else 0
-
-
-# ---------------------------------------------------------------------------
-# isometry subcommand
-
-
-def run_isometry(token: str, target, h: Automorphism, args) -> Verdict:
-    if token == "validate":
-        return validate_automorphism(target, h)
-    if token == "displacement":
-        prof = displacement_profile(target, h)
-        return yes(
-            translation_length=prof.translation_length,
-            min_vertices=list(prof.min_vertices[:25]),
-            min_count=len(prof.min_vertices),
-            values_computed=len(prof.values),
-            skipped=prof.skipped,
-        )
-    if token == "classify":
-        cls = classify(target, h)
-        return yes(
-            kind=cls.kind,
-            invariant_simplex=cls.invariant_simplex,
-            translation_length=cls.translation_length,
-        )
-    if token == "invariant-simplex":
-        return find_invariant_simplex(target, h)
-    if token == "min-set":
-        sub = min_set(target, h)
-        verts = list(sub.vertices)
-        return yes(
-            vertices=verts[:200],
-            count=len(verts),
-            edges=sub.n_edges,
-            truncated=len(verts) > 200,
-        )
-    if token == "idempotence":
-        return min_set_idempotence(target, h)
-    if token == "chain":
-        chain = orbit_path(target, h)
-        verdict = verify_local_geodesic(target, chain, gap=None)
-        detail = dict(verdict.detail)
-        detail.update(
-            start=chain.start,
-            stop=chain.stop,
-            period=chain.period,
-            vertices=list(chain.vertices[:100]),
-            truncated=len(chain.vertices) > 100,
-        )
-        return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)
-    raise CliError(f"unknown isometry operation {token!r}")
-
-
-def cmd_isometry(args) -> int:
-    target, context, name = load_target(args)
-    h = resolve_auto(target, context, args.auto)
-    if args.power != 1:
-        h = h.power(args.power)
-    tokens = split_tokens(args.do, ISOMETRY_TOKENS, "isometry operation")
-    trusted = isinstance(target, WindowView)
-    records = []
-    for token in tokens:
-        t0 = time.perf_counter()
-        verdict = run_isometry(token, target, h, args)
-        wall = (time.perf_counter() - t0) * 1000
-        records.append(
-            CheckRecord.from_verdict(f"{token}[{h.name}]", name, verdict, trusted, wall)
-        )
-    emit(records, args, config_for(args, name))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# theorems subcommand
-
-
-def run_theorem(token: str, target, h: Automorphism, args) -> Verdict:
-    if token == "embedding":
-        sub = min_set(target, h)
-        report = isometric_embedding_check(target, sub)
-        base = dict(
-            pairs_checked=report.pairs_checked,
-            max_deviation=report.max_deviation,
-            min_vertices=sub.n_vertices,
-        )
-        if report.isometric:
-            return yes(**base)
-        return no(witness=report.witness, reason="the set is not isometrically embedded", **base)
-    if token == "min-systolic":
-        sub = min_set(target, h)
-        verdict = min_systolic_check(sub, oracle_budget=args.oracle_budget)
-        detail = dict(verdict.detail)
-        detail["min_vertices"] = sub.n_vertices
-        return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)
-    if token == "wheel-domination":
-        sub = min_set(target, h)
-        return wheel_domination_in_min(target, sub)
-    if token == "invariant-geodesic":
-        return invariant_geodesic_search(target, h, power=args.power)
-    if token == "dichotomy":
-        rep = dichotomy_report(target, h)
-        if rep.kind == "elliptic":
-            answer = yes if rep.invariant_simplex_valid else no
-            return answer(
-                witness=rep.invariant_simplex,
-                kind=rep.kind,
-                translation_length=rep.translation_length,
-            )
-        assert rep.thick_verdict is not None
-        detail = dict(
-            kind=rep.kind,
-            translation_length=rep.translation_length,
-            thickness=rep.thickness,
-            chain_start=rep.chain.start if rep.chain else None,
-            chain_stop=rep.chain.stop if rep.chain else None,
-        )
-        return Verdict(
-            rep.thick_verdict.answer,
-            rep.thick_witness,
-            rep.thick_verdict.reason,
-            detail,
-        )
-    raise CliError(f"unknown theorem check {token!r}")
-
-
-def cmd_theorems(args) -> int:
-    target, context, name = load_target(args)
-    h = resolve_auto(target, context, args.auto)
-    tokens = split_tokens(args.do, THEOREM_TOKENS, "theorem check")
-    trusted = isinstance(target, WindowView)
-    records = []
-    failed_required = False
-    required = set(split_tokens(args.require, THEOREM_TOKENS, "theorem check")) if args.require else set()
-    for token in tokens:
-        t0 = time.perf_counter()
-        verdict = run_theorem(token, target, h, args)
-        wall = (time.perf_counter() - t0) * 1000
-        records.append(
-            CheckRecord.from_verdict(f"{token}[{h.name}]", name, verdict, trusted, wall)
-        )
-        if token in required and verdict.is_no:
-            failed_required = True
-    emit(records, args, config_for(args, name))
-    return 1 if failed_required else 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +425,7 @@ def cmd_generate(args) -> int:
         g = target.complex
     else:
         g = target
-    text = format_complex(g, name, automorphism=auto, header_comments=comments)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write(format_complex(g, name, automorphism=auto, header_comments=comments), args.out)
     return 0
 
 
@@ -507,7 +433,7 @@ def cmd_generate(args) -> int:
 # shared plumbing
 
 
-def split_tokens(raw: str | None, allowed: tuple[str, ...], what: str) -> list[str]:
+def split_tokens(raw: str | None, allowed: dict, what: str) -> list[str]:
     if not raw:
         return []
     if raw.strip() == "all":
@@ -518,19 +444,12 @@ def split_tokens(raw: str | None, allowed: tuple[str, ...], what: str) -> list[s
     for t in tokens:
         if t not in allowed:
             raise CliError(f"unknown {what} {t!r}; expected one of {', '.join(allowed)}")
-    seen = set()
-    out = []
-    for t in tokens:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dict.fromkeys(tokens))
 
 
 def config_for(args, name: str) -> dict:
-    # --jobs is deliberately not echoed: it can never change results, and
-    # reports for the same input and options must be comparable byte for
-    # byte regardless of worker count.
+    # --jobs is accepted but ignored, and deliberately not echoed, so reports
+    # for the same input and options compare byte for byte whatever its value.
     cfg = {"target": name, "command": args.command}
     for key in ("mode", "k", "max_len", "margin", "radius", "oracle_budget", "auto", "power"):
         if hasattr(args, key):
@@ -540,11 +459,14 @@ def config_for(args, name: str) -> dict:
 
 def emit(records, args, config: dict) -> None:
     if args.format == "json":
-        text = render_json(records, config)
+        write(render_json(records, config), args.out)
     else:
-        text = render_text(records, config)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        write(render_text(records, config), args.out)
+
+
+def write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -556,7 +478,7 @@ def _add_common(p: argparse.ArgumentParser, with_require: bool = False) -> None:
     p.add_argument("--radius", type=int, default=10, help="default window radius for lattice")
     p.add_argument("--margin", type=int, default=4, help="default window margin for lattice")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads; never changes answers")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; scans run in one thread")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
     if with_require:
@@ -572,25 +494,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run local/global condition checks")
     _add_common(p_check, with_require=True)
-    p_check.add_argument("--checks", required=True, help=f"comma list from: {', '.join(CHECK_TOKENS)}")
-    p_check.add_argument("--mode", choices=MODES, default="graph", help="weak systolicity route")
+    p_check.add_argument("--checks", required=True, help=f"comma list from: {', '.join(CHECKS)}")
+    p_check.add_argument(
+        "--mode", choices=conditions.MODES, default="graph", help="weak systolicity route"
+    )
     p_check.add_argument("--k", type=int, default=6, help="largeness parameter")
-    p_check.add_argument("--max-len", type=int, default=8, dest="max_len", help="full cycle search bound")
-    p_check.set_defaults(func=cmd_check)
+    p_check.add_argument(
+        "--max-len", type=int, default=8, dest="max_len", help="full cycle search bound"
+    )
+    p_check.set_defaults(func=cmd_run)
 
     p_iso = sub.add_parser("isometry", help="displacement analysis of one automorphism")
     _add_common(p_iso)
     p_iso.add_argument("--auto", required=True, help="automorphism name (t1, glide, shift, ...)")
     p_iso.add_argument("--power", type=int, default=1, help="replace the map by this power")
-    p_iso.add_argument("--do", required=True, help=f"comma list from: {', '.join(ISOMETRY_TOKENS)}")
-    p_iso.set_defaults(func=cmd_isometry)
+    p_iso.add_argument("--do", required=True, help=f"comma list from: {', '.join(ISOMETRY)}")
+    p_iso.set_defaults(func=cmd_run)
 
     p_thm = sub.add_parser("theorems", help="structure of the minimal displacement set")
     _add_common(p_thm, with_require=True)
     p_thm.add_argument("--auto", required=True)
     p_thm.add_argument("--power", type=int, default=1, help="power used by invariant-geodesic")
-    p_thm.add_argument("--do", required=True, help=f"comma list from: {', '.join(THEOREM_TOKENS)}")
-    p_thm.set_defaults(func=cmd_theorems)
+    p_thm.add_argument("--do", required=True, help=f"comma list from: {', '.join(THEOREMS)}")
+    p_thm.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="emit a complex in the text format")
     _add_common(p_gen)

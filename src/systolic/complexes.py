@@ -235,8 +235,7 @@ class DistanceOracle:
     reaches: a table cut off after some layer is always kept (it is as small
     as its radius makes it), a complete table only on complexes of at most
     ``ALL_PAIRS_THRESHOLD`` vertices, which there amounts to an all-pairs
-    table built on demand.  Cache fill is idempotent, so concurrent readers
-    may race without torn results.
+    table built on demand.
     """
 
     ALL_PAIRS_THRESHOLD = 2000

@@ -3,7 +3,7 @@
 Checks in this module come in matched pairs: a scan that searches for a
 violation, and an independent predicate that re-validates any witness the
 scan reports.  All scans run in sorted vertex order, so the first witness is
-deterministic and stable across runs and worker counts.
+deterministic and stable across runs.
 
 Inputs may be plain :class:`FlagComplex` objects or :class:`WindowView`
 wrappers.  On a window, universally quantified vertices range only over the
@@ -13,7 +13,6 @@ every verdict is exact for the trust region it mentions.
 
 from __future__ import annotations
 
-from ._scan import first_violation
 from .collapse import DEFAULT_BUDGET, simple_connectivity_oracle
 from .complexes import (
     INF,
@@ -187,7 +186,7 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
 # triangle and quadrangle conditions
 
 
-def triangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
+def triangle_condition(x: FlagComplex | WindowView) -> Verdict:
     """For adjacent v, w equidistant from u, some common neighbor of v and w
     is one step closer to u.
 
@@ -199,8 +198,7 @@ def triangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
     verts = sorted(region) if region is not None else list(g.vertices)
     vset = set(verts)
     higher = {v: sorted(w for w in g.neighbors(v) if w > v and w in vset) for v in verts}
-
-    def check(u: int) -> TriangleViolation | None:
+    for u in verts:
         dist = g.oracle.ball(u, bound)
         for v in sorted(dist):
             d = dist[v]
@@ -210,13 +208,11 @@ def triangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
                 if dist.get(w) != d:
                     continue
                 if not any(dist.get(t) == d - 1 for t in g.neighbors(v) & g.neighbors(w)):
-                    return TriangleViolation(u, v, w, d)
-        return None
-
-    hit = first_violation(verts, check, jobs)
-    if hit is None:
-        return yes()
-    return no(witness=hit, reason="no common neighbor descends toward u")
+                    return no(
+                        witness=TriangleViolation(u, v, w, d),
+                        reason="no common neighbor descends toward u",
+                    )
+    return yes()
 
 
 def _require_connected(g: FlagComplex, what: str) -> None:
@@ -237,7 +233,7 @@ def triangle_violation_holds(x: FlagComplex | WindowView, w: TriangleViolation) 
     return all(du.get(t, INF) != w.distance - 1 for t in g.common_neighbors((w.v, w.w)))
 
 
-def quadrangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
+def quadrangle_condition(x: FlagComplex | WindowView) -> Verdict:
     """For v, w at distance 2 with a common neighbor z one step further from
     u than both, some common neighbor of v and w is one step closer to u.
 
@@ -249,8 +245,7 @@ def quadrangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
     verts = sorted(region) if region is not None else list(g.vertices)
     vset = set(verts)
     around = {z: sorted(n for n in g.neighbors(z) if n in vset) for z in verts}
-
-    def check(u: int) -> QuadrangleViolation | None:
+    for u in verts:
         dist = g.oracle.ball(u, bound)
         for z in sorted(dist):
             dz = dist[z]
@@ -264,13 +259,11 @@ def quadrangle_condition(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
                     if w in nv:
                         continue
                     if not any(dist.get(t) == d - 1 for t in nv & g.neighbors(w)):
-                        return QuadrangleViolation(u, v, w, z, d)
-        return None
-
-    hit = first_violation(verts, check, jobs)
-    if hit is None:
-        return yes()
-    return no(witness=hit, reason="no common neighbor descends toward u")
+                        return no(
+                            witness=QuadrangleViolation(u, v, w, z, d),
+                            reason="no common neighbor descends toward u",
+                        )
+    return yes()
 
 
 def quadrangle_violation_holds(
@@ -294,12 +287,12 @@ def quadrangle_violation_holds(
     )
 
 
-def is_weakly_modular(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
+def is_weakly_modular(x: FlagComplex | WindowView) -> Verdict:
     """Triangle condition and quadrangle condition together."""
-    tc = triangle_condition(x, jobs)
+    tc = triangle_condition(x)
     if tc.is_no:
         return no(witness=tc.witness, reason="triangle condition fails")
-    qc = quadrangle_condition(x, jobs)
+    qc = quadrangle_condition(x)
     if qc.is_no:
         return no(witness=qc.witness, reason="quadrangle condition fails")
     return yes()
@@ -496,7 +489,6 @@ def is_weakly_systolic(
     x: FlagComplex | WindowView,
     mode: str = "graph",
     oracle_budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> Verdict:
     """Decide weak systolicity through one of three equivalent routes.
 
@@ -516,10 +508,10 @@ def is_weakly_systolic(
     if not g.is_connected():
         raise ComplexError("weak systolicity is about connected complexes")
     if mode == "graph":
-        return _weakly_systolic_graph(x, jobs)
+        return _weakly_systolic_graph(x)
     if mode == "sd":
         return sphere_domination_everywhere(x)
-    graph_v = _weakly_systolic_graph(x, jobs)
+    graph_v = _weakly_systolic_graph(x)
     sd_v = sphere_domination_everywhere(x)
     local_v = _weakly_systolic_local_to_global(x, oracle_budget)
     detail = {"graph": graph_v, "sd": sd_v, "local_to_global": local_v}
@@ -531,11 +523,11 @@ def is_weakly_systolic(
     return yes(**detail)
 
 
-def _weakly_systolic_graph(x: FlagComplex | WindowView, jobs: int = 1) -> Verdict:
+def _weakly_systolic_graph(x: FlagComplex | WindowView) -> Verdict:
     squares = enumerate_full_cycles(x, 4)
     if squares:
         return no(witness=squares[0], reason="full 4-cycle")
-    wm = is_weakly_modular(x, jobs)
+    wm = is_weakly_modular(x)
     if wm.is_no:
         return no(witness=wm.witness, reason=wm.reason)
     return yes()

@@ -151,8 +151,13 @@ def parse_complex_text(text: str) -> ParsedInput:
 
 
 def parse_complex_file(path: str) -> ParsedInput:
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
+    return parse_complex_text(text)
 
 
 def format_complex(

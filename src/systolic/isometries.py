@@ -78,14 +78,25 @@ class Automorphism:
         return self.domain == frozenset(x.vertices)
 
     def power(self, n: int) -> "Automorphism":
-        """n-fold composition; negative n composes the inverse."""
+        """n-fold composition; negative n composes the inverse.
+
+        Repeated squaring of the partial map: powers of one map compose
+        associatively, and a composite keeps the keys of the map applied
+        first in their order, so the result has the keys of the |n|-step loop
+        in the same order.
+        """
         if n == 0:
             keys = set(self.mapping) | set(self.inverse_mapping)
             return Automorphism({v: v for v in keys}, f"{self.name}^0")
-        base = self.mapping if n > 0 else self.inverse_mapping
-        out = dict(base)
-        for _ in range(abs(n) - 1):
-            out = {u: base[v] for u, v in out.items() if v in base}
+        step = self.mapping if n > 0 else self.inverse_mapping
+        out = {v: v for v in step}
+        k = abs(n)
+        while k:
+            if k & 1:
+                out = {u: step[v] for u, v in out.items() if v in step}
+            k >>= 1
+            if k:
+                step = {u: step[v] for u, v in step.items() if v in step}
         return Automorphism(out, f"{self.name}^{n}")
 
     def __repr__(self) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from systolic import FlagComplex, WindowView
+from systolic import Automorphism, FlagComplex, WindowView
 from systolic.collapse import collapse_to_point
 from systolic.complexes import ComplexError, scope
 from systolic.conditions import enumerate_full_cycles
@@ -396,3 +396,16 @@ def first_short_link_cycle(x: FlagComplex | WindowView, k: int) -> Verdict:
                 reason="short full cycle in a link",
             )
     return yes()
+
+
+def loop_power(h: Automorphism, n: int) -> Automorphism:
+    """The n-th power of h by |n| - 1 single-step compositions; the reference
+    for the package's repeated squaring in ``Automorphism.power``."""
+    if n == 0:
+        keys = set(h.mapping) | set(h.inverse_mapping)
+        return Automorphism({v: v for v in keys}, f"{h.name}^0")
+    base = h.mapping if n > 0 else h.inverse_mapping
+    out = dict(base)
+    for _ in range(abs(n) - 1):
+        out = {u: base[v] for u, v in out.items() if v in base}
+    return Automorphism(out, f"{h.name}^{n}")

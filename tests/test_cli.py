@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import systolic
-from systolic.cli import main
+from systolic.cli import CHECKS, ISOMETRY, THEOREMS, main
 from systolic.report import strip_timing
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(systolic.__file__)))
 
 
 def run(capsys, *argv):
@@ -79,6 +84,18 @@ class TestExitCodes:
         assert "line" in err
 
 
+    def test_non_utf8_input_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run(capsys, "check", "--input", str(f), "--checks", "tc")
+        assert code == 2 and out == ""
+        assert err == "error: line 1: not UTF-8 text (byte 0xff)\n"
+        f.write_bytes(b"complex a\nmode flag\nvertices 2\nedge 0 1 # caf\xe9\n")
+        code, out, err = run(capsys, "check", "--input", str(f), "--checks", "tc")
+        assert code == 2 and out == ""
+        assert err == "error: line 4: not UTF-8 text (byte 0xe9)\n"
+
+
 class TestDisconnectedInput:
     @pytest.mark.parametrize("token", ["sd", "tc", "qc", "weakly-modular"])
     @pytest.mark.parametrize("spec", ["random:n=10,p=0.1,seed=1", "random:n=12,p=0.15,seed=1"])
@@ -88,11 +105,10 @@ class TestDisconnectedInput:
         assert err.startswith("error: ") and "connected" in err
 
     def test_no_traceback_from_the_entry_point(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(systolic.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "systolic.cli", "check", "--gen",
              "random:n=10,p=0.1,seed=1", "--checks", "sd"],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=SRC),
             capture_output=True,
             text=True,
             timeout=60,
@@ -390,3 +406,80 @@ class TestDeterminism:
         one = self.collect(capsys, ["--jobs", "1"])
         eight = self.collect(capsys, ["--jobs", "8"])
         assert one == eight
+
+
+class TestStartup:
+    def test_import_loads_no_thread_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, systolic.cli; print('concurrent.futures' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def _token_list(table):
+    return st.one_of(
+        st.just("all"),
+        st.lists(st.sampled_from([*table, "zz", ""]), min_size=1, max_size=4).map(",".join),
+    )
+
+
+_small = st.integers(min_value=-2, max_value=9)
+_GEN_SPECS = st.one_of(
+    st.builds("lattice:radius={},margin={}".format, st.integers(0, 5), st.integers(0, 5)),
+    st.builds("thick_line:k={},n={}".format, st.integers(-1, 3), _small),
+    st.builds("hex_torus:p={},q={}".format, st.integers(-1, 5), st.integers(-1, 5)),
+    st.builds("random:n={},p={},seed={}".format, _small, st.floats(-0.5, 1.5), st.integers(0, 99)),
+    st.builds("{}:n={}".format, st.sampled_from(["cycle", "complete", "cone_over_cycle"]), _small),
+    st.builds("wheel:k={}".format, _small),
+    st.builds("extended_wheel5:dominated={}".format, st.sampled_from(["yes", "0", "maybe"])),
+    st.sampled_from(["octahedron", "icosahedron", "lattice", "cycle", "cycle:n=x", "cube", ":"]),
+)
+_AUTOS = st.sampled_from(
+    ["identity", "t1", "t-2", "t0", "glide", "shift", "translate", "antipodal", "rotate",
+     "file", "zz"]
+)
+_NUMBERS = st.integers(min_value=-3, max_value=9).map(str)
+
+
+def _argv(command, draw):
+    """Arguments argparse accepts, with values the program itself must reject
+    or handle: unknown names and tokens, zero or negative sizes and flags."""
+    argv = [command, "--gen", draw(_GEN_SPECS)]
+    if command == "generate":
+        return argv + ["--auto", draw(_AUTOS)] if draw(st.booleans()) else argv
+    argv += ["--oracle-budget", draw(st.integers(-5, 200).map(str))]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--jobs", draw(_NUMBERS)]
+    if command == "check":
+        argv += ["--checks", draw(_token_list(CHECKS)), "--k", draw(_NUMBERS)]
+        argv += ["--max-len", draw(_NUMBERS)]
+        argv += ["--mode", draw(st.sampled_from(["graph", "sd", "composite"]))]
+        if draw(st.booleans()):
+            argv += ["--require", draw(_token_list(CHECKS))]
+        return argv
+    table = ISOMETRY if command == "isometry" else THEOREMS
+    argv += ["--auto", draw(_AUTOS), "--power", draw(_NUMBERS), "--do", draw(_token_list(table))]
+    if command == "theorems" and draw(st.booleans()):
+        argv += ["--require", draw(_token_list(THEOREMS))]
+    return argv
+
+
+class TestArbitraryArguments:
+    @given(st.sampled_from(["check", "isometry", "theorems", "generate"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_status_is_0_1_or_2_and_2_says_why(self, command, data):
+        argv = _argv(command, data.draw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: "), argv
+        else:
+            assert err.getvalue() == "", argv

@@ -167,13 +167,6 @@ class TestTriangleCondition:
         assert v.is_no
         assert S.triangle_violation_holds(S.cycle(5), v.witness)
 
-    def test_jobs_do_not_change_answer(self, icosa, window10):
-        for target in (icosa, window10):
-            assert (
-                S.triangle_condition(target, jobs=1).witness
-                == S.triangle_condition(target, jobs=8).witness
-            )
-
 
 class TestQuadrangleCondition:
     def test_holds(self, octa, window10):
@@ -197,12 +190,6 @@ class TestQuadrangleCondition:
         v = S.quadrangle_condition(g)
         assert v.is_no
         assert S.quadrangle_violation_holds(g, v.witness)
-
-    def test_jobs_do_not_change_answer(self, icosa):
-        assert (
-            S.quadrangle_condition(icosa, jobs=1).witness
-            == S.quadrangle_condition(icosa, jobs=7).witness
-        )
 
 
 class TestWeaklyModular:

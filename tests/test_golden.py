@@ -60,7 +60,8 @@ CASES = {
     "check_sd_random_n10_p04_s16": ["check", "--gen", "random:n=10,p=0.4,seed=16", *SD_CHECKS],
     "check_sd_random_n12_p04_s34": ["check", "--gen", "random:n=12,p=0.4,seed=34", *SD_CHECKS],
     "isometry_lattice_r8_glide_power2": [
-        "isometry", "--gen", "lattice:radius=8,margin=3", "--auto", "glide", "--power", "2", "--do", ISOMETRY,
+        "isometry", "--gen", "lattice:radius=8,margin=3", "--auto", "glide", "--power", "2",
+        "--do", ISOMETRY,
     ],
     "theorems_file_thick_line_power2": [
         "theorems", "--input", os.path.join(GOLDEN, "thick_line_k2_n10.txt"), "--auto", "file",

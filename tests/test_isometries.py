@@ -7,7 +7,12 @@ import systolic as S
 from systolic import Automorphism, ComplexError
 from systolic.verdict import MapViolation
 
-from _oracles import all_automorphisms, brute_force_invariant_simplices, first_map_violation
+from _oracles import (
+    all_automorphisms,
+    brute_force_invariant_simplices,
+    first_map_violation,
+    loop_power,
+)
 
 INF = math.inf
 
@@ -47,6 +52,27 @@ class TestAutomorphism:
         g2 = glide.power(2)
         for v, img in g2.mapping.items():
             assert t1.mapping[v] == img
+
+    @given(st.integers(min_value=-30, max_value=30), st.sampled_from(["c5", "c8", "t1", "glide"]))
+    @settings(max_examples=120, deadline=None)
+    def test_power_matches_stepwise_composition(self, n, which):
+        # cycle rotations are total; the window maps are partial and lose
+        # vertices at every step, so the key order of the result matters
+        window = S.triangular_lattice_window(5, 2)
+        h = {
+            "c5": lambda: S.cycle_rotation(5),
+            "c8": lambda: S.cycle_rotation(8),
+            "t1": lambda: S.lattice_translation(window, 1),
+            "glide": lambda: S.lattice_glide(window),
+        }[which]()
+        got, want = h.power(n), loop_power(h, n)
+        assert list(got.mapping.items()) == list(want.mapping.items())
+        assert got.name == want.name
+
+    def test_huge_power_of_a_rotation_is_the_identity(self):
+        p = S.cycle_rotation(5).power(10**9)
+        assert p.mapping == {v: v for v in range(5)}
+        assert p.name == "rotate^1000000000"
 
 
 class TestValidate:
