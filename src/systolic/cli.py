@@ -11,8 +11,7 @@ Generator specs are ``name`` or ``name:key=value,key=value``, for example
 ``lattice:radius=10,margin=4`` or ``thick_line:k=2,n=12``.  Exit status is 0
 when everything ran, 1 when a check named in --require answered no, and 2 on
 usage or input errors.  Output is deterministic for fixed inputs and options,
-except for wall_ms timing fields.  --jobs is accepted and ignored: every scan
-runs in one thread.
+except for wall_ms timing fields.
 
 check, isometry and theorems each look their tokens up in one ordered table
 and share one command loop; generators and automorphisms have a table each.
@@ -390,9 +389,8 @@ def cmd_run(args) -> int:
     tokens = split_tokens(getattr(args, option), table, what)
     required = set(split_tokens(getattr(args, "require", None), table, what))
     missing = required - set(tokens)
-    # theorems accepts a --require naming a check it does not run
-    if missing and args.command == "check":
-        raise CliError(f"--require names checks not being run: {sorted(missing)}")
+    if missing:
+        raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
     trusted = isinstance(target, WindowView)
     records = []
     status = 0
@@ -448,8 +446,6 @@ def split_tokens(raw: str | None, allowed: dict, what: str) -> list[str]:
 
 
 def config_for(args, name: str) -> dict:
-    # --jobs is accepted but ignored, and deliberately not echoed, so reports
-    # for the same input and options compare byte for byte whatever its value.
     cfg = {"target": name, "command": args.command}
     for key in ("mode", "k", "max_len", "margin", "radius", "oracle_budget", "auto", "power"):
         if hasattr(args, key):
@@ -478,7 +474,6 @@ def _add_common(p: argparse.ArgumentParser, with_require: bool = False) -> None:
     p.add_argument("--radius", type=int, default=10, help="default window radius for lattice")
     p.add_argument("--margin", type=int, default=4, help="default window margin for lattice")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
-    p.add_argument("--jobs", type=int, default=1, help="ignored; scans run in one thread")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
     if with_require:

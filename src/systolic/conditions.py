@@ -20,7 +20,6 @@ from .complexes import (
     FlagComplex,
     WindowView,
     ambient,
-    as_simplex,
     scope,
 )
 from .verdict import (
@@ -55,54 +54,50 @@ def enumerate_full_cycles(
     join trusted vertices.
     """
     g, region, _ = scope(x)
-    if region is not None:
-        g = g.span(region)
-    return sorted(
-        _full_cycle_iter(g, max_len, min_len),
-        key=lambda c: (len(c.vertices), c.vertices),
-    )
+    return sorted(_induced_cycles(g, region, max_len, min_len), key=_cycle_order)
 
 
-def _full_cycle_iter(g: FlagComplex, max_len: int, min_len: int = 4):
+def _cycle_order(c: FullCycle) -> tuple[int, tuple[int, ...]]:
+    return len(c.vertices), c.vertices
+
+
+def _induced_cycles(g: FlagComplex, pool: frozenset[int] | None, max_len: int, min_len: int = 4):
+    """Canonical induced cycles of g with min_len..max_len vertices, all in
+    ``pool`` (every vertex when None), each once, in no fixed order: from the
+    smallest vertex v and its cycle neighbors u < w, a chordless path grows
+    from u through vertices above v and off N(v) until it meets N(w)."""
     if max_len < max(min_len, 4):
         return
-    for v in g.vertices:
-        higher = [n for n in sorted(g.neighbors(v)) if n > v]
+    verts = g.vertices if pool is None else sorted(pool)
+    nbrs = {v: g.neighbors(v) if pool is None else g.neighbors(v) & pool for v in verts}
+    for v in verts:
+        nv = nbrs[v]
+        higher = sorted(n for n in nv if n > v)
         for i, u in enumerate(higher):
             for w in higher[i + 1 :]:
-                if g.adjacent(u, w):
+                if w in nbrs[u]:
                     continue
-                yield from _close_paths(g, v, u, w, max_len, min_len)
-
-
-def _close_paths(g: FlagComplex, v: int, u: int, w: int, max_len: int, min_len: int):
-    """Induced cycles (v, u, ..., w) with interior vertices > v and off N(v).
-
-    Rotation symmetry is killed by making v the smallest cycle vertex;
-    reflection symmetry by u < w.
-    """
-    nv = g.neighbors(v)
-    # every prune below asks for at most max_len - 3 steps from w
-    dist_w = g.oracle.ball(w, max_len - 3)
-    stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((u,), nv | {v, u})]
-    while stack:
-        path, blocked = stack.pop()
-        last = path[-1]
-        length = len(path) + 2
-        if length >= min_len and w in g.neighbors(last):
-            if all(w not in g.neighbors(p) for p in path[:-1]):
-                yield FullCycle.canonical((v,) + path + (w,))
-        if length + 1 > max_len:
-            continue
-        for c in sorted(g.neighbors(last), reverse=True):
-            if c <= v or c == w or c in blocked:
-                continue
-            # closability prune: c still needs a path of the remaining budget
-            if dist_w.get(c, INF) > max_len - length:
-                continue
-            if any(c in g.neighbors(p) for p in path[:-1]):
-                continue
-            stack.append((path + (c,), blocked | {c}))
+                # closability prune: c must reach w within the budget left.
+                # Ambient distances never exceed distances inside the pool.
+                dist_w = g.oracle.ball(w, max_len - 3)
+                stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((u,), nv | {v, u})]
+                while stack:
+                    path, blocked = stack.pop()
+                    last = path[-1]
+                    length = len(path) + 2
+                    if w in nbrs[last]:
+                        # every longer path would carry the chord last-w
+                        if length >= min_len:
+                            yield FullCycle.canonical((v,) + path + (w,))
+                        continue
+                    if length >= max_len:
+                        continue
+                    for c in nbrs[last]:
+                        if c <= v or c in blocked or dist_w.get(c, INF) > max_len - length:
+                            continue
+                        if any(c in nbrs[p] for p in path[:-1]):
+                            continue
+                        stack.append((path + (c,), blocked | {c}))
 
 
 def is_full_cycle(x: FlagComplex | WindowView, vertices: tuple[int, ...]) -> bool:
@@ -131,7 +126,7 @@ def systole(x: FlagComplex | WindowView, max_len: int | None = None) -> float:
     n = len(region) if region is not None else g.n_vertices
     bound = n if max_len is None else min(max_len, n)
     for length in range(4, bound + 1):
-        if enumerate_full_cycles(x, length):
+        if next(_induced_cycles(g, region, length, length), None) is not None:
             return length
     return INF
 
@@ -167,19 +162,30 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
     g, region, _ = scope(x)
-    for sigma in g.cliques(within=region):
-        common = g.common_neighbors(sigma)
-        # A full cycle has at least 4 vertices, so a smaller link holds
-        # none; sigma comes from cliques, so the link needs no clique test.
-        if len(common) < 4:
-            continue
-        short = enumerate_full_cycles(g.span(common), k - 1)
-        if short:
-            return no(
-                witness=CycleInLink(sigma, short[0]),
-                reason="short full cycle in a link",
-            )
+    hit = first_link_cycle(g, region, k - 1)
+    if hit is not None:
+        return no(witness=hit, reason="short full cycle in a link")
     return yes()
+
+
+def first_link_cycle(
+    g: FlagComplex, within: frozenset[int] | None, max_len: int, min_len: int = 4
+) -> CycleInLink | None:
+    """The first simplex inside ``within`` (everywhere when None), in the
+    order of ``FlagComplex.cliques``, whose link has a full cycle of
+    min_len..max_len vertices, with its least such cycle by (length,
+    vertices); None when no link has one.  A link is the full subcomplex on
+    the common neighbors, so no link is built; one smaller than a cycle is
+    skipped."""
+    for sigma in g.cliques(within=within):
+        common = g.common_neighbors(sigma)
+        if len(common) < max(min_len, 4):
+            continue
+        cycles = _induced_cycles(g, common, max_len, min_len)
+        cycle = min(cycles, key=_cycle_order, default=None)
+        if cycle is not None:
+            return CycleInLink(sigma, cycle)
+    return None
 
 
 # ---------------------------------------------------------------------------

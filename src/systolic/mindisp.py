@@ -20,7 +20,7 @@ from .complexes import (
     ambient,
     scope,
 )
-from .conditions import find_extended_5_wheels, enumerate_full_cycles, is_systolic
+from .conditions import find_extended_5_wheels, first_link_cycle, is_systolic
 from .isometries import (
     Automorphism,
     PathChain,
@@ -30,7 +30,6 @@ from .isometries import (
 )
 from .verdict import (
     ChainGapViolation,
-    CycleInLink,
     DistancePair,
     ThickAdjacencyViolation,
     Verdict,
@@ -129,13 +128,15 @@ def min_systolic_check(min_complex: FlagComplex, oracle_budget: int = DEFAULT_BU
 
 
 def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComplex) -> Verdict:
-    """Check that the minimal displacement set is locally 5-large, i.e. no
-    link inside it contains a full 5-cycle, and report how its 5-wheels are
+    """Look for a full 5-cycle in the link of a simplex of the minimal
+    displacement set, and report how the set's extended 5-wheels are
     dominated by ambient vertices.
 
-    Yes means no link of the set has a full 5-cycle.  The detail lists every
-    5-wheel of the set together with its least ambient dominating vertex
-    (a vertex adjacent to all seven wheel vertices), or None.
+    Yes means no link inside the set has a full 5-cycle; other lengths are
+    not looked at, so this is not local 5-largeness (full 4-cycles pass).
+    The detail lists every extended 5-wheel of the set together with its
+    least ambient dominating vertex (a vertex adjacent to all seven wheel
+    vertices), or None.
     """
     g = ambient(x)
     _require_full_subcomplex(g, min_complex)
@@ -143,16 +144,13 @@ def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComple
     for w in find_extended_5_wheels(min_complex):
         dom = sorted(g.common_neighbors(w.all_vertices()))
         wheels.append({"wheel": w, "dominator": dom[0] if dom else None})
-    for sigma in min_complex.cliques():
-        link = min_complex.link(sigma)
-        if link.n_vertices < 5:
-            continue
-        for cycle in enumerate_full_cycles(link, max_len=5, min_len=5):
-            return no(
-                witness=CycleInLink(sigma, cycle),
-                reason="a link inside the set carries a full 5-cycle",
-                wheels=wheels,
-            )
+    hit = first_link_cycle(min_complex, None, 5, min_len=5)
+    if hit is not None:
+        return no(
+            witness=hit,
+            reason="a link inside the set carries a full 5-cycle",
+            wheels=wheels,
+        )
     return yes(wheels=wheels, wheel_count=len(wheels))
 
 

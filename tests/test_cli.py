@@ -95,6 +95,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: line 4: not UTF-8 text (byte 0xe9)\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["check", "--gen", "octahedron", "--checks", "tc", "--require", "sd"],
+                "error: --require names checks not being run: ['sd']\n",
+            ),
+            (
+                ["theorems", "--gen", "thick_line:k=2,n=10", "--auto", "shift",
+                 "--do", "embedding", "--require", "dichotomy"],
+                "error: --require names theorem checks not being run: ['dichotomy']\n",
+            ),
+        ],
+    )
+    def test_require_outside_the_run_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == message
+
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--gen", "octahedron", "--checks", "tc", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestDisconnectedInput:
     @pytest.mark.parametrize("token", ["sd", "tc", "qc", "weakly-modular"])
@@ -390,22 +415,17 @@ class TestDeterminism:
          "--do", "all", "--format", "json"],
     ]
 
-    def collect(self, capsys, extra):
+    def collect(self, capsys):
         outs = []
         for argv in self.BATTERY:
-            code = main(argv + extra)
+            code = main(argv)
             out = capsys.readouterr().out
             assert code == 0
             outs.append(strip_timing(out))
         return outs
 
     def test_repeat_runs_byte_identical(self, capsys):
-        assert self.collect(capsys, []) == self.collect(capsys, [])
-
-    def test_jobs_never_change_output(self, capsys):
-        one = self.collect(capsys, ["--jobs", "1"])
-        eight = self.collect(capsys, ["--jobs", "8"])
-        assert one == eight
+        assert self.collect(capsys) == self.collect(capsys)
 
 
 class TestStartup:
@@ -454,8 +474,6 @@ def _argv(command, draw):
         return argv + ["--auto", draw(_AUTOS)] if draw(st.booleans()) else argv
     argv += ["--oracle-budget", draw(st.integers(-5, 200).map(str))]
     argv += ["--format", draw(st.sampled_from(["text", "json"]))]
-    if draw(st.booleans()):
-        argv += ["--jobs", draw(_NUMBERS)]
     if command == "check":
         argv += ["--checks", draw(_token_list(CHECKS)), "--k", draw(_NUMBERS)]
         argv += ["--max-len", draw(_NUMBERS)]

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import ComplexError, FlagComplex, WindowView
+from systolic.conditions import _induced_cycles
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
     QuadrangleViolation,
     SphereSimplexViolation,
+    TriangleViolation,
 )
 
 from _oracles import (
@@ -19,6 +21,7 @@ from _oracles import (
     first_short_link_cycle,
     first_sphere_violation,
     first_triangle_violation,
+    reference_full_cycles,
 )
 
 INF = math.inf
@@ -59,6 +62,34 @@ class TestFullCycles:
         max_len = n
         ours = {c.vertices for c in S.enumerate_full_cycles(g, max_len)}
         assert ours == brute_force_full_cycles(g, max_len)
+
+    @given(
+        st.integers(min_value=1, max_value=14),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=4, max_value=9),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_reference(self, n, p, seed, margin, extra, max_len, data):
+        # the whole complex, the trusted region of a window, and a random
+        # pool, each against the reference run on the spanned subcomplex
+        g = S.random_flag_complex(n, p, seed)
+        want = reference_full_cycles(g, max_len)
+        assert S.enumerate_full_cycles(g, max_len) == want
+        assert S.systole(g, max_len) == (len(want[0]) if want else INF)
+        x = WindowView(g, 0, margin + extra, margin)
+        want = reference_full_cycles(g.span(x.trusted_vertices), max_len)
+        assert S.enumerate_full_cycles(x, max_len) == want
+        assert S.systole(x, max_len) == (len(want[0]) if want else INF)
+        pool = frozenset(data.draw(st.sets(st.sampled_from(g.vertices))))
+        min_len = data.draw(st.integers(min_value=4, max_value=6))
+        got = sorted(
+            _induced_cycles(g, pool, max_len, min_len), key=lambda c: (len(c), c.vertices)
+        )
+        assert got == reference_full_cycles(g.span(pool), max_len, min_len)
 
     def test_every_reported_cycle_revalidates(self, small_corpus):
         for name, g in small_corpus.items():
@@ -433,6 +464,60 @@ class TestAgainstReferences:
         for k in (5, 6, 7):
             got = S.is_locally_k_large(g, k)
             assert _verdict_key(got) == _verdict_key(first_short_link_cycle(g, k))
+
+
+def _link_cycle_holds(x, w) -> bool:
+    g = S.ambient(x)
+    if not w.simplex:
+        return S.is_full_cycle(g, w.cycle.vertices)
+    return g.is_clique(w.simplex) and S.is_full_cycle(g.link(w.simplex), w.cycle.vertices)
+
+
+def _undominated_wheel_holds(x, w) -> bool:
+    g = S.ambient(x)
+    return S.is_extended_wheel5(x, w) and not g.common_neighbors(w.all_vertices())
+
+
+# the validator of each witness the graph route of weak systolicity returns
+_GRAPH_MODE_HOLDS = {
+    FullCycle: lambda x, w: S.is_full_cycle(x, w.vertices),
+    TriangleViolation: S.triangle_violation_holds,
+    QuadrangleViolation: S.quadrangle_violation_holds,
+}
+
+
+class TestWitnessesRevalidate:
+    """Every No of every checker carries a witness that an independent
+    validator accepts, on complexes and on windows of them."""
+
+    @given(
+        st.integers(min_value=1, max_value=14),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_no_passes_its_validator(self, n, p, seed, margin, extra, window):
+        g = _random_connected(n, p, seed)
+        if g is None:
+            return
+        x = WindowView(g, 0, margin + extra, margin) if window else g
+        checks = [
+            ("tc", S.triangle_condition(x), S.triangle_violation_holds),
+            ("qc", S.quadrangle_condition(x), S.quadrangle_violation_holds),
+            ("sd", S.sphere_domination_everywhere(x), S.sphere_domination_violation_holds),
+            ("w5hat", S.extended_wheel_condition(x), _undominated_wheel_holds),
+        ]
+        for k in (5, 6, 7):
+            checks.append(("k-large", S.is_k_large(x, k), _link_cycle_holds))
+            checks.append(("locally-k-large", S.is_locally_k_large(x, k), _link_cycle_holds))
+        graph = S.is_weakly_systolic(x, "graph")
+        checks.append(("weakly-systolic", graph, _GRAPH_MODE_HOLDS.get(type(graph.witness))))
+        for name, verdict, holds in checks:
+            if verdict.is_no:
+                assert holds is not None and holds(x, verdict.witness), (name, verdict)
 
 
 class TestWeaklySystolic:
