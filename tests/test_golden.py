@@ -25,6 +25,9 @@ file`` with ``--power 2`` (``theorems`` hands the power only to
 ``invariant-geodesic``), a ``check`` whose ``--require``d check says no (exit
 status 1), and the text that ``generate`` writes for a small window and its
 translation.
+``theorems_file_two_hexagons_rotate`` runs on two disjoint 6-cycles, each
+rotated by one step (``two_hexagons_rotate.txt`` with ``--auto file``): a Min
+set that is the whole disconnected complex.
 """
 
 import os
@@ -66,6 +69,10 @@ CASES = {
     "theorems_file_thick_line_power2": [
         "theorems", "--input", os.path.join(GOLDEN, "thick_line_k2_n10.txt"), "--auto", "file",
         "--power", "2", "--do", "all",
+    ],
+    "theorems_file_two_hexagons_rotate": [
+        "theorems", "--input", os.path.join(GOLDEN, "two_hexagons_rotate.txt"), "--auto", "file",
+        "--do", "embedding,min-systolic,dichotomy,invariant-geodesic",
     ],
     "check_require_octahedron": [
         "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
