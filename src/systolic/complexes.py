@@ -5,7 +5,8 @@ cliques, so everything here stores a graph and materializes simplices on
 demand.  Distances count edges on shortest 1-skeleton paths.  Finite windows
 cut out of infinite periodic complexes are wrapped in :class:`WindowView`,
 which tracks which vertices and distance values are far enough from the
-window boundary to be trusted.
+window boundary to be trusted; :func:`scope` reads that trust rule for
+windows and finite complexes alike.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .verdict import Verdict, no, yes
 
@@ -292,7 +292,7 @@ class DistanceOracle:
             raise ComplexError(f"unknown vertex {v}")
         return self.distances_from(u).get(v, INF)
 
-    def distance_capped(self, u: int, v: int, cap: int) -> float:
+    def distance_capped(self, u: int, v: int, cap: float) -> float:
         """Distance if it is <= cap, else INF; explores only ball(u, cap)."""
         d = self.ball(u, cap).get(v, INF)
         return d if d <= cap else INF
@@ -405,12 +405,6 @@ def is_flag(fc: FacetComplex) -> Verdict:
     return no(witness=best, reason="clique of the 1-skeleton spans no simplex")
 
 
-@dataclass(frozen=True)
-class TaggedDistance:
-    value: float
-    trusted: bool
-
-
 class WindowView:
     """A finite radius-R ball cut out of an unbounded periodic complex.
 
@@ -419,7 +413,9 @@ class WindowView:
     value is trusted when both endpoints are trusted and the value is at most
     ``margin``.  Trusted values agree with the unbounded parent complex: any
     parent geodesic between two trusted vertices of length at most ``margin``
-    stays inside the window, so the windowed distance is exact.
+    stays inside the window, so the windowed distance is exact.  The scans
+    read this rule only through :func:`scope`: a distance d(u, v) is trusted
+    when u and v lie in the region and v lies in ``ball(u, margin)``.
 
     ``coord_of`` optionally maps vertex ids to parent coordinates, which lets
     tests compare windows of different radii vertex by vertex.
@@ -456,14 +452,6 @@ class WindowView:
     def trusted_vertices(self) -> frozenset[int]:
         return self._trusted
 
-    def is_trusted(self, v: int) -> bool:
-        return v in self._trusted
-
-    def trusted_distance(self, u: int, v: int) -> TaggedDistance:
-        d = self.complex.distance(u, v)
-        ok = u in self._trusted and v in self._trusted and d <= self.margin
-        return TaggedDistance(d, ok)
-
     def __repr__(self) -> str:
         return (
             f"WindowView({self.name!r}, radius={self.radius}, margin={self.margin}, "
@@ -476,8 +464,10 @@ def ambient(x: "FlagComplex | WindowView") -> FlagComplex:
     return x.complex if isinstance(x, WindowView) else x
 
 
-def scope(x: "FlagComplex | WindowView") -> tuple[FlagComplex, frozenset[int] | None, float]:
-    """(complex, trusted vertex set or None for all, distance trust bound)."""
+def scope(x: "FlagComplex | WindowView") -> tuple[FlagComplex, frozenset[int], float]:
+    """(complex, trusted vertex set, distance trust bound): the one place that
+    decides trust.  A finite complex is a window that trusts every vertex and
+    every distance."""
     if isinstance(x, WindowView):
         return x.complex, x.trusted_vertices, x.margin
-    return x, None, INF
+    return x, frozenset(x.vertices), INF

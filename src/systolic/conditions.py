@@ -6,9 +6,11 @@ scan reports.  All scans run in sorted vertex order, so the first witness is
 deterministic and stable across runs.
 
 Inputs may be plain :class:`FlagComplex` objects or :class:`WindowView`
-wrappers.  On a window, universally quantified vertices range only over the
-trusted region and only distance values within the margin participate, so
-every verdict is exact for the trust region it mentions.
+wrappers.  Every scan reads ``(g, region, bound)`` from ``scope``:
+universally quantified vertices range over the trusted region and only
+distance values within the bound participate, so every verdict is exact for
+the trust region it mentions.  A finite complex is a window that trusts every
+vertex and every distance.
 """
 
 from __future__ import annotations
@@ -61,16 +63,15 @@ def _cycle_order(c: FullCycle) -> tuple[int, tuple[int, ...]]:
     return len(c.vertices), c.vertices
 
 
-def _induced_cycles(g: FlagComplex, pool: frozenset[int] | None, max_len: int, min_len: int = 4):
+def _induced_cycles(g: FlagComplex, pool: frozenset[int], max_len: int, min_len: int = 4):
     """Canonical induced cycles of g with min_len..max_len vertices, all in
-    ``pool`` (every vertex when None), each once, in no fixed order: from the
-    smallest vertex v and its cycle neighbors u < w, a chordless path grows
-    from u through vertices above v and off N(v) until it meets N(w)."""
+    ``pool``, each once, in no fixed order: from the smallest vertex v and its
+    cycle neighbors u < w, a chordless path grows from u through vertices
+    above v and off N(v) until it meets N(w)."""
     if max_len < max(min_len, 4):
         return
-    verts = g.vertices if pool is None else sorted(pool)
-    nbrs = {v: g.neighbors(v) if pool is None else g.neighbors(v) & pool for v in verts}
-    for v in verts:
+    nbrs = {v: g.neighbors(v) & pool for v in pool}
+    for v in sorted(pool):
         nv = nbrs[v]
         higher = sorted(n for n in nv if n > v)
         for i, u in enumerate(higher):
@@ -123,7 +124,7 @@ def systole(x: FlagComplex | WindowView, max_len: int | None = None) -> float:
     cycle cannot repeat vertices.
     """
     g, region, _ = scope(x)
-    n = len(region) if region is not None else g.n_vertices
+    n = len(region)
     bound = n if max_len is None else min(max_len, n)
     for length in range(4, bound + 1):
         if next(_induced_cycles(g, region, length, length), None) is not None:
@@ -169,14 +170,13 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
 
 
 def first_link_cycle(
-    g: FlagComplex, within: frozenset[int] | None, max_len: int, min_len: int = 4
+    g: FlagComplex, within: frozenset[int], max_len: int, min_len: int = 4
 ) -> CycleInLink | None:
-    """The first simplex inside ``within`` (everywhere when None), in the
-    order of ``FlagComplex.cliques``, whose link has a full cycle of
-    min_len..max_len vertices, with its least such cycle by (length,
-    vertices); None when no link has one.  A link is the full subcomplex on
-    the common neighbors, so no link is built; one smaller than a cycle is
-    skipped."""
+    """The first simplex inside ``within``, in the order of
+    ``FlagComplex.cliques``, whose link has a full cycle of min_len..max_len
+    vertices, with its least such cycle by (length, vertices); None when no
+    link has one.  A link is the full subcomplex on the common neighbors, so
+    no link is built; one smaller than a cycle is skipped."""
     for sigma in g.cliques(within=within):
         common = g.common_neighbors(sigma)
         if len(common) < max(min_len, 4):
@@ -201,9 +201,8 @@ def triangle_condition(x: FlagComplex | WindowView) -> Verdict:
     """
     g, region, bound = scope(x)
     _require_connected(g, "the triangle condition")
-    verts = sorted(region) if region is not None else list(g.vertices)
-    vset = set(verts)
-    higher = {v: sorted(w for w in g.neighbors(v) if w > v and w in vset) for v in verts}
+    verts = sorted(region)
+    higher = {v: sorted(w for w in g.neighbors(v) if w > v and w in region) for v in verts}
     for u in verts:
         dist = g.oracle.ball(u, bound)
         for v in sorted(dist):
@@ -248,14 +247,13 @@ def quadrangle_condition(x: FlagComplex | WindowView) -> Verdict:
     """
     g, region, bound = scope(x)
     _require_connected(g, "the quadrangle condition")
-    verts = sorted(region) if region is not None else list(g.vertices)
-    vset = set(verts)
-    around = {z: sorted(n for n in g.neighbors(z) if n in vset) for z in verts}
+    verts = sorted(region)
+    around = {z: sorted(n for n in g.neighbors(z) if n in region) for z in verts}
     for u in verts:
         dist = g.oracle.ball(u, bound)
         for z in sorted(dist):
             dz = dist[z]
-            if dz < 3 or dz > bound or z not in vset:
+            if dz < 3 or dz > bound or z not in region:
                 continue
             d = dz - 1
             lower = [n for n in around[z] if dist.get(n) == d]
@@ -318,17 +316,13 @@ def find_extended_5_wheels(x: FlagComplex | WindowView) -> list[ExtendedWheel5]:
     for rim_cycle in enumerate_full_cycles(x, 5, min_len=5):
         rim = rim_cycle.vertices
         rim_set = set(rim)
-        centers = sorted(g.common_neighbors(rim))
-        if region is not None:
-            centers = [c for c in centers if c in region]
+        centers = sorted(c for c in g.common_neighbors(rim) if c in region)
         for c in centers:
             for i in range(5):
                 x1, x2 = rim[i], rim[(i + 1) % 5]
                 rest = [rim[(i + j) % 5] for j in range(2, 5)]
                 for a in sorted(g.common_neighbors((x1, x2))):
-                    if a == c or a in rim_set or g.adjacent(a, c):
-                        continue
-                    if region is not None and a not in region:
+                    if a == c or a in rim_set or a not in region or g.adjacent(a, c):
                         continue
                     if any(g.adjacent(a, y) for y in rest):
                         continue
@@ -392,13 +386,10 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
     g, region, bound = scope(x)
     if n < 0:
         raise ComplexError("n must be non-negative")
-    if region is not None:
-        if v not in region:
-            raise ComplexError(f"vertex {v} is outside the trusted region")
-        if n + 1 > bound:
-            raise ComplexError(
-                f"n={n} looks past the trusted horizon (margin {int(bound)})"
-            )
+    if v not in region:
+        raise ComplexError(f"vertex {v} is outside the trusted region")
+    if n + 1 > bound:
+        raise ComplexError(f"n={n} looks past the trusted horizon (margin {int(bound)})")
     dist = g.oracle.ball(v, n + 1)
     depth = min(n + 1, max(dist.values()))
     spheres: list[list[int]] = [[] for _ in range(depth + 1)]
@@ -545,13 +536,8 @@ def sphere_domination_everywhere(x: FlagComplex | WindowView) -> Verdict:
     margin - 1 on a window."""
     g, region, bound = scope(x)
     _require_connected(g, "sphere domination")
-    verts = sorted(region) if region is not None else list(g.vertices)
-    for v in verts:
-        if region is not None:
-            n = int(bound) - 1
-        else:
-            ecc = g.eccentricity(v)
-            n = max(int(ecc) - 1, 0)
+    for v in sorted(region):
+        n = int(bound) - 1 if bound < INF else max(int(g.eccentricity(v)) - 1, 0)
         sub = sphere_domination(x, v, n)
         if sub.is_no:
             return sub

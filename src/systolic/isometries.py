@@ -134,10 +134,12 @@ def validate_automorphism(x: FlagComplex | WindowView, h: Automorphism) -> Verdi
 class DisplacementProfile:
     """Exact displacement per vertex, restricted to where it can be trusted.
 
-    On a window a vertex contributes only when it and its image are trusted
-    and the displacement is within the margin; ``skipped`` counts the
-    vertices left out.  ``translation_length`` is the minimum displacement,
-    ``min_vertices`` the sorted vertices attaining it.
+    A vertex contributes only when it and its image are trusted and the
+    displacement is within the trust bound; ``skipped`` counts the vertices
+    left out.  On a finite complex every distance is trusted, so a vertex
+    whose image lies in another component is an error rather than a skip.
+    ``translation_length`` is the minimum displacement, ``min_vertices`` the
+    sorted vertices attaining it.
     """
 
     values: dict[int, int]
@@ -148,29 +150,19 @@ class DisplacementProfile:
 
 def displacement_profile(x: FlagComplex | WindowView, h: Automorphism) -> DisplacementProfile:
     g, region, bound = scope(x)
-    verts = sorted(region) if region is not None else list(g.vertices)
     values: dict[int, int] = {}
     skipped = 0
-    capped = bound != INF
-    for v in verts:
-        if not h.defined(v):
+    for v in sorted(region):
+        hv = h.mapping.get(v)
+        if hv not in region:
             skipped += 1
             continue
-        hv = h.mapping[v]
-        if region is not None and hv not in region:
+        d = g.oracle.distance_capped(v, hv, bound)
+        if d == INF:
+            if bound == INF:
+                raise ComplexError(f"vertex {v} and its image {hv} lie in different components")
             skipped += 1
             continue
-        if capped:
-            d = g.oracle.distance_capped(v, hv, int(bound))
-            if d == INF:
-                skipped += 1
-                continue
-        else:
-            d = g.distance(v, hv)
-            if d == INF:
-                raise ComplexError(
-                    f"vertex {v} and its image {hv} lie in different components"
-                )
         values[v] = int(d)
     length = min(values.values()) if values else INF
     mins = tuple(v for v in sorted(values) if values[v] == length)
@@ -421,25 +413,23 @@ def verify_local_geodesic(
     """Check d(gamma(a), gamma(b)) == |a - b| for index pairs up to ``gap``
     apart (all pairs when gap is None).
 
-    On a window, pairs are skipped unless both vertices are trusted and the
-    claimed value is within the margin; the detail reports how many pairs
-    were actually checked.
+    Pairs are skipped unless both vertices are trusted and the claimed value
+    is within the trust bound; the detail reports how many pairs were
+    actually checked.
     """
     g, region, bound = scope(x)
     idx = list(chain.indices())
     checked = 0
     for i, a in enumerate(idx):
         u = chain.gamma(a)
-        if region is not None and u not in region:
+        if u not in region:
             continue
         for b in idx[i + 1 :]:
             diff = b - a
-            if gap is not None and diff > gap:
-                break
-            if diff > bound:
+            if diff > bound or (gap is not None and diff > gap):
                 break
             w = chain.gamma(b)
-            if region is not None and w not in region:
+            if w not in region:
                 continue
             d = g.oracle.distance_within(u, w, bound)
             checked += 1

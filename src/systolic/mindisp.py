@@ -51,7 +51,6 @@ class EmbeddingReport:
     pairs_checked: int
     max_deviation: float
     witness: DistancePair | None
-    trusted_only: bool
 
     @property
     def isometric(self) -> bool:
@@ -77,35 +76,27 @@ def _require_full_subcomplex(g: FlagComplex, sub: FlagComplex) -> None:
 def isometric_embedding_check(
     x: FlagComplex | WindowView, sub: FlagComplex
 ) -> EmbeddingReport:
-    """Compare all (trusted) vertex pair distances inside ``sub`` against the
+    """Compare the trusted vertex pair distances inside ``sub`` against the
     ambient complex.
 
-    ``sub`` must be a full subcomplex with ambient vertex ids.  On a window
-    only pairs with both endpoints trusted and ambient distance within the
-    margin contribute, so each u is paired only with the vertices v > u of
-    its ambient ball of that radius; elsewhere every pair does.  The
+    ``sub`` must be a full subcomplex with ambient vertex ids.  Only pairs
+    with both endpoints trusted and ambient distance within the trust bound
+    contribute, so each u is paired only with the vertices v > u of its
+    ambient ball of that radius.  On a finite complex that is every pair in
+    one component; a pair in two components has no distance to compare.  The
     deviation of a pair is never negative because every inner path is also
     an ambient path.
     """
     g, region, bound = scope(x)
     _require_full_subcomplex(g, sub)
-    verts = sorted(sub.vertices)
-    if region is not None:
-        verts = [v for v in verts if v in region]
-    members = set(verts)
+    members = region.intersection(sub.vertices)
     pairs = 0
     max_dev = 0.0
     witness: DistancePair | None = None
-    for i, u in enumerate(verts):
+    for u in sorted(members):
         amb = g.oracle.ball(u, bound)
-        if region is None:
-            later = verts[i + 1 :]
-        else:
-            later = sorted(v for v in amb if v > u and v in members)
-        for v in later:
-            d_amb = amb.get(v, INF)
-            if d_amb > bound:
-                continue
+        for v in sorted(v for v, d in amb.items() if v > u and v in members and d <= bound):
+            d_amb = amb[v]
             # an isometric pair lies inside the inner ball of the same radius
             d_sub = sub.oracle.distance_within(u, v, bound)
             if d_sub < d_amb:
@@ -118,7 +109,7 @@ def isometric_embedding_check(
                 witness = DistancePair(u, v, d_sub, d_amb)
             if dev > max_dev:
                 max_dev = dev
-    return EmbeddingReport(pairs, max_dev, witness, region is not None)
+    return EmbeddingReport(pairs, max_dev, witness)
 
 
 def min_systolic_check(min_complex: FlagComplex, oracle_budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -144,7 +135,7 @@ def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComple
     for w in find_extended_5_wheels(min_complex):
         dom = sorted(g.common_neighbors(w.all_vertices()))
         wheels.append({"wheel": w, "dominator": dom[0] if dom else None})
-    hit = first_link_cycle(min_complex, None, 5, min_len=5)
+    hit = first_link_cycle(min_complex, frozenset(min_complex.vertices), 5, min_len=5)
     if hit is not None:
         return no(
             witness=hit,
@@ -243,8 +234,8 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
 
     Checks injectivity, the adjacency pattern (edges exactly at index gaps
     1..k), and that distances at index gaps that are multiples of k equal
-    the gap divided by k.  Distance checks on windows are restricted to
-    trusted pairs within the margin.
+    the gap divided by k.  Distance checks are restricted to trusted pairs
+    within the trust bound.
     """
     g, region, bound = scope(x)
     if w.k < 1:
@@ -273,9 +264,7 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
                 )
             if gap % w.k == 0:
                 expected = gap // w.k
-                if expected > bound:
-                    continue
-                if region is not None and (u not in region or v not in region):
+                if expected > bound or u not in region or v not in region:
                     continue
                 d = g.oracle.distance_within(u, v, bound)
                 pairs += 1

@@ -253,25 +253,23 @@ class TestWindowView:
         g = window10.complex
         for v in g.vertices:
             expected = g.distance(base, v) <= window10.radius - window10.margin
-            assert window10.is_trusted(v) == expected
+            assert (v in window10.trusted_vertices) == expected
         assert len(window10.trusted_vertices) == 1 + 3 * 6 * 7
 
     def test_trusted_distance_tagging(self, window10):
+        # scope() is the trust rule: d(u, v) is trusted when u and v lie in
+        # the region and v lies in ball(u, bound)
+        g, region, bound = S.scope(window10)
         base = window10.basepoint
-        far = max(
-            window10.trusted_vertices,
-            key=lambda v: window10.complex.distance(base, v),
-        )
-        near = window10.complex.geodesic(base, far)[1]
-        assert window10.trusted_distance(base, near).trusted
-        td = window10.trusted_distance(base, far)
-        assert td.value == 6 and not td.trusted  # value above the margin
-        # untrusted endpoint
-        boundary = next(
-            v for v in window10.complex.vertices if not window10.is_trusted(v)
-        )
-        for u in window10.complex.neighbors(boundary):
-            assert not window10.trusted_distance(boundary, u).trusted
+        far = max(region, key=lambda v: g.distance(base, v))
+        near = g.geodesic(base, far)[1]
+        assert near in region and g.oracle.ball(base, bound).get(near, INF) <= bound
+        assert g.distance(base, far) == 6  # value above the margin
+        assert far in region and g.oracle.ball(base, bound).get(far, INF) > bound
+        # an untrusted endpoint: its neighbors lie in its ball, but the
+        # endpoint lies outside the region, so no distance from it is trusted
+        boundary = next(v for v in g.vertices if v not in region)
+        assert g.neighbors(boundary) <= g.oracle.ball(boundary, bound).keys()
 
     def test_stabilization_under_radius_growth(self):
         small = S.triangular_lattice_window(6, 3)
@@ -279,22 +277,27 @@ class TestWindowView:
         to_large = {
             i: large.id_of[c] for i, c in small.coord_of.items() if c in large.id_of
         }
-        trusted = sorted(small.trusted_vertices)
+        g_small, region_small, bound_small = S.scope(small)
+        g_large, region_large, bound_large = S.scope(large)
+        trusted = sorted(region_small)
         for u in trusted:
-            assert large.is_trusted(to_large[u])
+            assert to_large[u] in region_large
+            ball_small = g_small.oracle.ball(u, bound_small)
+            ball_large = g_large.oracle.ball(to_large[u], bound_large)
             for v in trusted:
-                if u >= v:
+                if u >= v or ball_small.get(v, INF) > bound_small:
                     continue
-                d_small = small.trusted_distance(u, v)
-                d_large = large.trusted_distance(to_large[u], to_large[v])
-                if d_small.trusted:
-                    assert d_large.trusted
-                    assert d_small.value == d_large.value
+                # trusted in the small window, so trusted and equal in the large
+                assert to_large[v] in region_large
+                assert ball_large.get(to_large[v], INF) <= bound_large
+                assert ball_small[v] == ball_large[to_large[v]]
 
     def test_ambient_and_scope(self, window10, octa):
         assert S.ambient(window10) is window10.complex
         assert S.ambient(octa) is octa
         g, region, bound = S.scope(window10)
         assert region == window10.trusted_vertices and bound == 4
+        # a finite complex is a window that trusts every vertex and distance
         g2, region2, bound2 = S.scope(octa)
-        assert region2 is None and bound2 == INF
+        assert g2 is octa and bound2 == INF
+        assert isinstance(region2, frozenset) and region2 == frozenset(octa.vertices)

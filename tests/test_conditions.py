@@ -349,7 +349,7 @@ class TestSphereDomination:
 
     def test_untrusted_vertex_rejected(self, window10):
         boundary = next(
-            v for v in window10.complex.vertices if not window10.is_trusted(v)
+            v for v in window10.complex.vertices if v not in window10.trusted_vertices
         )
         with pytest.raises(ComplexError):
             S.sphere_domination(window10, boundary, 1)

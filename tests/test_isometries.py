@@ -159,6 +159,19 @@ class TestDisplacement:
         prof = S.displacement_profile(octa, Automorphism.identity(octa))
         assert prof.translation_length == 0
 
+    def test_infinite_displacement_raises_on_a_finite_complex(self):
+        # a finite complex trusts every distance, so a vertex sent into
+        # another component is an error rather than a skip
+        two_edges = S.FlagComplex(range(4), [(0, 1), (2, 3)])
+        swap = Automorphism({0: 2, 1: 3, 2: 0, 3: 1}, "swap")
+        with pytest.raises(ComplexError, match="different components"):
+            S.displacement_profile(two_edges, swap)
+
+    def test_displacement_past_the_margin_is_skipped_on_a_window(self, window10):
+        prof = S.displacement_profile(window10, S.lattice_translation(window10, 6))
+        assert prof.values == {} and prof.translation_length == INF
+        assert prof.skipped == len(window10.trusted_vertices)
+
 
 class TestInvariantSimplex:
     def test_total_no_is_decisive(self, octa):

@@ -24,7 +24,6 @@ class TestEmbedding:
     def test_window22_glide_pair_count(self, window22):
         m = S.min_set(window22, S.lattice_glide(window22))
         rep = S.isometric_embedding_check(window22, m)
-        assert rep.trusted_only
         assert rep.pairs_checked == 540
         assert rep.max_deviation == 0
 
@@ -146,7 +145,7 @@ class TestInvariantGeodesic:
     def test_rejects_bad_start(self, window10):
         glide = S.lattice_glide(window10)
         boundary = next(
-            v for v in window10.complex.vertices if not window10.is_trusted(v)
+            v for v in window10.complex.vertices if v not in window10.trusted_vertices
         )
         with pytest.raises(ComplexError):
             S.invariant_geodesic_search(window10, glide, start=boundary)
