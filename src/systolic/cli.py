@@ -322,7 +322,7 @@ def _embedding(x, h: Automorphism, args) -> Verdict:
 
 def _min_systolic(x, h: Automorphism, args) -> Verdict:
     sub = isometries.min_set(x, h)
-    verdict = mindisp.min_systolic_check(sub, oracle_budget=args.oracle_budget)
+    verdict = conditions.is_systolic(sub, oracle_budget=args.oracle_budget)
     detail = dict(verdict.detail)
     detail["min_vertices"] = sub.n_vertices
     return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)

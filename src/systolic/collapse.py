@@ -6,12 +6,12 @@ The rank of d1 is V minus the number of components, so d1 needs no matrix;
 torsion comes from d2 alone.  The boundary matrix d2 is held sparse and
 reduced by pivots on entries of +-1, each an invariant factor of 1; only the
 residual goes through a dense Smith normal form.  Only when first homology
-vanishes does the oracle search for a positive certificate: a sequence of
-elementary collapses ending in a single vertex (collapsible implies
-contractible implies simply connected).  A complex that collapses has
-trivial homology, so the search could not have answered Yes where homology
-answers No.  When neither certificate is found within budget the oracle
-reports unknown; it never guesses.
+vanishes does the oracle look for a positive certificate: one greedy pass of
+elementary collapses, the least free face first, that ends in a single
+vertex (collapsible implies contractible implies simply connected).  A
+complex that collapses has trivial homology, so the pass could not have
+answered Yes where homology answers No.  When the pass stalls or its budget
+runs out the oracle reports unknown; it never guesses.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .complexes import ComplexError, FlagComplex
 from .verdict import Verdict, no, unknown, yes
 
 DEFAULT_BUDGET = 100_000
-
-# Full backtracking over collapse orders is only attempted below this many
-# simplices; larger complexes get the greedy pass only.
-_DFS_SIZE_LIMIT = 300
 
 # Refuse to materialize absurdly large clique sets.
 _SIMPLEX_CAP = 500_000
@@ -41,116 +37,15 @@ def all_simplices(x: FlagComplex, cap: int = _SIMPLEX_CAP) -> list[frozenset[int
     return out
 
 
-class _CollapseState:
-    """Mutable simplex set with immediate-coface counts and a free-face heap.
-
-    A simplex is free when it has exactly one immediate coface present and
-    that coface is maximal; removing the pair is an elementary collapse.
-    """
-
-    def __init__(self, x: FlagComplex, simplices: list[frozenset[int]]):
-        self._x = x
-        self.present: set[frozenset[int]] = set(simplices)
-        self.coface_count: dict[frozenset[int], int] = {s: 0 for s in simplices}
-        for s in simplices:
-            if len(s) >= 2:
-                for v in s:
-                    self.coface_count[s - {v}] += 1
-        self.heap: list[tuple[int, tuple[int, ...]]] = []
-        for s in simplices:
-            if self.coface_count[s] == 1:
-                self._push(s)
-
-    def _push(self, s: frozenset[int]) -> None:
-        heapq.heappush(self.heap, (len(s), tuple(sorted(s))))
-
-    def unique_coface(self, s: frozenset[int]) -> frozenset[int] | None:
-        """The one present coface of s, assuming the count says there is one."""
-        for v in sorted(self._x.common_neighbors(s)):
-            t = s | {v}
-            if t in self.present:
-                return t
-        return None
-
-    def free_pair_of(self, s: frozenset[int]) -> tuple[frozenset[int], frozenset[int]] | None:
-        if s not in self.present or self.coface_count[s] != 1:
-            return None
-        cof = self.unique_coface(s)
-        if cof is None or self.coface_count[cof] != 0:
-            return None
-        return s, cof
-
-    def pop_free(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """Smallest currently valid free pair, with lazy heap invalidation."""
-        while self.heap:
-            _, vs = self.heap[0]
-            pair = self.free_pair_of(frozenset(vs))
-            if pair is None:
-                heapq.heappop(self.heap)
-                continue
-            return pair
-        return None
-
-    def collapse(self, tau: frozenset[int], sigma: frozenset[int]) -> None:
-        self.present.discard(tau)
-        self.present.discard(sigma)
-        for s in (tau, sigma):
-            if len(s) < 2:
-                continue
-            for v in s:
-                f = s - {v}
-                cnt = self.coface_count.get(f)
-                if cnt is None:
-                    continue
-                self.coface_count[f] = cnt - 1
-                if cnt - 1 == 1 and f in self.present:
-                    self._push(f)
-                elif cnt - 1 == 0 and f in self.present and len(f) >= 2:
-                    # f became maximal; faces of f may have become free
-                    for w in f:
-                        g = f - {w}
-                        if self.coface_count.get(g) == 1 and g in self.present:
-                            self._push(g)
-
-    def undo(self, tau: frozenset[int], sigma: frozenset[int]) -> None:
-        self.present.add(tau)
-        self.present.add(sigma)
-        for s in (tau, sigma):
-            if len(s) < 2:
-                continue
-            for v in s:
-                f = s - {v}
-                if f in self.coface_count:
-                    self.coface_count[f] += 1
-
-    def free_pairs(self) -> list[tuple[frozenset[int], frozenset[int]]]:
-        """All free pairs in canonical order; used by the backtracking pass."""
-        out = []
-        for s in self.present:
-            pair = self.free_pair_of(s)
-            if pair is not None:
-                out.append(pair)
-        out.sort(key=lambda p: (len(p[0]), tuple(sorted(p[0]))))
-        return out
-
-
-class _Budget:
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
 def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Search for a collapse of the whole complex down to one vertex.
+    """Collapse the complex toward one vertex in one greedy pass.
 
-    Yes means a full elementary-collapse sequence was found.  No means the
-    search space was exhausted without success (no sequence exists).  Unknown
-    means the budget ran out or the complex was too large to try.
+    A simplex is free when it has exactly one coface present and that coface
+    is maximal; each step removes the least free simplex, by (size, sorted
+    vertices), together with its coface.  Yes means the pass reached a
+    vertex.  No means no simplex is free at the start, so no collapse can
+    begin.  Unknown means the pass stalled later, where another order might
+    still succeed, or the budget of steps ran out.
     """
     if x.n_vertices == 0:
         raise ComplexError("empty complex")
@@ -159,50 +54,47 @@ def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
         return unknown(reason="too many simplices to materialize")
     if len(simplices) == 1:
         return yes(reason="already a single vertex", steps=0)
+    present = set(simplices)
+    cofaces = dict.fromkeys(simplices, 0)
+    for s in simplices:
+        if len(s) >= 2:
+            for v in s:
+                cofaces[s - {v}] += 1
+    # candidate free simplices by (size, sorted vertices), checked when popped
+    heap = [(len(s), tuple(sorted(s))) for s in simplices if cofaces[s] == 1]
+    heapq.heapify(heap)
 
-    # Greedy pass: always take the smallest free face.
-    bud = _Budget(budget)
-    state = _CollapseState(x, simplices)
+    def push(s: frozenset[int]) -> None:
+        if s in present:
+            heapq.heappush(heap, (len(s), tuple(sorted(s))))
+
     steps = 0
-    while True:
-        pair = state.pop_free()
-        if pair is None:
-            break
-        if not bud.spend():
+    while heap:
+        s = frozenset(heapq.heappop(heap)[1])
+        if s not in present or cofaces[s] != 1:
+            continue
+        t = next(s | {v} for v in x.common_neighbors(s) if s | {v} in present)
+        if cofaces[t]:
+            continue
+        if steps >= budget:
             return unknown(reason="collapse budget exhausted")
-        state.collapse(*pair)
+        present -= {s, t}
         steps += 1
-        if len(state.present) == 1:
+        if len(present) == 1:
             return yes(reason="collapsed to a point", steps=steps)
-
-    if len(simplices) > _DFS_SIZE_LIMIT:
-        return unknown(reason="greedy collapse stalled")
-
-    # Small complex: explore collapse orders exhaustively within budget.
-    state = _CollapseState(x, simplices)
-
-    def dfs() -> bool | None:
-        if len(state.present) == 1:
-            return True
-        hit_budget = False
-        for tau, sigma in state.free_pairs():
-            if not bud.spend():
-                return None
-            state.collapse(tau, sigma)
-            sub = dfs()
-            state.undo(tau, sigma)
-            if sub:
-                return True
-            if sub is None:
-                hit_budget = True
-        return None if hit_budget else False
-
-    result = dfs()
-    if result is True:
-        return yes(reason="collapsed to a point", backtracking=True)
-    if result is False:
+        for r in (s, t):
+            for f in (r - {v} for v in r if len(r) >= 2):
+                cofaces[f] -= 1
+                if cofaces[f] == 1:
+                    push(f)
+                elif cofaces[f] == 0 and f in present and len(f) >= 2:
+                    # f became maximal; faces of f may have become free
+                    for v in f:
+                        if cofaces[f - {v}] == 1:
+                            push(f - {v})
+    if steps == 0:
         return no(reason="no collapse sequence reaches a point")
-    return unknown(reason="collapse budget exhausted")
+    return unknown(reason="greedy collapse stalled")
 
 
 def _smith_diagonal(rows: list[list[int]]) -> list[int]:

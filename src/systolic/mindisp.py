@@ -2,16 +2,16 @@
 
 Given a complex and an automorphism with positive translation length, these
 checks probe the structure of the minimal displacement set: whether it embeds
-isometrically, whether it is itself systolic, whether its 5-wheels are
-dominated from outside, whether it contains an invariant geodesic, and, when
-it does not, whether it carries a thick interval instead.
+isometrically, whether its 5-wheels are dominated from outside, whether it
+contains an invariant geodesic, and, when it does not, whether it carries a
+thick interval instead.  Whether the set is itself systolic is
+``conditions.is_systolic`` applied to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .collapse import DEFAULT_BUDGET
 from .complexes import (
     INF,
     ComplexError,
@@ -20,7 +20,7 @@ from .complexes import (
     ambient,
     scope,
 )
-from .conditions import find_extended_5_wheels, first_link_cycle, is_systolic
+from .conditions import find_extended_5_wheels, first_link_cycle
 from .isometries import (
     Automorphism,
     PathChain,
@@ -110,12 +110,6 @@ def isometric_embedding_check(
             if dev > max_dev:
                 max_dev = dev
     return EmbeddingReport(pairs, max_dev, witness)
-
-
-def min_systolic_check(min_complex: FlagComplex, oracle_budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Is the minimal displacement set, as a complex in its own right,
-    systolic?  Thin wrapper so reports can name the target."""
-    return is_systolic(min_complex, oracle_budget=oracle_budget)
 
 
 def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComplex) -> Verdict:

@@ -1,8 +1,8 @@
 """Uniform result records and deterministic rendering.
 
-JSON output is byte-stable across runs and job counts for the same input and
-options, except for the ``wall_ms`` timing fields; ``strip_timing`` removes
-those so reports can be compared exactly.
+JSON output is byte-stable across runs for the same input and options,
+except for the ``wall_ms`` timing fields; ``strip_timing`` removes those so
+reports can be compared exactly.
 """
 
 from __future__ import annotations

@@ -369,6 +369,34 @@ def dense_first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     return betti1, torsion
 
 
+def naive_greedy_collapse(x: FlagComplex, budget: int) -> tuple[str, int]:
+    """The greedy collapse pass with no bookkeeping: at every step rescan all
+    faces, in (size, sorted vertices) order, for the least free one (exactly
+    one coface present, and that coface maximal) and remove it with its
+    coface.  Returns (outcome, steps), the outcome "point" when one vertex is
+    left, "stalled" when no face is free, and "budget" when a face is free
+    but ``budget`` steps are spent."""
+    present = {frozenset(c) for c in all_cliques(x)}
+
+    def cofaces(s: frozenset[int]) -> list[frozenset[int]]:
+        return [s | {v} for v in x.vertices if v not in s and s | {v} in present]
+
+    steps = 0
+    while len(present) > 1:
+        pair = next(
+            ((s, cof[0]) for s in sorted(present, key=lambda f: (len(f), sorted(f)))
+             if len(cof := cofaces(s)) == 1 and not cofaces(cof[0])),
+            None,
+        )
+        if pair is None:
+            return "stalled", steps
+        if steps >= budget:
+            return "budget", steps
+        present -= set(pair)
+        steps += 1
+    return "point", steps
+
+
 def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:
     """Simple connectivity in the older order: the collapse search first, then
     dense_first_homology; the reference for simple_connectivity_oracle."""

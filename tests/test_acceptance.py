@@ -150,7 +150,7 @@ def test_criterion_08_falsifiability():
 
         octa = S.octahedron()
         square = octa.span([0, 2, 1, 3])  # induced 4-cycle
-        assert S.min_systolic_check(square).is_no
+        assert S.is_systolic(square).is_no
 
 
 def test_criterion_09_oracle_agreement(finite_corpus):

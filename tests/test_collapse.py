@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 import systolic as S
 import systolic.collapse
 from systolic import FlagComplex
-from systolic.collapse import all_simplices, collapse_to_point
+from systolic.collapse import DEFAULT_BUDGET, all_simplices, collapse_to_point
 from systolic.io import parse_complex_file
 
-from _oracles import collapse_first_oracle, cycle_space_rank_mod2, dense_first_homology
+from _oracles import collapse_first_oracle, cycle_space_rank_mod2, dense_first_homology, naive_greedy_collapse
 
-# A connected, locally 6-large random complex with betti1 = 1: the collapse
-# search would spend its whole budget backtracking before homology answered.
+# A connected, locally 6-large random complex with betti1 = 1: when the collapse
+# search came before homology and backtracked over collapse orders, it spent
+# its whole budget here.
 BACKTRACK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "backtrack_s1.txt")
 
 # The 6-vertex real projective plane.
@@ -52,6 +53,16 @@ union_params = st.tuples(
 )
 
 
+# (n, p, seed, budget) for the greedy collapse pass; p stays below 0.7 to keep
+# the naive reference quick.
+greedy_params = st.tuples(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.0, max_value=0.7),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.integers(min_value=0, max_value=60), st.just(DEFAULT_BUDGET)),
+)
+
+
 def random_union(n1: int, n2: int, p: float, seed: int) -> FlagComplex:
     n2 = min(n2, 14 - n1)
     g = S.random_flag_complex(n1, p, seed)
@@ -87,7 +98,7 @@ class TestCollapse:
 
     def test_cycle_does_not_collapse(self):
         v = collapse_to_point(S.cycle(6))
-        assert v.is_no  # no triangles at all: DFS exhausts instantly
+        assert v.is_no  # no triangles at all: no face is free at the start
 
     def test_octahedron_is_stuck(self, octa):
         # a 2-sphere has no free faces; collapse cannot start
@@ -97,6 +108,29 @@ class TestCollapse:
     def test_budget_exhaustion_is_unknown(self, window10):
         v = collapse_to_point(window10.complex, budget=5)
         assert v.is_unknown
+
+    def test_stall_is_unknown_at_once(self):
+        # 48 simplices and H1 = 0, but the greedy pass stalls; no other
+        # collapse order is searched, so the budget is not spent
+        g = S.random_flag_complex(8, 0.5, 39)
+        v = collapse_to_point(g)
+        assert v.is_unknown and v.reason == "greedy collapse stalled"
+        v = S.simple_connectivity_oracle(g)
+        assert v.is_unknown
+        assert v.reason == "no collapse found within budget; first homology vanishes"
+
+    @given(greedy_params)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive_greedy(self, params):
+        n, p, seed, budget = params
+        g = S.random_flag_complex(n, p, seed)
+        outcome, steps = naive_greedy_collapse(g, budget)
+        v = collapse_to_point(g, budget)
+        assert v.is_yes == (outcome == "point")
+        if v.is_yes:
+            assert v.detail["steps"] == steps
+        assert v.is_no == (outcome == "stalled" and steps == 0)
+        assert (v.reason == "collapse budget exhausted") == (outcome == "budget")
 
 
 class TestHomology:
@@ -185,7 +219,8 @@ class TestOracle:
     @given(union_params)
     @settings(max_examples=60, deadline=None)
     def test_matches_collapse_first_order(self, params):
-        # a small budget keeps the backtracking collapse search short
+        # collapse_first_oracle runs the same greedy pass; a small budget
+        # also exercises its budget exit
         g = random_union(*params)
         assert S.simple_connectivity_oracle(g, 200) == collapse_first_oracle(g, 200)
 

@@ -11,7 +11,9 @@ the hex torus is a No from homology (twice, through ``systolic`` and the
 local-to-global route of ``weakly-systolic``), the cone a Yes from the
 collapse, and ``backtrack_s1.txt`` (``backtrack0_s1`` of the benchmark's
 random corpus, seed 1) is locally 6-large with betti1 = 1, where the old
-order spent its whole budget backtracking.
+order spent its whole budget backtracking over collapse orders.  Homology
+now answers No there first, and the collapse search is one greedy pass
+that no longer backtracks.
 The three ``check_sd_random_*`` reports were captured while sphere domination
 still enumerated every clique of each sphere and rebuilt its inner set from
 scratch: each is an SD No with a different witness shape (a vertex whose inner

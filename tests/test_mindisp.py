@@ -73,18 +73,18 @@ class TestEmbedding:
 class TestMinSystolic:
     def test_strip_and_lines(self, window22, hyperbolic_corpus):
         m = S.min_set(window22, S.lattice_glide(window22))
-        assert S.min_systolic_check(m).is_yes
+        assert S.is_systolic(m).is_yes
         for name, g, h in hyperbolic_corpus:
             if name.startswith("A"):
-                assert S.min_systolic_check(S.min_set(g, h)).is_yes, name
+                assert S.is_systolic(S.min_set(g, h)).is_yes, name
 
     def test_fake_min_with_square_link(self):
         # a cone over an induced 4-cycle fails: the apex link is the square
-        assert S.min_systolic_check(S.cone(S.cycle(4))).is_no
-        assert S.min_systolic_check(S.wheel(4)).is_no
+        assert S.is_systolic(S.cone(S.cycle(4))).is_no
+        assert S.is_systolic(S.wheel(4)).is_no
 
     def test_bare_square_fails_via_homology(self):
-        assert S.min_systolic_check(S.cycle(4)).is_no
+        assert S.is_systolic(S.cycle(4)).is_no
 
 
 class TestWheelDomination:
