@@ -180,7 +180,7 @@ def invariant_geodesic_search(
     if tried >= geodesic_cap:
         return unknown(reason="geodesic candidate cap reached", candidates_tried=tried)
     return unknown(
-        reason="no invariant geodesic found in the window", candidates_tried=tried
+        reason="no invariant geodesic found in the trusted region", candidates_tried=tried
     )
 
 

@@ -35,6 +35,11 @@ check counted the 36 pairs in different components, whose deviation
 INF - INF = nan was never compared.  Since a finite complex is scanned as a
 window that trusts everything, each vertex is paired only with its own
 ball, and the count is 30; no other byte changed.
+That report and ``theorems_lattice_r10_glide`` were re-captured once more
+when the Unknown of ``invariant-geodesic`` began to say "no invariant
+geodesic found in the trusted region" instead of "... in the window": a
+finite complex has no window, and both kinds of complex are searched over
+their trusted region.  Only that reason line changed.
 """
 
 import os
