@@ -40,6 +40,13 @@ when the Unknown of ``invariant-geodesic`` began to say "no invariant
 geodesic found in the trusted region" instead of "... in the window": a
 finite complex has no window, and both kinds of complex are searched over
 their trusted region.  Only that reason line changed.
+The Min-set branches no other report reaches were captured while
+``classify`` and ``dichotomy_report`` still returned their own record types
+and a chain was stitched from a forward and a backward orbit walk: an
+elliptic map read from a file (``triangle_rotate.txt``, a triangle rotated
+0 -> 1 -> 2), and the antipodal map of the octahedron, whose orbit chain
+revisits a vertex and whose invariant-geodesic search refutes all four
+candidate geodesics.
 """
 
 import os
@@ -85,6 +92,21 @@ CASES = {
     "theorems_file_two_hexagons_rotate": [
         "theorems", "--input", os.path.join(GOLDEN, "two_hexagons_rotate.txt"), "--auto", "file",
         "--do", "embedding,min-systolic,dichotomy,invariant-geodesic",
+    ],
+    "isometry_file_triangle_rotate": [
+        "isometry", "--input", os.path.join(GOLDEN, "triangle_rotate.txt"), "--auto", "file",
+        "--do", "classify,invariant-simplex",
+    ],
+    "theorems_file_triangle_rotate": [
+        "theorems", "--input", os.path.join(GOLDEN, "triangle_rotate.txt"), "--auto", "file",
+        "--do", "dichotomy,embedding",
+    ],
+    "isometry_octahedron_antipodal": [
+        "isometry", "--gen", "octahedron", "--auto", "antipodal", "--do", "classify",
+    ],
+    "theorems_octahedron_antipodal": [
+        "theorems", "--gen", "octahedron", "--auto", "antipodal",
+        "--do", "dichotomy,invariant-geodesic",
     ],
     "check_require_octahedron": [
         "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
