@@ -262,15 +262,6 @@ def _displacement(x, h: Automorphism, args) -> Verdict:
     )
 
 
-def _classify(x, h: Automorphism, args) -> Verdict:
-    cls = isometries.classify(x, h)
-    return yes(
-        kind=cls.kind,
-        invariant_simplex=cls.invariant_simplex,
-        translation_length=cls.translation_length,
-    )
-
-
 def _min_set(x, h: Automorphism, args) -> Verdict:
     sub = isometries.min_set(x, h)
     verts = list(sub.vertices)
@@ -299,7 +290,7 @@ def _chain(x, h: Automorphism, args) -> Verdict:
 ISOMETRY = {
     "validate": lambda x, h, args: isometries.validate_automorphism(x, h),
     "displacement": _displacement,
-    "classify": _classify,
+    "classify": lambda x, h, args: isometries.classify(x, h),
     "invariant-simplex": lambda x, h, args: isometries.find_invariant_simplex(x, h),
     "min-set": _min_set,
     "idempotence": lambda x, h, args: isometries.min_set_idempotence(x, h),
@@ -328,31 +319,6 @@ def _min_systolic(x, h: Automorphism, args) -> Verdict:
     return Verdict(verdict.answer, verdict.witness, verdict.reason, detail)
 
 
-def _dichotomy(x, h: Automorphism, args) -> Verdict:
-    rep = mindisp.dichotomy_report(x, h)
-    if rep.kind == "elliptic":
-        answer = yes if rep.invariant_simplex_valid else no
-        return answer(
-            witness=rep.invariant_simplex,
-            kind=rep.kind,
-            translation_length=rep.translation_length,
-        )
-    assert rep.thick_verdict is not None
-    detail = dict(
-        kind=rep.kind,
-        translation_length=rep.translation_length,
-        thickness=rep.thickness,
-        chain_start=rep.chain.start if rep.chain else None,
-        chain_stop=rep.chain.stop if rep.chain else None,
-    )
-    return Verdict(
-        rep.thick_verdict.answer,
-        rep.thick_witness,
-        rep.thick_verdict.reason,
-        detail,
-    )
-
-
 THEOREMS = {
     "embedding": _embedding,
     "min-systolic": _min_systolic,
@@ -362,7 +328,7 @@ THEOREMS = {
     "invariant-geodesic": lambda x, h, args: mindisp.invariant_geodesic_search(
         x, h, power=args.power
     ),
-    "dichotomy": _dichotomy,
+    "dichotomy": lambda x, h, args: mindisp.dichotomy_report(x, h),
 }
 
 # subcommand -> (token table, option listing its tokens, what a token is called)
@@ -525,6 +491,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key in ("oracle_budget", "k", "max_len"):
+            if getattr(args, key, 0) < 0:
+                option = "--" + key.replace("_", "-")
+                raise CliError(f"{option} must be non-negative, got {getattr(args, key)}")
         return args.func(args)
     except (CliError, ParseError, ComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

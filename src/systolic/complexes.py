@@ -12,7 +12,6 @@ windows and finite complexes alike.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator
 
 from .verdict import Verdict, no, yes
@@ -187,18 +186,10 @@ class FlagComplex:
         seen: set[int] = set()
         comps: list[frozenset[int]] = []
         for v in self._vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if v not in seen:
+                comp = frozenset(self.oracle.ball(v, INF))
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:
@@ -231,9 +222,10 @@ class DistanceOracle:
     """Horizon-bounded BFS distances with one cache per complex.
 
     :meth:`ball` is the only place a BFS runs; every other query reads a
-    ball.  The cache keeps one table per source together with how far it
-    reaches: a table cut off after some layer is always kept (it is as small
-    as its radius makes it), a complete table only on complexes of at most
+    ball, connected components and the geodesic enumerator included.  The
+    cache keeps one table per source together with how far it reaches: a
+    table cut off after some layer is always kept (it is as small as its
+    radius makes it), a complete table only on complexes of at most
     ``ALL_PAIRS_THRESHOLD`` vertices, which there amounts to an all-pairs
     table built on demand.
     """
@@ -303,51 +295,59 @@ class DistanceOracle:
         d = self.ball(u, radius).get(v)
         return self.distance(u, v) if d is None else d
 
-    def geodesic(self, u: int, v: int) -> tuple[int, ...] | None:
-        """Lexicographically least geodesic from u to v, or None.
+    def geodesics(self, u: int, v: int) -> Iterator[tuple[int, ...]]:
+        """Every geodesic from u to v, in lexicographic order as vertex
+        sequences; none when v is unreachable.
 
-        Least among all geodesics compared as vertex sequences; built by
-        always stepping to the smallest neighbor that stays on a shortest
-        path to the target.
+        A depth-first walk that steps, smallest neighbor first, only to
+        neighbors one closer to the target, so no branch dead-ends.
         """
         back = self.distances_from(v)
         if u not in back:
-            return None if u in self._x else _raise_unknown(u)
-        path = [u]
-        cur = u
-        while cur != v:
-            d = back[cur]
-            cur = min(w for w in self._x.neighbors(cur) if back.get(w, INF) == d - 1)
-            path.append(cur)
-        return tuple(path)
+            if u not in self._x:
+                raise ComplexError(f"unknown vertex {u}")
+            return
+        adj = self._x._adj
+        stack = [(u, (u,))]
+        while stack:
+            cur, path = stack.pop()
+            if cur == v:
+                yield path
+                continue
+            d = back[cur] - 1
+            for w in sorted((w for w in adj[cur] if back.get(w) == d), reverse=True):
+                stack.append((w, path + (w,)))
 
-
-def _raise_unknown(v: int) -> None:
-    raise ComplexError(f"unknown vertex {v}")
+    def geodesic(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Lexicographically least geodesic from u to v, or None: the first
+        of :meth:`geodesics`."""
+        return next(self.geodesics(u, v), None)
 
 
 class FacetComplex:
     """A simplicial complex given by its facets (an antichain of simplices)."""
 
-    __slots__ = ("_facets", "_skeleton")
+    __slots__ = ("_facets", "_through", "_skeleton")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         fs = sorted({as_simplex(f) for f in facets})
-        # Facets through each vertex, in sorted order: a facet containing a
-        # also runs through a's rarest vertex, and the first one found there
-        # is the first in sorted order.
-        through: dict[int, list[int]] = {}
-        for j, b in enumerate(fs):
-            for v in b:
-                through.setdefault(v, []).append(j)
-        sets = [frozenset(b) for b in fs]
-        for i, a in enumerate(fs):
-            for j in min((through[v] for v in a), key=len):
-                if j != i and sets[i] <= sets[j]:
-                    raise ComplexError(f"facet {a} is contained in facet {fs[j]}")
         if not fs:
             raise ComplexError("a facet complex has at least one facet")
+        # Facets through each vertex, in sorted order: a facet containing a
+        # simplex also runs through the simplex's rarest vertex, and the
+        # first one found there is the first in sorted order.
+        through: dict[int, list[frozenset[int]]] = {}
+        for b in fs:
+            fb = frozenset(b)
+            for v in b:
+                through.setdefault(v, []).append(fb)
+        for a in fs:
+            sa = frozenset(a)
+            for b in min((through[v] for v in a), key=len):
+                if sa < b:
+                    raise ComplexError(f"facet {a} is contained in facet {tuple(sorted(b))}")
         self._facets: tuple[Simplex, ...] = tuple(fs)
+        self._through = through
         self._skeleton: FlagComplex | None = None
 
     @property
@@ -356,11 +356,14 @@ class FacetComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for f in self._facets for v in f}))
+        return tuple(sorted(self._through))
 
     def contains_simplex(self, simplex: Iterable[int]) -> bool:
-        s = set(as_simplex(simplex))
-        return any(s.issubset(f) for f in self._facets)
+        s = as_simplex(simplex)
+        if any(v not in self._through for v in s):
+            return False
+        fs = frozenset(s)
+        return any(fs <= b for b in min((self._through[v] for v in s), key=len))
 
     def one_skeleton(self) -> FlagComplex:
         if self._skeleton is None:

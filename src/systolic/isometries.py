@@ -5,6 +5,12 @@ of a periodic complex (vertices whose image falls outside the window have no
 image).  Displacement is the distance a vertex travels; the minimum over
 trusted vertices is the translation length, and the span of the vertices
 attaining it is the minimal displacement set.
+
+Checks return :class:`~systolic.verdict.Verdict` records; ``classify`` is
+always a yes whose detail names the kind of map.  An orbit chain is built
+from h's displacement profile by one walk that translates a minimal
+geodesic by h^-1 and by h; callers that already hold the profile call
+:func:`orbit_chain` directly.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from .complexes import (
     scope,
 )
 from .verdict import (
+    NO,
+    UNKNOWN,
+    YES,
     ChainGapViolation,
     DistancePair,
     MapViolation,
@@ -215,28 +224,24 @@ def is_invariant_simplex(
     return {h.mapping[v] for v in s} == set(s)
 
 
-@dataclass(frozen=True)
-class Classification:
+# answer of find_invariant_simplex -> the kind of map it shows
+MAP_KINDS = {YES: "elliptic", NO: "hyperbolic", UNKNOWN: "unknown_on_window"}
+
+
+def classify(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
     """Elliptic (some simplex is invariant), hyperbolic (provably none), or
-    unknown-on-window (no witness found, search not exhaustive)."""
+    unknown_on_window (no witness found, search not exhaustive).
 
-    kind: str
-    invariant_simplex: tuple[int, ...] | None
-    translation_length: float
-
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    UNKNOWN_ON_WINDOW = "unknown_on_window"
-
-
-def classify(x: FlagComplex | WindowView, h: Automorphism) -> Classification:
+    Always a yes: the class sits in the detail, next to the invariant
+    simplex (or None) and the translation length.
+    """
     prof = displacement_profile(x, h)
     inv = find_invariant_simplex(x, h)
-    if inv.is_yes:
-        return Classification(Classification.ELLIPTIC, inv.witness, prof.translation_length)
-    if inv.is_no:
-        return Classification(Classification.HYPERBOLIC, None, prof.translation_length)
-    return Classification(Classification.UNKNOWN_ON_WINDOW, None, prof.translation_length)
+    return yes(
+        kind=MAP_KINDS[inv.answer],
+        invariant_simplex=inv.witness,
+        translation_length=prof.translation_length,
+    )
 
 
 def min_set(x: FlagComplex | WindowView, h: Automorphism) -> FlagComplex:
@@ -326,14 +331,6 @@ class PathChain:
         return self.vertices[a - self.start]
 
 
-def lex_least_geodesic(x: FlagComplex | WindowView, u: int, v: int) -> tuple[int, ...]:
-    g = ambient(x)
-    path = g.geodesic(u, v)
-    if path is None:
-        raise ComplexError(f"no path from {u} to {v}")
-    return path
-
-
 def orbit_path(
     x: FlagComplex | WindowView,
     h: Automorphism,
@@ -349,8 +346,23 @@ def orbit_path(
     of n; by default the chain extends in both directions until the map (or
     the window) runs out, with a cap proportional to the complex size.
     """
+    return orbit_chain(x, h, displacement_profile(x, h), v, alpha, powers)
+
+
+def orbit_chain(
+    x: FlagComplex | WindowView,
+    h: Automorphism,
+    prof: DisplacementProfile,
+    v: int | None = None,
+    alpha: tuple[int, ...] | None = None,
+    powers: tuple[int, int] | None = None,
+) -> PathChain:
+    """:func:`orbit_path` for a caller that already holds h's profile.
+
+    One walk translates alpha by h^-1 and by h in turn, as far as
+    ``powers`` allows and the map is defined on the whole segment.
+    """
     g = ambient(x)
-    prof = displacement_profile(x, h)
     length = prof.translation_length
     if length in (0, INF):
         raise ComplexError("chains need a positive trusted translation length")
@@ -359,7 +371,7 @@ def orbit_path(
     if v not in prof.values or prof.values[v] != length:
         raise ComplexError(f"vertex {v} does not attain the translation length")
     if alpha is None:
-        alpha = lex_least_geodesic(x, v, h(v))
+        alpha = g.geodesic(v, h(v))
     alpha = tuple(alpha)
     if alpha[0] != v or alpha[-1] != h(v):
         raise ComplexError("alpha must run from v to h(v)")
@@ -375,36 +387,19 @@ def orbit_path(
     if lo > 0 or hi < 0 or (powers is not None and lo >= hi):
         raise ComplexError("powers must straddle 0 with room for one segment")
 
-    segments: dict[int, tuple[int, ...]] = {0: alpha}
-    seg = alpha
-    n = 0
-    while n < hi:
-        if not all(h.defined(u) for u in seg):
-            break
-        seg = tuple(h.mapping[u] for u in seg)
-        n += 1
-        segments[n] = seg
-    fwd = n
-    seg = alpha
-    n = 0
-    while n > lo:
-        if not all(u in h.inverse_mapping for u in seg):
-            break
-        seg = tuple(h.inverse_mapping[u] for u in seg)
-        n -= 1
-        segments[n] = seg
-    bwd = n
-
-    vertices: list[int] = []
-    for m in range(bwd, fwd + 1):
-        part = segments[m]
-        if vertices:
-            if vertices[-1] != part[0]:
-                raise ComplexError("segment seam mismatch")
-            vertices.extend(part[1:])
-        else:
-            vertices.extend(part)
-    return PathChain(bwd * int(length), tuple(vertices), int(length))
+    back, fwd = [], []
+    for step, count, out in ((h.inverse_mapping, -lo, back), (h.mapping, hi, fwd)):
+        seg = alpha
+        while len(out) < count and all(u in step for u in seg):
+            seg = tuple(step[u] for u in seg)
+            out.append(seg)
+    segments = back[::-1] + [alpha] + fwd
+    vertices = list(segments[0])
+    for part in segments[1:]:
+        if vertices[-1] != part[0]:
+            raise ComplexError("segment seam mismatch")
+        vertices.extend(part[1:])
+    return PathChain(-len(back) * int(length), tuple(vertices), int(length))
 
 
 def verify_local_geodesic(

@@ -6,11 +6,18 @@ isometrically, whether its 5-wheels are dominated from outside, whether it
 contains an invariant geodesic, and, when it does not, whether it carries a
 thick interval instead.  Whether the set is itself systolic is
 ``conditions.is_systolic`` applied to it.
+
+Each check returns a Verdict, except the embedding check, which returns an
+:class:`EmbeddingReport` with its pair count.  The geodesic search and the
+dichotomy compute the map's displacement profile once and build every
+candidate chain from it; candidate geodesics come in lexicographic order
+from ``DistanceOracle.geodesics``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .complexes import (
     INF,
@@ -22,10 +29,13 @@ from .complexes import (
 )
 from .conditions import find_extended_5_wheels, first_link_cycle
 from .isometries import (
+    MAP_KINDS,
     Automorphism,
     PathChain,
     displacement_profile,
-    orbit_path,
+    find_invariant_simplex,
+    is_invariant_simplex,
+    orbit_chain,
     verify_local_geodesic,
 )
 from .verdict import (
@@ -166,9 +176,9 @@ def invariant_geodesic_search(
         raise ComplexError(f"start vertex {start} does not attain the translation length")
     target = g_map(start)
     tried = 0
-    for beta in _geodesics_between(x, start, target, geodesic_cap):
+    for beta in islice(ambient(x).oracle.geodesics(start, target), geodesic_cap):
         tried += 1
-        chain = orbit_path(x, g_map, start, beta)
+        chain = orbit_chain(x, g_map, prof, start, beta)
         verdict = verify_local_geodesic(x, chain, gap=None)
         if verdict.is_yes:
             return yes(
@@ -182,28 +192,6 @@ def invariant_geodesic_search(
     return unknown(
         reason="no invariant geodesic found in the trusted region", candidates_tried=tried
     )
-
-
-def _geodesics_between(x, u: int, v: int, cap: int):
-    """All geodesics from u to v in lexicographic order (at most cap)."""
-    g = ambient(x)
-    dist = g.oracle.distances_from(v)
-    if dist.get(u, INF) == INF:
-        raise ComplexError(f"no path from {u} to {v}")
-    out = 0
-    stack = [(u, (u,))]
-    while stack and out < cap:
-        cur, path = stack.pop()
-        if cur == v:
-            out += 1
-            yield path
-            continue
-        nxt = sorted(
-            (w for w in g.neighbors(cur) if dist.get(w, INF) == dist[cur] - 1),
-            reverse=True,
-        )
-        for w in nxt:
-            stack.append((w, path + (w,)))
 
 
 @dataclass(frozen=True)
@@ -297,58 +285,36 @@ def fit_thickness(x: FlagComplex | WindowView, chain: PathChain) -> int | None:
     return k if k >= 1 else None
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    """Either an invariant simplex (elliptic case) or a thick geodesic
-    through the minimal displacement set (hyperbolic / window case)."""
-
-    kind: str
-    translation_length: float
-    invariant_simplex: tuple[int, ...] | None
-    invariant_simplex_valid: bool | None
-    chain: PathChain | None
-    thickness: int | None
-    thick_witness: ThickGeodesicWitness | None
-    thick_verdict: Verdict | None
-
-
-def dichotomy_report(x: FlagComplex | WindowView, h: Automorphism) -> DichotomyReport:
+def dichotomy_report(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
     """Classify h and produce the matching structural witness.
 
-    Elliptic maps yield their invariant simplex (independently re-checked);
-    otherwise the canonical orbit chain is fitted with the largest plausible
-    thickness and re-validated as a thick interval.
+    Elliptic maps yield their invariant simplex as witness, independently
+    re-checked: no if the check fails.  Otherwise the canonical orbit chain
+    is fitted with the largest plausible thickness and re-validated as a
+    thick interval: the verdict takes that re-validation's answer and
+    reason, the thick witness, and the thickness and chain range as detail.
     """
-    from .isometries import Classification, classify, is_invariant_simplex
-
-    cls = classify(x, h)
-    if cls.kind == Classification.ELLIPTIC:
-        simplex = cls.invariant_simplex
-        return DichotomyReport(
-            cls.kind,
-            cls.translation_length,
-            simplex,
-            is_invariant_simplex(x, h, simplex),
-            None,
-            None,
-            None,
-            None,
+    prof = displacement_profile(x, h)
+    inv = find_invariant_simplex(x, h)
+    kind = MAP_KINDS[inv.answer]
+    if inv.is_yes:
+        answer = yes if is_invariant_simplex(x, h, inv.witness) else no
+        return answer(
+            witness=inv.witness, kind=kind, translation_length=prof.translation_length
         )
-    chain = orbit_path(x, h)
+    chain = orbit_chain(x, h, prof)
     k = fit_thickness(x, chain)
     if k is None:
-        return DichotomyReport(
-            cls.kind,
-            cls.translation_length,
-            None,
-            None,
-            chain,
-            None,
-            None,
-            no(reason="orbit chain revisits a vertex; no thick interval reading"),
-        )
-    witness = ThickGeodesicWitness(k, chain.start, chain.vertices)
-    verdict = verify_thick_geodesic(x, witness)
-    return DichotomyReport(
-        cls.kind, cls.translation_length, None, None, chain, k, witness, verdict
+        witness = None
+        verdict = no(reason="orbit chain revisits a vertex; no thick interval reading")
+    else:
+        witness = ThickGeodesicWitness(k, chain.start, chain.vertices)
+        verdict = verify_thick_geodesic(x, witness)
+    detail = dict(
+        kind=kind,
+        translation_length=prof.translation_length,
+        thickness=k,
+        chain_start=chain.start,
+        chain_stop=chain.stop,
     )
+    return Verdict(verdict.answer, witness, verdict.reason, detail)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from systolic import Automorphism, FlagComplex, WindowView
+from systolic import Automorphism, FlagComplex, PathChain, WindowView, displacement_profile
 from systolic.collapse import collapse_to_point
-from systolic.complexes import ComplexError, scope
+from systolic.complexes import ComplexError, ambient, scope
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
@@ -482,3 +482,82 @@ def loop_power(h: Automorphism, n: int) -> Automorphism:
     for _ in range(abs(n) - 1):
         out = {u: base[v] for u, v in out.items() if v in base}
     return Automorphism(out, f"{h.name}^{n}")
+
+
+def greedy_lex_least_geodesic(g: FlagComplex, u: int, v: int) -> tuple[int, ...]:
+    """The lexicographically least geodesic, built by always stepping to the
+    smallest neighbor that stays on a shortest path to v."""
+    back = g.oracle.distances_from(v)
+    path = [u]
+    while path[-1] != v:
+        d = back[path[-1]]
+        path.append(min(w for w in g.neighbors(path[-1]) if back.get(w, INF) == d - 1))
+    return tuple(path)
+
+
+def reference_orbit_path(
+    x: FlagComplex | WindowView,
+    h: Automorphism,
+    v: int | None = None,
+    alpha: tuple[int, ...] | None = None,
+    powers: tuple[int, int] | None = None,
+) -> PathChain:
+    """Orbit chain by a forward walk over h and a mirror-image backward walk
+    over h^-1, stitched segment by segment; the reference for
+    ``isometries.orbit_path``."""
+    g = ambient(x)
+    prof = displacement_profile(x, h)
+    length = prof.translation_length
+    if length in (0, INF):
+        raise ComplexError("chains need a positive trusted translation length")
+    if v is None:
+        v = prof.min_vertices[0]
+    if v not in prof.values or prof.values[v] != length:
+        raise ComplexError(f"vertex {v} does not attain the translation length")
+    if alpha is None:
+        alpha = greedy_lex_least_geodesic(g, v, h(v))
+    alpha = tuple(alpha)
+    if alpha[0] != v or alpha[-1] != h(v):
+        raise ComplexError("alpha must run from v to h(v)")
+    if len(alpha) - 1 != length:
+        raise ComplexError("alpha is not minimal: its length must be the translation length")
+    for a, b in zip(alpha, alpha[1:]):
+        if not g.adjacent(a, b):
+            raise ComplexError(f"alpha is not a path: {a} and {b} are not adjacent")
+
+    cap = g.n_vertices // int(length) + 2
+    lo = -cap if powers is None else powers[0]
+    hi = cap if powers is None else powers[1]
+    if lo > 0 or hi < 0 or (powers is not None and lo >= hi):
+        raise ComplexError("powers must straddle 0 with room for one segment")
+
+    segments: dict[int, tuple[int, ...]] = {0: alpha}
+    seg = alpha
+    n = 0
+    while n < hi:
+        if not all(h.defined(u) for u in seg):
+            break
+        seg = tuple(h.mapping[u] for u in seg)
+        n += 1
+        segments[n] = seg
+    fwd = n
+    seg = alpha
+    n = 0
+    while n > lo:
+        if not all(u in h.inverse_mapping for u in seg):
+            break
+        seg = tuple(h.inverse_mapping[u] for u in seg)
+        n -= 1
+        segments[n] = seg
+    bwd = n
+
+    vertices: list[int] = []
+    for m in range(bwd, fwd + 1):
+        part = segments[m]
+        if vertices:
+            if vertices[-1] != part[0]:
+                raise ComplexError("segment seam mismatch")
+            vertices.extend(part[1:])
+        else:
+            vertices.extend(part)
+    return PathChain(bwd * int(length), tuple(vertices), int(length))

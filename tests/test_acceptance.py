@@ -125,16 +125,16 @@ def test_criterion_07_dichotomy(finite_corpus, window10):
             for mapping in all_automorphisms(g):
                 h = S.Automorphism(mapping, name=f"{name}_auto")
                 c = S.classify(g, h)
-                assert c.kind == "elliptic", (name, mapping)
-                assert S.is_invariant_simplex(g, h, c.invariant_simplex)
+                assert c.detail["kind"] == "elliptic", (name, mapping)
+                assert S.is_invariant_simplex(g, h, c.detail["invariant_simplex"])
 
         line, shift = S.thick_line(2, 12)
         for x, h in ((line, shift), (window10, S.lattice_translation(window10, 1))):
             rep = S.dichotomy_report(x, h)
-            assert rep.kind != "elliptic"  # partial maps stay non-decisive
-            assert rep.thick_witness is not None
-            assert rep.thick_verdict.is_yes
-            assert S.verify_thick_geodesic(x, rep.thick_witness).is_yes
+            assert rep.detail["kind"] != "elliptic"  # partial maps stay non-decisive
+            assert rep.witness is not None
+            assert rep.is_yes
+            assert S.verify_thick_geodesic(x, rep.witness).is_yes
 
 
 def test_criterion_08_falsifiability():

@@ -114,6 +114,40 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--gen", "octahedron", "--checks", "tc", "--oracle-budget", "-5"],
+            ["check", "--gen", "octahedron", "--checks", "k-large", "--k", "-3"],
+            ["check", "--gen", "octahedron", "--checks", "full-cycles", "--max-len", "-1"],
+            ["isometry", "--gen", "octahedron", "--auto", "antipodal", "--do", "validate",
+             "--oracle-budget", "-1"],
+            ["theorems", "--gen", "octahedron", "--auto", "antipodal", "--do", "embedding",
+             "--oracle-budget", "-2"],
+            ["generate", "--gen", "octahedron", "--oracle-budget", "-7"],
+        ],
+    )
+    def test_negative_count_exits_two(self, capsys, argv):
+        option, value = argv[-2:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {option} must be non-negative, got {value}\n"
+
+    def test_zero_counts_are_valid(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--gen", "cone_over_cycle:n=7", "--checks", "k-large,full-cycles,systolic",
+            "--k", "0", "--max-len", "0", "--oracle-budget", "0", "--format", "json",
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert (report["config"]["k"], report["config"]["max_len"]) == (0, 0)
+        by = {r["check"]: r for r in report["records"]}
+        assert by["k-large"]["verdict"] == "yes"
+        assert by["full-cycles"]["detail"]["count"] == 0
+        # budget 0 skips the collapse pass: homology alone leaves the cone undecided
+        assert by["systolic"]["verdict"] == "unknown"
+        assert "no collapse found within budget" in by["systolic"]["reason"]
+
     def test_jobs_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--gen", "octahedron", "--checks", "tc", "--jobs", "2"])

@@ -12,6 +12,7 @@ from _oracles import (
     brute_force_invariant_simplices,
     first_map_violation,
     loop_power,
+    reference_orbit_path,
 )
 
 INF = math.inf
@@ -215,16 +216,19 @@ class TestInvariantSimplex:
 
 class TestClassify:
     def test_corpus_table(self, octa, torus44, window10):
-        anti = S.classify(octa, S.octahedron_antipodal())
-        assert (anti.kind, anti.translation_length) == ("hyperbolic", 2)
-        tor = S.classify(torus44, S.torus_translation(torus44, 4, 4))
-        assert (tor.kind, tor.translation_length) == ("hyperbolic", 1)
+        def kind_and_length(x, h):
+            v = S.classify(x, h)
+            assert v.is_yes and v.witness is None
+            return v.detail["kind"], v.detail["translation_length"]
+
+        assert kind_and_length(octa, S.octahedron_antipodal()) == ("hyperbolic", 2)
+        assert kind_and_length(torus44, S.torus_translation(torus44, 4, 4)) == ("hyperbolic", 1)
         tri = S.classify(S.complete(3), Automorphism({0: 1, 1: 2, 2: 0}))
-        assert tri.kind == "elliptic" and tri.invariant_simplex == (0, 1, 2)
-        t1 = S.classify(window10, S.lattice_translation(window10, 1))
-        assert (t1.kind, t1.translation_length) == ("unknown_on_window", 1)
-        glide = S.classify(window10, S.lattice_glide(window10))
-        assert (glide.kind, glide.translation_length) == ("unknown_on_window", 1)
+        assert tri.detail["kind"] == "elliptic" and tri.detail["invariant_simplex"] == (0, 1, 2)
+        t1 = S.lattice_translation(window10, 1)
+        assert kind_and_length(window10, t1) == ("unknown_on_window", 1)
+        glide = S.lattice_glide(window10)
+        assert kind_and_length(window10, glide) == ("unknown_on_window", 1)
 
 
 class TestMinSet:
@@ -306,8 +310,25 @@ class TestChains:
         with pytest.raises(ComplexError):
             S.orbit_path(octa, anti, powers=(1, 3))
 
-    def test_lex_least_geodesic(self, octa):
-        assert S.lex_least_geodesic(octa, 0, 1) == (0, 2, 1)
+
+def _chain_or_error(build, *args):
+    try:
+        return build(*args)
+    except ComplexError as exc:
+        return f"error: {exc}"
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_orbit_path_matches_the_two_walk_reference(hyperbolic_corpus, data):
+    """The one orbit walk builds the chain the forward and backward walks of
+    the reference stitch together, or fails with the same message."""
+    name, x, h = data.draw(st.sampled_from(hyperbolic_corpus))
+    mins = S.displacement_profile(x, h).min_vertices
+    v = data.draw(st.sampled_from((None,) + mins[:4]))
+    powers = data.draw(st.none() | st.tuples(st.integers(-4, 1), st.integers(-1, 4)))
+    want = _chain_or_error(reference_orbit_path, x, h, v, None, powers)
+    assert _chain_or_error(S.orbit_path, x, h, v, None, powers) == want, (name, v, powers)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=-3, max_value=3))

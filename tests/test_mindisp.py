@@ -151,6 +151,44 @@ class TestInvariantGeodesic:
             S.invariant_geodesic_search(window10, glide, start=boundary)
 
 
+class TestOneProfile:
+    """Each theorem computes the displacement profile of its map once and
+    hands it to the orbit walk, whatever the number of candidates."""
+
+    @pytest.fixture
+    def profiles(self, monkeypatch):
+        import systolic.isometries
+        import systolic.mindisp
+
+        calls = []
+        original = systolic.isometries.displacement_profile
+
+        def counted(x, h):
+            calls.append(h.name)
+            return original(x, h)
+
+        for module in (systolic.isometries, systolic.mindisp):
+            monkeypatch.setattr(module, "displacement_profile", counted)
+        return calls
+
+    def test_invariant_geodesic_search(self, octa, profiles):
+        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+        assert v.detail["candidates_tried"] == 4
+        assert len(profiles) == 1
+
+    @pytest.mark.parametrize("build", ["octahedron", "thick_line", "elliptic"])
+    def test_dichotomy_report(self, build, profiles):
+        from systolic import Automorphism
+
+        x, h = {
+            "octahedron": lambda: (S.octahedron(), S.octahedron_antipodal()),
+            "thick_line": lambda: S.thick_line(2, 10),
+            "elliptic": lambda: (S.complete(3), Automorphism({0: 1, 1: 2, 2: 0})),
+        }[build]()
+        S.dichotomy_report(x, h)
+        assert len(profiles) == 1
+
+
 class TestThickGeodesics:
     def test_thick_line_is_its_own_witness(self):
         for k in (1, 2, 3):
@@ -195,10 +233,9 @@ class TestDichotomy:
 
         tri = S.complete(3)
         rep = S.dichotomy_report(tri, Automorphism({0: 1, 1: 2, 2: 0}))
-        assert rep.kind == "elliptic"
-        assert rep.invariant_simplex == (0, 1, 2)
-        assert rep.invariant_simplex_valid
-        assert rep.thick_witness is None
+        assert rep.is_yes
+        assert rep.witness == (0, 1, 2)
+        assert rep.detail == {"kind": "elliptic", "translation_length": 1}
 
     def test_thick_cases(self, hyperbolic_corpus):
         expected = {"A1/shift": 1, "A2/shift": 2, "A3/shift": 3, "lattice10/glide": 2, "lattice10/t1": 1, "lattice10/t2": 1}
@@ -206,13 +243,14 @@ class TestDichotomy:
             if name not in expected:
                 continue
             rep = S.dichotomy_report(g, h)
-            assert rep.thickness == expected[name], name
-            assert rep.thick_verdict.is_yes, name
+            assert rep.detail["thickness"] == expected[name], name
+            assert rep.witness.k == expected[name], name
+            assert rep.is_yes, name
 
     def test_octahedron_antipodal_has_no_thick_reading(self, octa):
         rep = S.dichotomy_report(octa, S.octahedron_antipodal())
-        assert rep.kind == "hyperbolic"
-        assert rep.thick_verdict.is_no
+        assert rep.detail["kind"] == "hyperbolic"
+        assert rep.is_no and rep.witness is None
 
     def test_chain_vertices_with_trusted_displacement_lie_in_min(
         self, hyperbolic_corpus

@@ -1,6 +1,6 @@
 """Differentials against networkx on random flag complexes: full cycles,
-maximal cliques and BFS distances.  networkx is a test-time reference only;
-the tests skip where it is not installed."""
+maximal cliques, BFS distances and geodesics.  networkx is a test-time
+reference only; the tests skip where it is not installed."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,3 +51,17 @@ def test_distances_match_shortest_path_lengths(g):
     graph = _graph(g)
     for v in g.vertices:
         assert g.oracle.distances_from(v) == nx.single_source_shortest_path_length(graph, v)
+
+
+@given(_COMPLEXES, st.data())
+@settings(max_examples=80, deadline=None)
+def test_geodesics_match_all_shortest_paths(g, data):
+    graph = _graph(g)
+    u = data.draw(st.sampled_from(g.vertices))
+    v = data.draw(st.sampled_from(g.vertices))
+    got = list(g.oracle.geodesics(u, v))
+    if nx.has_path(graph, u, v):
+        assert got == sorted(tuple(p) for p in nx.all_shortest_paths(graph, u, v))
+        assert g.geodesic(u, v) == got[0]
+    else:
+        assert got == [] and g.geodesic(u, v) is None
