@@ -155,10 +155,18 @@ def _cone_rotation(n: int) -> Automorphism:
     return Automorphism(mapping, "rotate")
 
 
-def _file_auto(context: dict) -> Automorphism:
-    if context["file_auto"] is None:
+def _file_auto(x, context: dict) -> Automorphism:
+    """The file's map, refused unless it is an automorphism where defined:
+    every other operation presumes one."""
+    h = context["file_auto"]
+    if h is None:
         raise CliError("the input file declares no map lines")
-    return context["file_auto"]
+    verdict = isometries.validate_automorphism(x, h)
+    if verdict.is_no:
+        w = verdict.witness
+        kind = w.kind.replace("_", " ")
+        raise CliError(f"the file map is not an automorphism: {kind} at vertices {w.u}, {w.v}")
+    return h
 
 
 # (generator, automorphism name) -> f(target, context); an input file has no
@@ -172,14 +180,13 @@ AUTOMORPHISMS = {
     ("octahedron", "antipodal"): lambda x, context: generators.octahedron_antipodal(),
     ("cycle", "rotate"): lambda x, context: generators.cycle_rotation(context["n"]),
     ("cone_over_cycle", "rotate"): lambda x, context: _cone_rotation(context["n"]),
-    (None, "file"): lambda x, context: _file_auto(context),
+    (None, "file"): _file_auto,
 }
 
 
 def resolve_auto(target, context: dict, auto_name: str) -> Automorphism:
     if auto_name == "identity":
-        g = target.complex if isinstance(target, WindowView) else target
-        return Automorphism.identity(g)
+        return Automorphism.identity(target)
     kind = context["gen"]
     m = re.fullmatch(r"t(-?\d+)", auto_name)
     if kind == "lattice" and m:
@@ -202,6 +209,17 @@ def load_target(args):
         context = {"gen": None, "file_auto": parsed.automorphism, "facets": parsed.facet_complex}
         return parsed.complex, context, parsed.name
     raise CliError("an input is required: --gen SPEC or --input FILE")
+
+
+def require_flag(context: dict) -> None:
+    """Refuse facets input that is not flag: the checks would answer for its
+    flag completion, a different complex."""
+    fc: FacetComplex | None = context.get("facets")
+    if fc is not None:
+        verdict = is_flag(fc)
+        if verdict.is_no:
+            clique = " ".join(map(str, verdict.witness))
+            raise CliError(f"the facets do not form a flag complex: clique {clique} spans no simplex")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +362,14 @@ def cmd_run(args) -> int:
     token, in the order given."""
     table, option, what = SUBCOMMANDS[args.command]
     target, context, name = load_target(args)
+    tokens = split_tokens(getattr(args, option), table, what)
+    required = set(split_tokens(getattr(args, "require", None), table, what))
+    missing = required - set(tokens)
+    if missing:
+        raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
+    # a flag check alone reports non-flag input as its No
+    if tokens != ["flag"]:
+        require_flag(context)
     subject, suffix = context, ""
     if args.command != "check":
         subject = resolve_auto(target, context, args.auto)
@@ -352,11 +378,6 @@ def cmd_run(args) -> int:
         if args.command == "isometry" and args.power != 1:
             subject = subject.power(args.power)
         suffix = f"[{subject.name}]"
-    tokens = split_tokens(getattr(args, option), table, what)
-    required = set(split_tokens(getattr(args, "require", None), table, what))
-    missing = required - set(tokens)
-    if missing:
-        raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
     trusted = isinstance(target, WindowView)
     records = []
     status = 0
@@ -377,6 +398,7 @@ def cmd_run(args) -> int:
 
 def cmd_generate(args) -> int:
     target, context, name = load_target(args)
+    require_flag(context)
     auto = None
     if args.auto:
         auto = resolve_auto(target, context, args.auto)
@@ -386,10 +408,7 @@ def cmd_generate(args) -> int:
             f"window basepoint={target.basepoint} radius={target.radius} margin={target.margin}",
             "serialized as a plain finite complex; trust metadata is informational only",
         )
-        g = target.complex
-    else:
-        g = target
-    write(format_complex(g, name, automorphism=auto, header_comments=comments), args.out)
+    write(format_complex(target, name, automorphism=auto, header_comments=comments), args.out)
     return 0
 
 

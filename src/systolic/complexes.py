@@ -2,11 +2,12 @@
 
 A flag complex is determined by its 1-skeleton: the simplices are exactly the
 cliques, so everything here stores a graph and materializes simplices on
-demand.  Distances count edges on shortest 1-skeleton paths.  Finite windows
-cut out of infinite periodic complexes are wrapped in :class:`WindowView`,
-which tracks which vertices and distance values are far enough from the
-window boundary to be trusted; :func:`scope` reads that trust rule for
-windows and finite complexes alike.
+demand.  Distances count edges on shortest 1-skeleton paths.  Every complex
+says what a scan may trust: ``trusted_vertices`` and ``margin``, the bound on
+trusted distance values.  A finite complex trusts every vertex and every
+distance.  A :class:`WindowView` is the flag complex of a finite ball cut out
+of an infinite periodic complex, and trusts only what lies far enough from
+its boundary.
 """
 
 from __future__ import annotations
@@ -43,9 +44,15 @@ class FlagComplex:
     subcomplex operations, so witnesses remain meaningful across spans and
     links.  All iteration orders are sorted by id, which keeps every scan in
     the package deterministic.
+
+    Scans quantify over ``trusted_vertices`` and over distance values at
+    most ``margin``; a finite complex trusts all of its vertices and every
+    distance.
     """
 
     __slots__ = ("_adj", "_vertices", "_oracle")
+
+    margin: float = INF
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vs = sorted(set(vertices))
@@ -76,6 +83,10 @@ class FlagComplex:
     @property
     def n_vertices(self) -> int:
         return len(self._vertices)
+
+    @property
+    def trusted_vertices(self) -> frozenset[int]:
+        return frozenset(self._vertices)
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
@@ -408,23 +419,23 @@ def is_flag(fc: FacetComplex) -> Verdict:
     return no(witness=best, reason="clique of the 1-skeleton spans no simplex")
 
 
-class WindowView:
+class WindowView(FlagComplex):
     """A finite radius-R ball cut out of an unbounded periodic complex.
 
-    ``margin`` controls conservatism: a vertex is trusted when it lies at
-    distance at most ``radius - margin`` from the basepoint, and a distance
-    value is trusted when both endpoints are trusted and the value is at most
-    ``margin``.  Trusted values agree with the unbounded parent complex: any
-    parent geodesic between two trusted vertices of length at most ``margin``
-    stays inside the window, so the windowed distance is exact.  The scans
-    read this rule only through :func:`scope`: a distance d(u, v) is trusted
-    when u and v lie in the region and v lies in ``ball(u, margin)``.
+    The window is the flag complex of the ball: it shares the adjacency of
+    ``complex_`` and keeps a distance oracle of its own.  ``margin``
+    controls conservatism: a vertex is trusted when it lies at distance at
+    most ``radius - margin`` from the basepoint, and a distance d(u, v) is
+    trusted when u and v are trusted and v lies in ``ball(u, margin)``.
+    Trusted values agree with the unbounded parent complex: any parent
+    geodesic between two trusted vertices of length at most ``margin`` stays
+    inside the window, so the windowed distance is exact.
 
     ``coord_of`` optionally maps vertex ids to parent coordinates, which lets
     tests compare windows of different radii vertex by vertex.
     """
 
-    __slots__ = ("complex", "basepoint", "radius", "margin", "name", "coord_of", "id_of", "_trusted")
+    __slots__ = ("basepoint", "radius", "margin", "name", "coord_of", "id_of", "_trusted")
 
     def __init__(
         self,
@@ -439,16 +450,18 @@ class WindowView:
             raise ComplexError("margin must satisfy 1 <= margin <= radius")
         if basepoint not in complex_:
             raise ComplexError(f"basepoint {basepoint} is not a window vertex")
-        self.complex = complex_
+        self._adj = complex_._adj
+        self._vertices = complex_._vertices
+        self._oracle = None
         self.basepoint = basepoint
         self.radius = radius
         self.margin = margin
         self.name = name
         self.coord_of = dict(coord_of) if coord_of else {}
         self.id_of = {c: v for v, c in self.coord_of.items()}
-        base_dist = complex_.oracle.distances_from(basepoint)
+        base_dist = self.oracle.distances_from(basepoint)
         self._trusted = frozenset(
-            v for v in complex_.vertices if base_dist.get(v, INF) <= radius - margin
+            v for v in self._vertices if base_dist.get(v, INF) <= radius - margin
         )
 
     @property
@@ -458,19 +471,5 @@ class WindowView:
     def __repr__(self) -> str:
         return (
             f"WindowView({self.name!r}, radius={self.radius}, margin={self.margin}, "
-            f"n_vertices={self.complex.n_vertices}, n_trusted={len(self._trusted)})"
+            f"n_vertices={self.n_vertices}, n_trusted={len(self._trusted)})"
         )
-
-
-def ambient(x: "FlagComplex | WindowView") -> FlagComplex:
-    """The underlying flag complex of either a complex or a window."""
-    return x.complex if isinstance(x, WindowView) else x
-
-
-def scope(x: "FlagComplex | WindowView") -> tuple[FlagComplex, frozenset[int], float]:
-    """(complex, trusted vertex set, distance trust bound): the one place that
-    decides trust.  A finite complex is a window that trusts every vertex and
-    every distance."""
-    if isinstance(x, WindowView):
-        return x.complex, x.trusted_vertices, x.margin
-    return x, frozenset(x.vertices), INF

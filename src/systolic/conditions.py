@@ -5,25 +5,17 @@ violation, and an independent predicate that re-validates any witness the
 scan reports.  All scans run in sorted vertex order, so the first witness is
 deterministic and stable across runs.
 
-Inputs may be plain :class:`FlagComplex` objects or :class:`WindowView`
-wrappers.  Every scan reads ``(g, region, bound)`` from ``scope``:
-universally quantified vertices range over the trusted region and only
-distance values within the bound participate, so every verdict is exact for
-the trust region it mentions.  A finite complex is a window that trusts every
-vertex and every distance.
+Every scan takes one flag complex, a finite one or a window, and reads its
+``trusted_vertices`` and ``margin``: universally quantified vertices range
+over the trusted vertices and only distance values up to the margin
+participate, so every verdict is exact for the trusted region it mentions.
+A finite complex trusts every vertex and every distance.
 """
 
 from __future__ import annotations
 
 from .collapse import DEFAULT_BUDGET, simple_connectivity_oracle
-from .complexes import (
-    INF,
-    ComplexError,
-    FlagComplex,
-    WindowView,
-    ambient,
-    scope,
-)
+from .complexes import INF, ComplexError, FlagComplex
 from .verdict import (
     CycleInLink,
     ExtendedWheel5,
@@ -43,7 +35,7 @@ from .verdict import (
 
 
 def enumerate_full_cycles(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     max_len: int,
     min_len: int = 4,
 ) -> list[FullCycle]:
@@ -55,8 +47,7 @@ def enumerate_full_cycles(
     induced in the unbounded parent complex as well, since chords could only
     join trusted vertices.
     """
-    g, region, _ = scope(x)
-    return sorted(_induced_cycles(g, region, max_len, min_len), key=_cycle_order)
+    return sorted(_induced_cycles(x, x.trusted_vertices, max_len, min_len), key=_cycle_order)
 
 
 def _cycle_order(c: FullCycle) -> tuple[int, tuple[int, ...]]:
@@ -101,33 +92,32 @@ def _induced_cycles(g: FlagComplex, pool: frozenset[int], max_len: int, min_len:
                         stack.append((path + (c,), blocked | {c}))
 
 
-def is_full_cycle(x: FlagComplex | WindowView, vertices: tuple[int, ...]) -> bool:
+def is_full_cycle(x: FlagComplex, vertices: tuple[int, ...]) -> bool:
     """Independent witness validator: consecutive adjacent, the rest not."""
-    g = ambient(x)
     k = len(vertices)
     if k < 4 or len(set(vertices)) != k:
         return False
-    if any(v not in g for v in vertices):
+    if any(v not in x for v in vertices):
         return False
     for i in range(k):
         for j in range(i + 1, k):
             consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if g.adjacent(vertices[i], vertices[j]) != consecutive:
+            if x.adjacent(vertices[i], vertices[j]) != consecutive:
                 return False
     return True
 
 
-def systole(x: FlagComplex | WindowView, max_len: int | None = None) -> float:
+def systole(x: FlagComplex, max_len: int | None = None) -> float:
     """Length of the shortest full cycle, INF if none up to the bound.
 
     The default bound is the vertex count, which is exhaustive: an induced
     cycle cannot repeat vertices.
     """
-    g, region, _ = scope(x)
+    region = x.trusted_vertices
     n = len(region)
     bound = n if max_len is None else min(max_len, n)
     for length in range(4, bound + 1):
-        if next(_induced_cycles(g, region, length, length), None) is not None:
+        if next(_induced_cycles(x, region, length, length), None) is not None:
             return length
     return INF
 
@@ -136,7 +126,7 @@ def systole(x: FlagComplex | WindowView, max_len: int | None = None) -> float:
 # k-largeness
 
 
-def is_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
+def is_k_large(x: FlagComplex, k: int) -> Verdict:
     """Systole of the complex and of every link at least k.
 
     Equivalently: no full cycle shorter than k in the complex or in any link.
@@ -152,7 +142,7 @@ def is_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
     return is_locally_k_large(x, k)
 
 
-def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
+def is_locally_k_large(x: FlagComplex, k: int) -> Verdict:
     """Every simplex link has systole at least k.
 
     Links of links are links, so scanning links of all non-empty simplices
@@ -162,8 +152,7 @@ def is_locally_k_large(x: FlagComplex | WindowView, k: int) -> Verdict:
     """
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
-    g, region, _ = scope(x)
-    hit = first_link_cycle(g, region, k - 1)
+    hit = first_link_cycle(x, x.trusted_vertices, k - 1)
     if hit is not None:
         return no(witness=hit, reason="short full cycle in a link")
     return yes()
@@ -192,19 +181,19 @@ def first_link_cycle(
 # triangle and quadrangle conditions
 
 
-def triangle_condition(x: FlagComplex | WindowView) -> Verdict:
+def triangle_condition(x: FlagComplex) -> Verdict:
     """For adjacent v, w equidistant from u, some common neighbor of v and w
     is one step closer to u.
 
     Each source reads only its ball of the trust radius: the edges (v, w)
     with v < w are visited in sorted order of v inside the ball, then of w.
     """
-    g, region, bound = scope(x)
-    _require_connected(g, "the triangle condition")
+    region, bound = x.trusted_vertices, x.margin
+    _require_connected(x, "the triangle condition")
     verts = sorted(region)
-    higher = {v: sorted(w for w in g.neighbors(v) if w > v and w in region) for v in verts}
+    higher = {v: sorted(w for w in x.neighbors(v) if w > v and w in region) for v in verts}
     for u in verts:
-        dist = g.oracle.ball(u, bound)
+        dist = x.oracle.ball(u, bound)
         for v in sorted(dist):
             d = dist[v]
             if d < 2 or d > bound or v not in higher:
@@ -212,7 +201,7 @@ def triangle_condition(x: FlagComplex | WindowView) -> Verdict:
             for w in higher[v]:
                 if dist.get(w) != d:
                     continue
-                if not any(dist.get(t) == d - 1 for t in g.neighbors(v) & g.neighbors(w)):
+                if not any(dist.get(t) == d - 1 for t in x.neighbors(v) & x.neighbors(w)):
                     return no(
                         witness=TriangleViolation(u, v, w, d),
                         reason="no common neighbor descends toward u",
@@ -227,30 +216,29 @@ def _require_connected(g: FlagComplex, what: str) -> None:
         raise ComplexError(f"{what} is about connected complexes")
 
 
-def triangle_violation_holds(x: FlagComplex | WindowView, w: TriangleViolation) -> bool:
+def triangle_violation_holds(x: FlagComplex, w: TriangleViolation) -> bool:
     """Re-validate a triangle-condition witness from scratch."""
-    g = ambient(x)
-    if not g.adjacent(w.v, w.w):
+    if not x.adjacent(w.v, w.w):
         return False
-    du = g.oracle.distances_from(w.u)
+    du = x.oracle.distances_from(w.u)
     if du.get(w.v, INF) != w.distance or du.get(w.w, INF) != w.distance or w.distance < 2:
         return False
-    return all(du.get(t, INF) != w.distance - 1 for t in g.common_neighbors((w.v, w.w)))
+    return all(du.get(t, INF) != w.distance - 1 for t in x.common_neighbors((w.v, w.w)))
 
 
-def quadrangle_condition(x: FlagComplex | WindowView) -> Verdict:
+def quadrangle_condition(x: FlagComplex) -> Verdict:
     """For v, w at distance 2 with a common neighbor z one step further from
     u than both, some common neighbor of v and w is one step closer to u.
 
     Each source reads only its ball of the trust radius: z runs over it in
     sorted order, then the pairs v < w of neighbors of z one layer closer.
     """
-    g, region, bound = scope(x)
-    _require_connected(g, "the quadrangle condition")
+    region, bound = x.trusted_vertices, x.margin
+    _require_connected(x, "the quadrangle condition")
     verts = sorted(region)
-    around = {z: sorted(n for n in g.neighbors(z) if n in region) for z in verts}
+    around = {z: sorted(n for n in x.neighbors(z) if n in region) for z in verts}
     for u in verts:
-        dist = g.oracle.ball(u, bound)
+        dist = x.oracle.ball(u, bound)
         for z in sorted(dist):
             dz = dist[z]
             if dz < 3 or dz > bound or z not in region:
@@ -258,11 +246,11 @@ def quadrangle_condition(x: FlagComplex | WindowView) -> Verdict:
             d = dz - 1
             lower = [n for n in around[z] if dist.get(n) == d]
             for i, v in enumerate(lower):
-                nv = g.neighbors(v)
+                nv = x.neighbors(v)
                 for w in lower[i + 1 :]:
                     if w in nv:
                         continue
-                    if not any(dist.get(t) == d - 1 for t in nv & g.neighbors(w)):
+                    if not any(dist.get(t) == d - 1 for t in nv & x.neighbors(w)):
                         return no(
                             witness=QuadrangleViolation(u, v, w, z, d),
                             reason="no common neighbor descends toward u",
@@ -270,14 +258,11 @@ def quadrangle_condition(x: FlagComplex | WindowView) -> Verdict:
     return yes()
 
 
-def quadrangle_violation_holds(
-    x: FlagComplex | WindowView, w: QuadrangleViolation
-) -> bool:
+def quadrangle_violation_holds(x: FlagComplex, w: QuadrangleViolation) -> bool:
     """Re-validate a quadrangle-condition witness from scratch."""
-    g = ambient(x)
-    if not (g.adjacent(w.v, w.z) and g.adjacent(w.w, w.z)) or g.adjacent(w.v, w.w):
+    if not (x.adjacent(w.v, w.z) and x.adjacent(w.w, w.z)) or x.adjacent(w.v, w.w):
         return False
-    du = g.oracle.distances_from(w.u)
+    du = x.oracle.distances_from(w.u)
     if w.distance < 2:
         return False
     if (
@@ -287,11 +272,11 @@ def quadrangle_violation_holds(
     ):
         return False
     return all(
-        du.get(t, INF) != w.distance - 1 for t in g.common_neighbors((w.v, w.w))
+        du.get(t, INF) != w.distance - 1 for t in x.common_neighbors((w.v, w.w))
     )
 
 
-def is_weakly_modular(x: FlagComplex | WindowView) -> Verdict:
+def is_weakly_modular(x: FlagComplex) -> Verdict:
     """Triangle condition and quadrangle condition together."""
     tc = triangle_condition(x)
     if tc.is_no:
@@ -306,55 +291,53 @@ def is_weakly_modular(x: FlagComplex | WindowView) -> Verdict:
 # extended 5-wheels
 
 
-def find_extended_5_wheels(x: FlagComplex | WindowView) -> list[ExtendedWheel5]:
+def find_extended_5_wheels(x: FlagComplex) -> list[ExtendedWheel5]:
     """All extended 5-wheels, canonicalized and sorted.
 
     On a window only wheels with all seven vertices trusted are reported.
     """
-    g, region, _ = scope(x)
+    region = x.trusted_vertices
     wheels: set[ExtendedWheel5] = set()
     for rim_cycle in enumerate_full_cycles(x, 5, min_len=5):
         rim = rim_cycle.vertices
         rim_set = set(rim)
-        centers = sorted(c for c in g.common_neighbors(rim) if c in region)
+        centers = sorted(c for c in x.common_neighbors(rim) if c in region)
         for c in centers:
             for i in range(5):
                 x1, x2 = rim[i], rim[(i + 1) % 5]
                 rest = [rim[(i + j) % 5] for j in range(2, 5)]
-                for a in sorted(g.common_neighbors((x1, x2))):
-                    if a == c or a in rim_set or a not in region or g.adjacent(a, c):
+                for a in sorted(x.common_neighbors((x1, x2))):
+                    if a == c or a in rim_set or a not in region or x.adjacent(a, c):
                         continue
-                    if any(g.adjacent(a, y) for y in rest):
+                    if any(x.adjacent(a, y) for y in rest):
                         continue
                     ordered = (x1, x2, *rest)
                     wheels.add(ExtendedWheel5.canonical(c, ordered, a))
     return sorted(wheels, key=lambda w: (w.center, w.rim, w.apex))
 
 
-def is_extended_wheel5(x: FlagComplex | WindowView, w: ExtendedWheel5) -> bool:
+def is_extended_wheel5(x: FlagComplex, w: ExtendedWheel5) -> bool:
     """Independent witness validator for extended 5-wheels."""
-    g = ambient(x)
     vs = w.all_vertices()
-    if len(set(vs)) != 7 or any(v not in g for v in vs):
+    if len(set(vs)) != 7 or any(v not in x for v in vs):
         return False
     if not is_full_cycle(x, w.rim):
         return False
-    if not all(g.adjacent(w.center, r) for r in w.rim):
+    if not all(x.adjacent(w.center, r) for r in w.rim):
         return False
-    if g.adjacent(w.apex, w.center):
+    if x.adjacent(w.apex, w.center):
         return False
-    if not (g.adjacent(w.apex, w.rim[0]) and g.adjacent(w.apex, w.rim[1])):
+    if not (x.adjacent(w.apex, w.rim[0]) and x.adjacent(w.apex, w.rim[1])):
         return False
-    return not any(g.adjacent(w.apex, r) for r in w.rim[2:])
+    return not any(x.adjacent(w.apex, r) for r in w.rim[2:])
 
 
-def extended_wheel_condition(x: FlagComplex | WindowView) -> Verdict:
+def extended_wheel_condition(x: FlagComplex) -> Verdict:
     """Every extended 5-wheel has a vertex adjacent to all seven of its
     vertices.  The negative witness is an undominated wheel."""
-    g = ambient(x)
     wheels = find_extended_5_wheels(x)
     for w in wheels:
-        if not g.common_neighbors(w.all_vertices()):
+        if not x.common_neighbors(w.all_vertices()):
             return no(witness=w, reason="extended 5-wheel with no dominating vertex")
     return yes(wheels=len(wheels))
 
@@ -363,7 +346,7 @@ def extended_wheel_condition(x: FlagComplex | WindowView) -> Verdict:
 # sphere simplex domination
 
 
-def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
+def sphere_domination(x: FlagComplex, v: int, n: int) -> Verdict:
     """For i <= n, every simplex with vertices in the sphere of radius i+1
     around v must see a non-empty simplex among its neighbors in the ball of
     radius i.
@@ -383,14 +366,14 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
     only vertices need the clique test, and above them only emptiness is
     left.  The first failure in this order is the witness.
     """
-    g, region, bound = scope(x)
+    region, bound = x.trusted_vertices, x.margin
     if n < 0:
         raise ComplexError("n must be non-negative")
     if v not in region:
         raise ComplexError(f"vertex {v} is outside the trusted region")
     if n + 1 > bound:
         raise ComplexError(f"n={n} looks past the trusted horizon (margin {int(bound)})")
-    dist = g.oracle.ball(v, n + 1)
+    dist = x.oracle.ball(v, n + 1)
     depth = min(n + 1, max(dist.values()))
     spheres: list[list[int]] = [[] for _ in range(depth + 1)]
     for u, d in dist.items():
@@ -398,7 +381,7 @@ def sphere_domination(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
             spheres[d].append(u)
     for i in range(depth):
         below = frozenset(spheres[i])
-        hit = _first_undominated(g, sorted(spheres[i + 1]), below)
+        hit = _first_undominated(x, sorted(spheres[i + 1]), below)
         if hit is not None:
             sigma, inner = hit
             return no(
@@ -459,20 +442,17 @@ def _spans_simplex(g: FlagComplex, vertices: frozenset[int]) -> bool:
     return True
 
 
-def sphere_domination_violation_holds(
-    x: FlagComplex | WindowView, w: SphereSimplexViolation
-) -> bool:
+def sphere_domination_violation_holds(x: FlagComplex, w: SphereSimplexViolation) -> bool:
     """Re-validate a sphere-domination witness from scratch."""
-    g = ambient(x)
-    dist = g.oracle.distances_from(w.v)
-    if not g.is_clique(w.simplex):
+    dist = x.oracle.distances_from(w.v)
+    if not x.is_clique(w.simplex):
         return False
     if any(dist.get(u, INF) != w.i + 1 for u in w.simplex):
         return False
-    inner = {u for u in g.common_neighbors(w.simplex) if dist.get(u, INF) <= w.i}
+    inner = {u for u in x.common_neighbors(w.simplex) if dist.get(u, INF) <= w.i}
     if inner != set(w.inner_set):
         return False
-    return not inner or not g.is_clique(inner)
+    return not inner or not x.is_clique(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +463,7 @@ MODES = ("graph", "sd", "composite")
 
 
 def is_weakly_systolic(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     mode: str = "graph",
     oracle_budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
@@ -501,8 +481,7 @@ def is_weakly_systolic(
     """
     if mode not in MODES:
         raise ComplexError(f"unknown mode {mode!r}; expected one of {MODES}")
-    g = ambient(x)
-    if not g.is_connected():
+    if not x.is_connected():
         raise ComplexError("weak systolicity is about connected complexes")
     if mode == "graph":
         return _weakly_systolic_graph(x)
@@ -520,7 +499,7 @@ def is_weakly_systolic(
     return yes(**detail)
 
 
-def _weakly_systolic_graph(x: FlagComplex | WindowView) -> Verdict:
+def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
     squares = enumerate_full_cycles(x, 4)
     if squares:
         return no(witness=squares[0], reason="full 4-cycle")
@@ -530,30 +509,28 @@ def _weakly_systolic_graph(x: FlagComplex | WindowView) -> Verdict:
     return yes()
 
 
-def sphere_domination_everywhere(x: FlagComplex | WindowView) -> Verdict:
+def sphere_domination_everywhere(x: FlagComplex) -> Verdict:
     """Sphere simplex domination at every (trusted) vertex, to the deepest
     radius the input supports: eccentricity - 1 on a finite complex,
     margin - 1 on a window."""
-    g, region, bound = scope(x)
-    _require_connected(g, "sphere domination")
+    region, bound = x.trusted_vertices, x.margin
+    _require_connected(x, "sphere domination")
     for v in sorted(region):
-        n = int(bound) - 1 if bound < INF else max(int(g.eccentricity(v)) - 1, 0)
+        n = int(bound) - 1 if bound < INF else max(int(x.eccentricity(v)) - 1, 0)
         sub = sphere_domination(x, v, n)
         if sub.is_no:
             return sub
     return yes()
 
 
-def _weakly_systolic_local_to_global(
-    x: FlagComplex | WindowView, oracle_budget: int
-) -> Verdict:
+def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verdict:
     squares = enumerate_full_cycles(x, 4)
     if squares:
         return no(witness=squares[0], reason="full 4-cycle")
     wheels = extended_wheel_condition(x)
     if wheels.is_no:
         return no(witness=wheels.witness, reason=wheels.reason)
-    sc = simple_connectivity_oracle(ambient(x), oracle_budget)
+    sc = simple_connectivity_oracle(x, oracle_budget)
     if sc.is_no:
         return no(witness=sc.witness, reason="not simply connected")
     if sc.is_unknown:
@@ -561,25 +538,22 @@ def _weakly_systolic_local_to_global(
     return yes()
 
 
-def is_systolic(
-    x: FlagComplex | WindowView, oracle_budget: int = DEFAULT_BUDGET
-) -> Verdict:
+def is_systolic(x: FlagComplex, oracle_budget: int = DEFAULT_BUDGET) -> Verdict:
     """Connected, simply connected, and locally 6-large.
 
     Local 6-largeness is decided exhaustively; simple connectivity comes
     from the semi-decision oracle, so the overall verdict can be unknown.
     """
-    g = ambient(x)
-    if g.n_vertices == 0:
+    if x.n_vertices == 0:
         raise ComplexError("empty complex")
-    comps = g.connected_components()
+    comps = x.connected_components()
     if len(comps) > 1:
         reps = tuple(sorted(min(c) for c in comps)[:2])
         return no(witness=reps, reason="disconnected")
     local = is_locally_k_large(x, 6)
     if local.is_no:
         return no(witness=local.witness, reason="a link has a full cycle shorter than 6")
-    sc = simple_connectivity_oracle(g, oracle_budget)
+    sc = simple_connectivity_oracle(x, oracle_budget)
     if sc.is_no:
         return no(witness=sc.witness, reason=f"not simply connected ({sc.reason})")
     if sc.is_unknown:

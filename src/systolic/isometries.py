@@ -4,7 +4,9 @@ An automorphism may be total, or partial when it comes from a window cut out
 of a periodic complex (vertices whose image falls outside the window have no
 image).  Displacement is the distance a vertex travels; the minimum over
 trusted vertices is the translation length, and the span of the vertices
-attaining it is the minimal displacement set.
+attaining it is the minimal displacement set.  Every check takes one flag
+complex and reads its ``trusted_vertices`` and ``margin``; a finite complex
+trusts every vertex and every distance, a window only its inner ball.
 
 Checks return :class:`~systolic.verdict.Verdict` records; ``classify`` is
 always a yes whose detail names the kind of map.  An orbit chain is built
@@ -17,15 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    INF,
-    ComplexError,
-    FlagComplex,
-    WindowView,
-    ambient,
-    as_simplex,
-    scope,
-)
+from .complexes import INF, ComplexError, FlagComplex, as_simplex
 from .verdict import (
     NO,
     UNKNOWN,
@@ -112,41 +106,41 @@ class Automorphism:
         return f"Automorphism({self.name!r}, domain_size={len(self.mapping)})"
 
 
-def validate_automorphism(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
+def validate_automorphism(x: FlagComplex, h: Automorphism) -> Verdict:
     """Check h is a simplicial automorphism where defined.
 
     Adjacency must be preserved in both directions on the domain; images
     must be vertices of the complex.  The negative witness names the broken
     pair.  The verdict detail records whether the map is total.
     """
-    g = ambient(x)
     for u, v in h.mapping.items():
-        if u not in g:
+        if u not in x:
             return no(witness=MapViolation("unknown_source", u, v))
-        if v not in g:
+        if v not in x:
             return no(witness=MapViolation("unknown_image", u, v))
     # A pair can disagree only if it is an edge on one side: v is a
     # neighbor of u, or h(v) is a neighbor of h(u).
     for u in sorted(h.mapping):
         hu = h.mapping[u]
-        nu, nhu = g.neighbors(u), g.neighbors(hu)
+        nu, nhu = x.neighbors(u), x.neighbors(hu)
         around = {v for v in nu if v in h.mapping}
         around.update(h.inverse_mapping[w] for w in nhu if w in h.inverse_mapping)
         for v in sorted(v for v in around if v > u):
             if (v in nu) != (h.mapping[v] in nhu):
                 kind = "edge_broken" if v in nu else "edge_created"
                 return no(witness=MapViolation(kind, u, v))
-    return yes(total=h.is_total_on(g))
+    return yes(total=h.is_total_on(x))
 
 
 @dataclass(frozen=True)
 class DisplacementProfile:
     """Exact displacement per vertex, restricted to where it can be trusted.
 
-    A vertex contributes only when it and its image are trusted and the
-    displacement is within the trust bound; ``skipped`` counts the vertices
-    left out.  On a finite complex every distance is trusted, so a vertex
-    whose image lies in another component is an error rather than a skip.
+    A vertex contributes only when it and its image lie in the complex's
+    ``trusted_vertices`` and the displacement is at most its ``margin``;
+    ``skipped`` counts the vertices left out.  A finite complex has margin
+    INF, so there a vertex whose image lies in another component is an error
+    rather than a skip.
     ``translation_length`` is the minimum displacement, ``min_vertices`` the
     sorted vertices attaining it.
     """
@@ -157,8 +151,8 @@ class DisplacementProfile:
     min_vertices: tuple[int, ...]
 
 
-def displacement_profile(x: FlagComplex | WindowView, h: Automorphism) -> DisplacementProfile:
-    g, region, bound = scope(x)
+def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
+    region, bound = x.trusted_vertices, x.margin
     values: dict[int, int] = {}
     skipped = 0
     for v in sorted(region):
@@ -166,7 +160,7 @@ def displacement_profile(x: FlagComplex | WindowView, h: Automorphism) -> Displa
         if hv not in region:
             skipped += 1
             continue
-        d = g.oracle.distance_capped(v, hv, bound)
+        d = x.oracle.distance_capped(v, hv, bound)
         if d == INF:
             if bound == INF:
                 raise ComplexError(f"vertex {v} and its image {hv} lie in different components")
@@ -178,7 +172,7 @@ def displacement_profile(x: FlagComplex | WindowView, h: Automorphism) -> Displa
     return DisplacementProfile(values, skipped, length, mins)
 
 
-def find_invariant_simplex(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
+def find_invariant_simplex(x: FlagComplex, h: Automorphism) -> Verdict:
     """Search for a simplex mapped onto itself.
 
     A candidate must be a union of complete h-orbits, and any invariant
@@ -187,7 +181,6 @@ def find_invariant_simplex(x: FlagComplex | WindowView, h: Automorphism) -> Verd
     for a partial map (a window) orbits may run off the domain and the
     answer without a witness is unknown.
     """
-    g = ambient(x)
     seen: set[int] = set()
     saw_incomplete = False
     for v in sorted(h.mapping):
@@ -196,7 +189,7 @@ def find_invariant_simplex(x: FlagComplex | WindowView, h: Automorphism) -> Verd
         orbit = [v]
         cur = h.mapping[v]
         closed = cur == v
-        while not closed and cur in h.mapping and cur not in seen and len(orbit) <= g.n_vertices:
+        while not closed and cur in h.mapping and cur not in seen and len(orbit) <= x.n_vertices:
             orbit.append(cur)
             cur = h.mapping[cur]
             closed = cur == v
@@ -204,20 +197,17 @@ def find_invariant_simplex(x: FlagComplex | WindowView, h: Automorphism) -> Verd
         if not closed:
             saw_incomplete = True
             continue
-        if g.is_clique(orbit):
+        if x.is_clique(orbit):
             return yes(witness=as_simplex(orbit))
-    if h.is_total_on(g) and not saw_incomplete:
+    if h.is_total_on(x) and not saw_incomplete:
         return no(reason="no orbit spans a simplex")
     return unknown(reason="orbits leave the window; no invariant simplex found")
 
 
-def is_invariant_simplex(
-    x: FlagComplex | WindowView, h: Automorphism, simplex: tuple[int, ...]
-) -> bool:
+def is_invariant_simplex(x: FlagComplex, h: Automorphism, simplex: tuple[int, ...]) -> bool:
     """Independent witness validator: a clique mapped onto itself."""
-    g = ambient(x)
     s = as_simplex(simplex)
-    if not g.is_clique(s):
+    if not x.is_clique(s):
         return False
     if not all(h.defined(v) for v in s):
         return False
@@ -228,7 +218,7 @@ def is_invariant_simplex(
 MAP_KINDS = {YES: "elliptic", NO: "hyperbolic", UNKNOWN: "unknown_on_window"}
 
 
-def classify(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
+def classify(x: FlagComplex, h: Automorphism) -> Verdict:
     """Elliptic (some simplex is invariant), hyperbolic (provably none), or
     unknown_on_window (no witness found, search not exhaustive).
 
@@ -244,23 +234,22 @@ def classify(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
     )
 
 
-def min_set(x: FlagComplex | WindowView, h: Automorphism) -> FlagComplex:
+def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
     """Full subcomplex on the vertices of minimal displacement.
 
     Rejected when the translation length is zero (the map fixes a vertex;
     the notion under study concerns maps that move everything) or when no
     displacement value is trusted.
     """
-    g = ambient(x)
     prof = displacement_profile(x, h)
     if prof.translation_length == INF:
         raise ComplexError("no trusted displacement values; cannot form the set")
     if prof.translation_length == 0:
         raise ComplexError("translation length is zero; the map fixes a vertex")
-    return g.span(prof.min_vertices)
+    return x.span(prof.min_vertices)
 
 
-def min_set_idempotence(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
+def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
     """Recomputing displacement inside the minimal displacement set must
     reproduce it: every vertex (whose image is available) attains the
     translation length using paths inside the set only.
@@ -268,13 +257,12 @@ def min_set_idempotence(x: FlagComplex | WindowView, h: Automorphism) -> Verdict
     Vertices whose image falls outside the profile's trusted scope are
     skipped; a vertex whose image provably leaves the set is a violation.
     """
-    g = ambient(x)
     prof = displacement_profile(x, h)
     if prof.translation_length in (0, INF):
         raise ComplexError("idempotence check needs a positive translation length")
     length = prof.translation_length
     members = set(prof.min_vertices)
-    sub = g.span(prof.min_vertices)
+    sub = x.span(prof.min_vertices)
     checked = 0
     for v in sorted(members):
         if not h.defined(v):
@@ -332,7 +320,7 @@ class PathChain:
 
 
 def orbit_path(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     h: Automorphism,
     v: int | None = None,
     alpha: tuple[int, ...] | None = None,
@@ -350,7 +338,7 @@ def orbit_path(
 
 
 def orbit_chain(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     h: Automorphism,
     prof: DisplacementProfile,
     v: int | None = None,
@@ -362,7 +350,6 @@ def orbit_chain(
     One walk translates alpha by h^-1 and by h in turn, as far as
     ``powers`` allows and the map is defined on the whole segment.
     """
-    g = ambient(x)
     length = prof.translation_length
     if length in (0, INF):
         raise ComplexError("chains need a positive trusted translation length")
@@ -371,17 +358,17 @@ def orbit_chain(
     if v not in prof.values or prof.values[v] != length:
         raise ComplexError(f"vertex {v} does not attain the translation length")
     if alpha is None:
-        alpha = g.geodesic(v, h(v))
+        alpha = x.geodesic(v, h(v))
     alpha = tuple(alpha)
     if alpha[0] != v or alpha[-1] != h(v):
         raise ComplexError("alpha must run from v to h(v)")
     if len(alpha) - 1 != length:
         raise ComplexError("alpha is not minimal: its length must be the translation length")
     for a, b in zip(alpha, alpha[1:]):
-        if not g.adjacent(a, b):
+        if not x.adjacent(a, b):
             raise ComplexError(f"alpha is not a path: {a} and {b} are not adjacent")
 
-    cap = g.n_vertices // int(length) + 2
+    cap = x.n_vertices // int(length) + 2
     lo = -cap if powers is None else powers[0]
     hi = cap if powers is None else powers[1]
     if lo > 0 or hi < 0 or (powers is not None and lo >= hi):
@@ -402,9 +389,7 @@ def orbit_chain(
     return PathChain(-len(back) * int(length), tuple(vertices), int(length))
 
 
-def verify_local_geodesic(
-    x: FlagComplex | WindowView, chain: PathChain, gap: int | None = None
-) -> Verdict:
+def verify_local_geodesic(x: FlagComplex, chain: PathChain, gap: int | None = None) -> Verdict:
     """Check d(gamma(a), gamma(b)) == |a - b| for index pairs up to ``gap``
     apart (all pairs when gap is None).
 
@@ -412,7 +397,7 @@ def verify_local_geodesic(
     is within the trust bound; the detail reports how many pairs were
     actually checked.
     """
-    g, region, bound = scope(x)
+    region, bound = x.trusted_vertices, x.margin
     idx = list(chain.indices())
     checked = 0
     for i, a in enumerate(idx):
@@ -426,7 +411,7 @@ def verify_local_geodesic(
             w = chain.gamma(b)
             if w not in region:
                 continue
-            d = g.oracle.distance_within(u, w, bound)
+            d = x.oracle.distance_within(u, w, bound)
             checked += 1
             if d != diff:
                 return no(
@@ -438,9 +423,6 @@ def verify_local_geodesic(
     return yes(pairs=checked)
 
 
-def chain_gap_violation_holds(
-    x: FlagComplex | WindowView, w: ChainGapViolation
-) -> bool:
+def chain_gap_violation_holds(x: FlagComplex, w: ChainGapViolation) -> bool:
     """Re-validate a chain distance witness from scratch."""
-    g = ambient(x)
-    return g.distance(w.u, w.v) == w.actual and w.actual != w.expected
+    return x.distance(w.u, w.v) == w.actual and w.actual != w.expected

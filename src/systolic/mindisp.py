@@ -19,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .complexes import (
-    INF,
-    ComplexError,
-    FlagComplex,
-    WindowView,
-    ambient,
-    scope,
-)
+from .complexes import INF, ComplexError, FlagComplex
 from .conditions import find_extended_5_wheels, first_link_cycle
 from .isometries import (
     MAP_KINDS,
@@ -83,9 +76,7 @@ def _require_full_subcomplex(g: FlagComplex, sub: FlagComplex) -> None:
                 )
 
 
-def isometric_embedding_check(
-    x: FlagComplex | WindowView, sub: FlagComplex
-) -> EmbeddingReport:
+def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingReport:
     """Compare the trusted vertex pair distances inside ``sub`` against the
     ambient complex.
 
@@ -97,14 +88,14 @@ def isometric_embedding_check(
     deviation of a pair is never negative because every inner path is also
     an ambient path.
     """
-    g, region, bound = scope(x)
-    _require_full_subcomplex(g, sub)
+    region, bound = x.trusted_vertices, x.margin
+    _require_full_subcomplex(x, sub)
     members = region.intersection(sub.vertices)
     pairs = 0
     max_dev = 0.0
     witness: DistancePair | None = None
     for u in sorted(members):
-        amb = g.oracle.ball(u, bound)
+        amb = x.oracle.ball(u, bound)
         for v in sorted(v for v, d in amb.items() if v > u and v in members and d <= bound):
             d_amb = amb[v]
             # an isometric pair lies inside the inner ball of the same radius
@@ -122,7 +113,7 @@ def isometric_embedding_check(
     return EmbeddingReport(pairs, max_dev, witness)
 
 
-def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComplex) -> Verdict:
+def wheel_domination_in_min(x: FlagComplex, min_complex: FlagComplex) -> Verdict:
     """Look for a full 5-cycle in the link of a simplex of the minimal
     displacement set, and report how the set's extended 5-wheels are
     dominated by ambient vertices.
@@ -133,11 +124,10 @@ def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComple
     least ambient dominating vertex (a vertex adjacent to all seven wheel
     vertices), or None.
     """
-    g = ambient(x)
-    _require_full_subcomplex(g, min_complex)
+    _require_full_subcomplex(x, min_complex)
     wheels = []
     for w in find_extended_5_wheels(min_complex):
-        dom = sorted(g.common_neighbors(w.all_vertices()))
+        dom = sorted(x.common_neighbors(w.all_vertices()))
         wheels.append({"wheel": w, "dominator": dom[0] if dom else None})
     hit = first_link_cycle(min_complex, frozenset(min_complex.vertices), 5, min_len=5)
     if hit is not None:
@@ -149,19 +139,23 @@ def wheel_domination_in_min(x: FlagComplex | WindowView, min_complex: FlagComple
     return yes(wheels=wheels, wheel_count=len(wheels))
 
 
+# candidate geodesics invariant_geodesic_search tries before it gives up
+GEODESIC_CAP = 10_000
+
+
 def invariant_geodesic_search(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     h: Automorphism,
     power: int = 1,
     start: int | None = None,
-    geodesic_cap: int = 10_000,
 ) -> Verdict:
     """Look for an h^power-invariant geodesic through ``start``.
 
     Candidates are chains built from each geodesic from start to its image
     under g = h^power, enumerated in lexicographic order.  A chain passes if
     every trusted index pair sits at distance equal to its index gap.  No
-    passing chain means unknown: the window may simply be too small.
+    passing chain means unknown: the window may simply be too small.  At
+    most ``GEODESIC_CAP`` candidates are tried.
     """
     g_map = h.power(power) if power != 1 else h
     prof = displacement_profile(x, g_map)
@@ -176,7 +170,7 @@ def invariant_geodesic_search(
         raise ComplexError(f"start vertex {start} does not attain the translation length")
     target = g_map(start)
     tried = 0
-    for beta in islice(ambient(x).oracle.geodesics(start, target), geodesic_cap):
+    for beta in islice(x.oracle.geodesics(start, target), GEODESIC_CAP):
         tried += 1
         chain = orbit_chain(x, g_map, prof, start, beta)
         verdict = verify_local_geodesic(x, chain, gap=None)
@@ -187,7 +181,7 @@ def invariant_geodesic_search(
                 candidates_tried=tried,
                 pairs=verdict.detail["pairs"],
             )
-    if tried >= geodesic_cap:
+    if tried >= GEODESIC_CAP:
         return unknown(reason="geodesic candidate cap reached", candidates_tried=tried)
     return unknown(
         reason="no invariant geodesic found in the trusted region", candidates_tried=tried
@@ -211,7 +205,7 @@ class ThickGeodesicWitness:
         return self.vertices[a - self.start]
 
 
-def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) -> Verdict:
+def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
     """Re-validate a thick interval claim from its definition.
 
     Checks injectivity, the adjacency pattern (edges exactly at index gaps
@@ -219,7 +213,7 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
     the gap divided by k.  Distance checks are restricted to trusted pairs
     within the trust bound.
     """
-    g, region, bound = scope(x)
+    region, bound = x.trusted_vertices, x.margin
     if w.k < 1:
         return no(reason="thickness must be at least 1")
     verts = w.vertices
@@ -234,7 +228,7 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
             v = w.vertex_at(b)
             gap = b - a
             want_edge = gap <= w.k
-            if g.adjacent(u, v) != want_edge:
+            if x.adjacent(u, v) != want_edge:
                 reason = (
                     "missing edge inside the thickness range"
                     if want_edge
@@ -248,7 +242,7 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
                 expected = gap // w.k
                 if expected > bound or u not in region or v not in region:
                     continue
-                d = g.oracle.distance_within(u, v, bound)
+                d = x.oracle.distance_within(u, v, bound)
                 pairs += 1
                 if d != expected:
                     return no(
@@ -260,14 +254,13 @@ def verify_thick_geodesic(x: FlagComplex | WindowView, w: ThickGeodesicWitness) 
     return yes(pairs=pairs, k=w.k)
 
 
-def fit_thickness(x: FlagComplex | WindowView, chain: PathChain) -> int | None:
+def fit_thickness(x: FlagComplex, chain: PathChain) -> int | None:
     """Largest k for which the chain could be a k-thick interval: one less
     than the smallest index gap realised by a non-adjacent vertex pair.
 
     None when the chain repeats a vertex (no injective reading exists).
     Falls back to the full chain span when every pair is adjacent.
     """
-    g = ambient(x)
     verts = chain.vertices
     if len(set(verts)) != len(verts):
         return None
@@ -278,14 +271,14 @@ def fit_thickness(x: FlagComplex | WindowView, chain: PathChain) -> int | None:
             gap = idx[j] - a
             if gap >= best:
                 break
-            if not g.adjacent(verts[i], verts[j]):
+            if not x.adjacent(verts[i], verts[j]):
                 best = gap
                 break
     k = best - 1
     return k if k >= 1 else None
 
 
-def dichotomy_report(x: FlagComplex | WindowView, h: Automorphism) -> Verdict:
+def dichotomy_report(x: FlagComplex, h: Automorphism) -> Verdict:
     """Classify h and produce the matching structural witness.
 
     Elliptic maps yield their invariant simplex as witness, independently

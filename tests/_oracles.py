@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from systolic import Automorphism, FlagComplex, PathChain, WindowView, displacement_profile
+from systolic import Automorphism, FlagComplex, PathChain, displacement_profile
 from systolic.collapse import collapse_to_point
-from systolic.complexes import ComplexError, ambient, scope
+from systolic.complexes import ComplexError
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
@@ -417,12 +417,12 @@ def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:
     return unknown(reason="no collapse found within budget; first homology vanishes")
 
 
-def first_sphere_violation(x: FlagComplex | WindowView, v: int, n: int) -> Verdict:
+def first_sphere_violation(x: FlagComplex, v: int, n: int) -> Verdict:
     """Sphere domination at v to depth n, clique by clique: every clique of
     each sphere in the order of ``FlagComplex.cliques``, its inner set rebuilt
     from ``common_neighbors`` and re-tested with ``is_clique``; the reference
     for the package's one-pass ``sphere_domination``."""
-    g, region, bound = scope(x)
+    g, region, bound = x, x.trusted_vertices, x.margin
     if n < 0:
         raise ComplexError("n must be non-negative")
     if region is not None:
@@ -452,14 +452,14 @@ def first_sphere_violation(x: FlagComplex | WindowView, v: int, n: int) -> Verdi
     return yes()
 
 
-def first_short_link_cycle(x: FlagComplex | WindowView, k: int) -> Verdict:
+def first_short_link_cycle(x: FlagComplex, k: int) -> Verdict:
     """Local k-largeness by building the link of every simplex through
     ``FlagComplex.link`` and enumerating its full cycles shorter than k with
     ``reference_full_cycles``; the reference for the package's
     ``is_locally_k_large``."""
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
-    g, region, _ = scope(x)
+    g, region = x, x.trusted_vertices
     for sigma in g.cliques(within=region):
         link = g.link(sigma)
         short = reference_full_cycles(link, k - 1)
@@ -496,7 +496,7 @@ def greedy_lex_least_geodesic(g: FlagComplex, u: int, v: int) -> tuple[int, ...]
 
 
 def reference_orbit_path(
-    x: FlagComplex | WindowView,
+    x: FlagComplex,
     h: Automorphism,
     v: int | None = None,
     alpha: tuple[int, ...] | None = None,
@@ -505,7 +505,7 @@ def reference_orbit_path(
     """Orbit chain by a forward walk over h and a mirror-image backward walk
     over h^-1, stitched segment by segment; the reference for
     ``isometries.orbit_path``."""
-    g = ambient(x)
+    g = x
     prof = displacement_profile(x, h)
     length = prof.translation_length
     if length in (0, INF):

@@ -60,7 +60,8 @@ def finite_corpus(small_corpus, torus44):
     out["hex_torus44"] = torus44
     out["thick_line2"] = S.thick_line(2, 12)[0]
     out["thick_line3"] = S.thick_line(3, 12)[0]
-    out["ball2"] = S.triangular_lattice_window(2, 1).complex
+    ball2 = S.triangular_lattice_window(2, 1)
+    out["ball2"] = S.FlagComplex(ball2.vertices, ball2.edges())
     return out
 
 

@@ -66,8 +66,7 @@ def test_criterion_03_mode_agreement(finite_corpus, window10):
         targets = dict(finite_corpus)
         targets["lattice_window"] = window10
         for name, x in targets.items():
-            g = x.complex if isinstance(x, S.WindowView) else x
-            if S.simple_connectivity_oracle(g).is_unknown:
+            if S.simple_connectivity_oracle(x).is_unknown:
                 continue
             answers = {
                 mode: S.is_weakly_systolic(x, mode=mode).answer

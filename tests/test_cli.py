@@ -176,6 +176,63 @@ class TestDisconnectedInput:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+# a circle given by its facets: the 1-skeleton is a triangle, so the flag
+# completion would be a filled, contractible triangle
+HOLLOW = "complex hollow\nmode facets\nvertices 3\nfacet 0 1\nfacet 1 2\nfacet 0 2\n"
+# 0 -> 4 and i -> i - 1 on the path 0-1-2-3-4: the edge 0-1 goes to the non-edge 4-0
+PATH_SHIFT = (
+    "complex path5\nmode flag\nvertices 5\n"
+    + "".join(f"edge {i} {i + 1}\n" for i in range(4))
+    + "map 0 4\n"
+    + "".join(f"map {i} {i - 1}\n" for i in range(1, 5))
+)
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--checks", "systole,systolic,flag"],
+            ["check", "--checks", "all"],
+            ["check", "--checks", "full-cycles"],
+            ["generate"],
+        ],
+    )
+    def test_non_flag_facets_exit_two(self, capsys, tmp_path, argv):
+        f = tmp_path / "hollow.txt"
+        f.write_text(HOLLOW)
+        code, out, err = run(capsys, argv[0], "--input", str(f), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "clique 0 1 2 spans no simplex" in err
+
+    def test_flag_check_alone_reports_the_clique(self, capsys, tmp_path):
+        f = tmp_path / "hollow.txt"
+        f.write_text(HOLLOW)
+        code, out, err = run(
+            capsys, "check", "--input", str(f), "--checks", "flag", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        (record,) = json.loads(out)["records"]
+        assert record["verdict"] == "no" and record["witness"] == [0, 1, 2]
+
+    def test_flag_facets_input_runs(self, capsys, tmp_path):
+        f = tmp_path / "filled.txt"
+        f.write_text("complex filled\nmode facets\nvertices 3\nfacet 0 1 2\n")
+        code, _, err = run(capsys, "check", "--input", str(f), "--checks", "systole,systolic")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "command, tokens",
+        [("isometry", "validate"), ("isometry", "classify"), ("theorems", "all")],
+    )
+    def test_file_map_that_is_no_automorphism_exits_two(self, capsys, tmp_path, command, tokens):
+        f = tmp_path / "path5.txt"
+        f.write_text(PATH_SHIFT)
+        code, out, err = run(capsys, command, "--input", str(f), "--auto", "file", "--do", tokens)
+        assert code == 2 and out == ""
+        assert err == "error: the file map is not an automorphism: edge broken at vertices 0, 1\n"
+
+
 class TestCheckCommand:
     def test_all_tokens_on_small_complex(self, capsys):
         code, out, _ = run(

@@ -94,7 +94,7 @@ class TestCollapse:
             assert collapse_to_point(coned).is_yes, name
 
     def test_disk_collapses(self, window10):
-        assert collapse_to_point(window10.complex).is_yes
+        assert collapse_to_point(window10).is_yes
 
     def test_cycle_does_not_collapse(self):
         v = collapse_to_point(S.cycle(6))
@@ -106,7 +106,7 @@ class TestCollapse:
         assert not v.is_yes
 
     def test_budget_exhaustion_is_unknown(self, window10):
-        v = collapse_to_point(window10.complex, budget=5)
+        v = collapse_to_point(window10, budget=5)
         assert v.is_unknown
 
     def test_stall_is_unknown_at_once(self):

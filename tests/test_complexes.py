@@ -155,7 +155,7 @@ class TestDistances:
                 assert o.distance_within(v, u, small) == exact[(v, u)]
 
     def test_ball_cache_keeps_bounded_and_small_complete_tables(self, window10):
-        g = FlagComplex(window10.complex.vertices, window10.complex.edges())
+        g = FlagComplex(window10.vertices, window10.edges())
         o = g.oracle
         base = window10.basepoint
         first = o.ball(base, 2)
@@ -242,7 +242,7 @@ class TestFacetsAndFlagness:
 
 class TestWindowView:
     def test_margin_bounds(self, window10):
-        g = window10.complex
+        g = window10
         with pytest.raises(ComplexError):
             S.WindowView(g, window10.basepoint, 10, 0)
         with pytest.raises(ComplexError):
@@ -250,16 +250,16 @@ class TestWindowView:
 
     def test_trusted_set_is_inner_ball(self, window10):
         base = window10.basepoint
-        g = window10.complex
+        g = window10
         for v in g.vertices:
             expected = g.distance(base, v) <= window10.radius - window10.margin
             assert (v in window10.trusted_vertices) == expected
         assert len(window10.trusted_vertices) == 1 + 3 * 6 * 7
 
     def test_trusted_distance_tagging(self, window10):
-        # scope() is the trust rule: d(u, v) is trusted when u and v lie in
-        # the region and v lies in ball(u, bound)
-        g, region, bound = S.scope(window10)
+        # the trust rule: d(u, v) is trusted when u and v lie in the region
+        # and v lies in ball(u, bound)
+        g, region, bound = window10, window10.trusted_vertices, window10.margin
         base = window10.basepoint
         far = max(region, key=lambda v: g.distance(base, v))
         near = g.geodesic(base, far)[1]
@@ -277,8 +277,8 @@ class TestWindowView:
         to_large = {
             i: large.id_of[c] for i, c in small.coord_of.items() if c in large.id_of
         }
-        g_small, region_small, bound_small = S.scope(small)
-        g_large, region_large, bound_large = S.scope(large)
+        g_small, region_small, bound_small = small, small.trusted_vertices, small.margin
+        g_large, region_large, bound_large = large, large.trusted_vertices, large.margin
         trusted = sorted(region_small)
         for u in trusted:
             assert to_large[u] in region_large
@@ -292,12 +292,21 @@ class TestWindowView:
                 assert ball_large.get(to_large[v], INF) <= bound_large
                 assert ball_small[v] == ball_large[to_large[v]]
 
-    def test_ambient_and_scope(self, window10, octa):
-        assert S.ambient(window10) is window10.complex
-        assert S.ambient(octa) is octa
-        g, region, bound = S.scope(window10)
-        assert region == window10.trusted_vertices and bound == 4
-        # a finite complex is a window that trusts every vertex and distance
-        g2, region2, bound2 = S.scope(octa)
-        assert g2 is octa and bound2 == INF
-        assert isinstance(region2, frozenset) and region2 == frozenset(octa.vertices)
+    def test_trust_attributes(self, window10, octa):
+        assert len(window10.trusted_vertices) < window10.n_vertices and window10.margin == 4
+        # a finite complex trusts every vertex and every distance
+        assert isinstance(octa.trusted_vertices, frozenset)
+        assert octa.trusted_vertices == frozenset(octa.vertices) and octa.margin == INF
+
+    def test_a_window_is_a_flag_complex(self, window10):
+        assert isinstance(window10, FlagComplex)
+        assert window10.n_vertices == 1 + 3 * 10 * 11
+        assert window10.link((window10.basepoint,)).n_vertices == 6
+
+    def test_window_shares_adjacency_and_has_its_own_oracle(self):
+        g = S.random_flag_complex(12, 0.4, 3)
+        w = S.WindowView(g, g.vertices[0], 3, 1)
+        assert w._adj is g._adj and w.vertices is g.vertices
+        assert w.oracle is not g.oracle
+        for u in g.vertices:
+            assert w.oracle.distances_from(u) == g.oracle.distances_from(u)

@@ -349,7 +349,7 @@ class TestSphereDomination:
 
     def test_untrusted_vertex_rejected(self, window10):
         boundary = next(
-            v for v in window10.complex.vertices if v not in window10.trusted_vertices
+            v for v in window10.vertices if v not in window10.trusted_vertices
         )
         with pytest.raises(ComplexError):
             S.sphere_domination(window10, boundary, 1)
@@ -467,15 +467,13 @@ class TestAgainstReferences:
 
 
 def _link_cycle_holds(x, w) -> bool:
-    g = S.ambient(x)
     if not w.simplex:
-        return S.is_full_cycle(g, w.cycle.vertices)
-    return g.is_clique(w.simplex) and S.is_full_cycle(g.link(w.simplex), w.cycle.vertices)
+        return S.is_full_cycle(x, w.cycle.vertices)
+    return x.is_clique(w.simplex) and S.is_full_cycle(x.link(w.simplex), w.cycle.vertices)
 
 
 def _undominated_wheel_holds(x, w) -> bool:
-    g = S.ambient(x)
-    return S.is_extended_wheel5(x, w) and not g.common_neighbors(w.all_vertices())
+    return S.is_extended_wheel5(x, w) and not x.common_neighbors(w.all_vertices())
 
 
 # the validator of each witness the graph route of weak systolicity returns

@@ -38,14 +38,14 @@ class TestLatticeWindow:
     @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8])
     def test_vertex_count(self, radius):
         win = S.triangular_lattice_window(radius, min(radius, 1))
-        assert win.complex.n_vertices == 1 + 3 * radius * (radius + 1)
+        assert win.n_vertices == 1 + 3 * radius * (radius + 1)
 
     def test_ids_row_major(self, window10):
-        seen = [window10.coord_of[v] for v in sorted(window10.complex.vertices)]
+        seen = [window10.coord_of[v] for v in sorted(window10.vertices)]
         assert seen == sorted(seen, key=lambda c: (c[1], c[0]))
 
     def test_graph_metric_matches_hex_metric_when_trusted(self, window10):
-        g, region, bound = S.scope(window10)
+        g, region, bound = window10, window10.trusted_vertices, window10.margin
         trusted = sorted(region)
         for u in trusted[::9]:
             qu, ru = window10.coord_of[u]
@@ -57,7 +57,7 @@ class TestLatticeWindow:
 
     def test_interior_links_are_hexagons(self, window10):
         base = window10.basepoint
-        link = window10.complex.link((base,))
+        link = window10.link((base,))
         assert link.n_vertices == 6
         assert sorted(len(link.neighbors(v)) for v in link.vertices) == [2] * 6
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import systolic as S
-from systolic import ComplexError
+from systolic import ComplexError, mindisp
 from systolic.mindisp import fit_thickness
 from systolic.verdict import DistancePair
 
@@ -136,6 +136,13 @@ class TestInvariantGeodesic:
         rows = {window10.coord_of[x][1] for x in chain.vertices}
         assert len(rows) == 1
 
+    def test_candidate_cap_is_unknown(self, octa, monkeypatch):
+        # the octahedron's antipodal map has 4 candidates and none passes
+        monkeypatch.setattr(mindisp, "GEODESIC_CAP", 2)
+        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+        assert v.is_unknown and v.reason == "geodesic candidate cap reached"
+        assert v.detail["candidates_tried"] == 2
+
     def test_rejects_fixed_map(self, octa):
         from systolic import Automorphism
 
@@ -145,7 +152,7 @@ class TestInvariantGeodesic:
     def test_rejects_bad_start(self, window10):
         glide = S.lattice_glide(window10)
         boundary = next(
-            v for v in window10.complex.vertices if v not in window10.trusted_vertices
+            v for v in window10.vertices if v not in window10.trusted_vertices
         )
         with pytest.raises(ComplexError):
             S.invariant_geodesic_search(window10, glide, start=boundary)

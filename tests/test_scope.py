@@ -1,9 +1,9 @@
 """A finite complex is a window that trusts everything.
 
-``scope`` is the one place that decides trust, and it reads a finite complex
-g as (g, every vertex, INF).  These properties check that every scan gives
-the same result on g as on ``WindowView(g, v0, ecc(v0) + M, M)`` with
-M = 10 n: a window whose trusted region is every vertex and whose margin
+Every complex carries its trust as ``trusted_vertices`` and ``margin``, and
+a finite complex g has every vertex and INF.  These properties check that
+every scan gives the same result on g as on ``WindowView(g, v0, ecc(v0) + M,
+M)`` with M = 10 n: a window whose trusted region is every vertex and whose margin
 exceeds every distance and every index gap of an orbit chain.  A margin equal
 to the diameter would be too small, because ``gap=None`` chain checks skip
 index gaps above the margin.
@@ -23,7 +23,7 @@ def all_trusted_window(g):
 
 def test_the_window_trusts_every_vertex(octa):
     x = all_trusted_window(octa)
-    assert S.scope(x)[1] == S.scope(octa)[1] == frozenset(octa.vertices)
+    assert x.trusted_vertices == octa.trusted_vertices == frozenset(octa.vertices)
 
 
 CONDITIONS = [
