@@ -14,9 +14,10 @@ usage or input errors.  Output is deterministic for fixed inputs and options,
 except for wall_ms timing fields.
 
 check, isometry and theorems each look their tokens up in one ordered table
-and share one command loop; generators and automorphisms have a table each.
-Every entry names the package function it calls inside its body, so wrappers
-installed on module attributes (as a tracer does) see every call.
+and share one command loop; one generator table builds each target with the
+maps that ``--auto`` may name on it.  Every entry names the package function
+it calls inside its body, so wrappers installed on module attributes (as a
+tracer does) see every call.
 """
 
 from __future__ import annotations
@@ -83,70 +84,55 @@ def _bool_param(params: dict[str, str], key: str, default: bool) -> bool:
     raise CliError(f"parameter {key} must be a boolean, got {params[key]!r}")
 
 
-def _lattice(params: dict[str, str], radius: int, margin: int) -> tuple:
-    r = _param(params, "radius", default=radius)
-    m = _param(params, "margin", default=margin)
-    return generators.triangular_lattice_window(r, m), {}
+class _LatticeMaps(dict):
+    """The glide, and the translation ``t<n>`` for every integer n."""
+
+    def __missing__(self, name: str):
+        if not re.fullmatch(r"t-?\d+", name):
+            raise KeyError(name)
+        return lambda w: generators.lattice_translation(w, int(name[1:]))
 
 
-def _thick_line(params: dict[str, str], *_) -> tuple:
+def _lattice(params: dict[str, str]) -> tuple:
+    window = generators.triangular_lattice_window(
+        _param(params, "radius", default=10), _param(params, "margin", default=4)
+    )
+    return window, window.name, _LatticeMaps(glide=generators.lattice_glide)
+
+
+def _thick_line(params: dict[str, str]) -> tuple:
     k = _param(params, "k")
     n = _param(params, "n")
     g, shift = generators.thick_line(k, n)
-    return g, {"shift": shift, "name": f"thick_line_k{k}_n{n}"}
+    return g, f"thick_line_k{k}_n{n}", {"shift": lambda x: shift}
 
 
-def _hex_torus(params: dict[str, str], *_) -> tuple:
+def _hex_torus(params: dict[str, str]) -> tuple:
     p = _param(params, "p")
     q = _param(params, "q")
-    return generators.hex_torus(p, q), {"p": p, "q": q, "name": f"hex_torus_{p}x{q}"}
+    maps = {"translate": lambda x: generators.torus_translation(x, p, q)}
+    return generators.hex_torus(p, q), f"hex_torus_{p}x{q}", maps
 
 
-def _extended_wheel5(params: dict[str, str], *_) -> tuple:
+def _extended_wheel5(params: dict[str, str]) -> tuple:
     dom = _bool_param(params, "dominated", False)
     suffix = "dominated" if dom else "bare"
-    return generators.extended_wheel5(dom), {"name": f"extended_wheel5_{suffix}"}
+    return generators.extended_wheel5(dom), f"extended_wheel5_{suffix}", {}
 
 
-def _random(params: dict[str, str], *_) -> tuple:
+def _random(params: dict[str, str]) -> tuple:
     n = _param(params, "n")
     p = _param(params, "p", float)
     seed = _param(params, "seed")
-    return generators.random_flag_complex(n, p, seed), {"name": f"random_n{n}_p{p}_s{seed}"}
+    return generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}", {}
 
 
-def _sized(params: dict[str, str], key: str, name: str, build) -> tuple:
-    """A generator of one integer parameter, named ``<name>_<value>``."""
+def _sized(params: dict[str, str], key: str, name: str, build, rotation=None) -> tuple:
+    """A generator of one integer parameter, named ``<name>_<value>``;
+    ``rotation(value)`` builds its map ``rotate``."""
     size = _param(params, key)
-    return build(size), {key: size, "name": f"{name}_{size}"}
-
-
-# generator name -> f(params, default radius, default margin) -> (target,
-# context); the context keeps what automorphism construction needs later
-GENERATORS = {
-    "lattice": _lattice,
-    "thick_line": _thick_line,
-    "hex_torus": _hex_torus,
-    "octahedron": lambda params, *_: (generators.octahedron(), {"name": "octahedron"}),
-    "icosahedron": lambda params, *_: (generators.icosahedron(), {"name": "icosahedron"}),
-    "wheel": lambda params, *_: _sized(params, "k", "wheel", generators.wheel),
-    "extended_wheel5": _extended_wheel5,
-    "cycle": lambda params, *_: _sized(params, "n", "cycle", generators.cycle),
-    "complete": lambda params, *_: _sized(params, "n", "complete", generators.complete),
-    "cone_over_cycle": lambda params, *_: _sized(
-        params, "n", "cone_over_cycle", lambda n: generators.cone(generators.cycle(n))
-    ),
-    "random": _random,
-}
-
-
-def build_generated(spec: str, radius: int, margin: int):
-    """Build (target, context) from a generator spec string."""
-    name, params = parse_gen_spec(spec)
-    if name not in GENERATORS:
-        raise CliError(f"unknown generator {name!r}")
-    target, context = GENERATORS[name](params, radius, margin)
-    return target, {"gen": name, **context}
+    maps = {"rotate": lambda x: rotation(size)} if rotation else {}
+    return build(size), f"{name}_{size}", maps
 
 
 def _cone_rotation(n: int) -> Automorphism:
@@ -155,10 +141,43 @@ def _cone_rotation(n: int) -> Automorphism:
     return Automorphism(mapping, "rotate")
 
 
-def _file_auto(x, context: dict) -> Automorphism:
+# generator name -> f(params) -> (target, name, maps); maps sends an --auto
+# name to f(target) -> Automorphism, built only when asked for
+GENERATORS = {
+    "lattice": _lattice,
+    "thick_line": _thick_line,
+    "hex_torus": _hex_torus,
+    "octahedron": lambda params: (
+        generators.octahedron(),
+        "octahedron",
+        {"antipodal": lambda x: generators.octahedron_antipodal()},
+    ),
+    "icosahedron": lambda params: (generators.icosahedron(), "icosahedron", {}),
+    "wheel": lambda params: _sized(params, "k", "wheel", generators.wheel),
+    "extended_wheel5": _extended_wheel5,
+    "cycle": lambda params: _sized(
+        params, "n", "cycle", generators.cycle, generators.cycle_rotation
+    ),
+    "complete": lambda params: _sized(params, "n", "complete", generators.complete),
+    "cone_over_cycle": lambda params: _sized(
+        params, "n", "cone_over_cycle", lambda n: generators.cone(generators.cycle(n)),
+        _cone_rotation,
+    ),
+    "random": _random,
+}
+
+
+def build_generated(spec: str) -> tuple:
+    """(target, name, maps) from a generator spec string."""
+    name, params = parse_gen_spec(spec)
+    if name not in GENERATORS:
+        raise CliError(f"unknown generator {name!r}")
+    return GENERATORS[name](params)
+
+
+def _file_auto(x, h: Automorphism | None) -> Automorphism:
     """The file's map, refused unless it is an automorphism where defined:
     every other operation presumes one."""
-    h = context["file_auto"]
     if h is None:
         raise CliError("the input file declares no map lines")
     verdict = isometries.validate_automorphism(x, h)
@@ -169,52 +188,35 @@ def _file_auto(x, context: dict) -> Automorphism:
     return h
 
 
-# (generator, automorphism name) -> f(target, context); an input file has no
-# generator.  ``identity`` and the lattice translations ``t<n>`` are not listed.
-AUTOMORPHISMS = {
-    ("lattice", "glide"): lambda x, context: generators.lattice_glide(x),
-    ("thick_line", "shift"): lambda x, context: context["shift"],
-    ("hex_torus", "translate"): lambda x, context: generators.torus_translation(
-        x, context["p"], context["q"]
-    ),
-    ("octahedron", "antipodal"): lambda x, context: generators.octahedron_antipodal(),
-    ("cycle", "rotate"): lambda x, context: generators.cycle_rotation(context["n"]),
-    ("cone_over_cycle", "rotate"): lambda x, context: _cone_rotation(context["n"]),
-    (None, "file"): _file_auto,
-}
-
-
-def resolve_auto(target, context: dict, auto_name: str) -> Automorphism:
+def resolve_auto(target, maps: dict, auto_name: str) -> Automorphism:
+    """The map named ``auto_name``: ``identity`` on every target, else one
+    of the target's own maps."""
     if auto_name == "identity":
         return Automorphism.identity(target)
-    kind = context["gen"]
-    m = re.fullmatch(r"t(-?\d+)", auto_name)
-    if kind == "lattice" and m:
-        return generators.lattice_translation(target, int(m.group(1)))
-    if (kind, auto_name) not in AUTOMORPHISMS:
-        raise CliError(f"no automorphism named {auto_name!r} for this target")
-    return AUTOMORPHISMS[kind, auto_name](target, context)
+    try:
+        build = maps[auto_name]
+    except KeyError:
+        raise CliError(f"no automorphism named {auto_name!r} for this target") from None
+    return build(target)
 
 
-def load_target(args):
-    """(target, context, display_name) from --gen or --input."""
-    if getattr(args, "gen", None) and getattr(args, "input", None):
+def load_target(args) -> tuple:
+    """(target, name, maps, facets) from --gen or --input; facets is the
+    FacetComplex of a facets-mode input file, else None."""
+    if args.gen and args.input:
         raise CliError("give either --gen or --input, not both")
-    if getattr(args, "gen", None):
-        target, context = build_generated(args.gen, args.radius, args.margin)
-        name = target.name if isinstance(target, WindowView) else context["name"]
-        return target, context, name
-    if getattr(args, "input", None):
+    if args.gen:
+        return (*build_generated(args.gen), None)
+    if args.input:
         parsed = parse_complex_file(args.input)
-        context = {"gen": None, "file_auto": parsed.automorphism, "facets": parsed.facet_complex}
-        return parsed.complex, context, parsed.name
+        maps = {"file": lambda x: _file_auto(x, parsed.automorphism)}
+        return parsed.complex, parsed.name, maps, parsed.facet_complex
     raise CliError("an input is required: --gen SPEC or --input FILE")
 
 
-def require_flag(context: dict) -> None:
+def require_flag(fc: FacetComplex | None) -> None:
     """Refuse facets input that is not flag: the checks would answer for its
     flag completion, a different complex."""
-    fc: FacetComplex | None = context.get("facets")
     if fc is not None:
         verdict = is_flag(fc)
         if verdict.is_no:
@@ -226,18 +228,18 @@ def require_flag(context: dict) -> None:
 # check, isometry and theorems
 #
 # Each subcommand has one table of token -> f(x, subject, args), in the order
-# that ``all`` runs.  x is the target; the subject is the load context for
-# check and the automorphism for isometry and theorems.
+# that ``all`` runs.  x is the target; the subject is the FacetComplex of a
+# facets input (None otherwise) for check and the automorphism for isometry
+# and theorems.
 
 
-def _flag(x, context: dict, args) -> Verdict:
-    fc: FacetComplex | None = context.get("facets")
+def _flag(x, fc: FacetComplex | None, args) -> Verdict:
     if fc is None:
         return yes(reason="defined by its 1-skeleton; flag by construction")
     return is_flag(fc)
 
 
-def _full_cycles(x, context: dict, args) -> Verdict:
+def _full_cycles(x, fc: FacetComplex | None, args) -> Verdict:
     cycles = conditions.enumerate_full_cycles(x, max_len=args.max_len)
     return yes(
         witness=cycles[:50],
@@ -250,20 +252,20 @@ def _full_cycles(x, context: dict, args) -> Verdict:
 CHECKS = {
     "flag": _flag,
     "full-cycles": _full_cycles,
-    "systole": lambda x, context, args: yes(
+    "systole": lambda x, fc, args: yes(
         value=conditions.systole(x, max_len=args.max_len), search_bound=args.max_len
     ),
-    "k-large": lambda x, context, args: conditions.is_k_large(x, args.k),
-    "locally-k-large": lambda x, context, args: conditions.is_locally_k_large(x, args.k),
-    "tc": lambda x, context, args: conditions.triangle_condition(x),
-    "qc": lambda x, context, args: conditions.quadrangle_condition(x),
-    "weakly-modular": lambda x, context, args: conditions.is_weakly_modular(x),
-    "w5hat": lambda x, context, args: conditions.extended_wheel_condition(x),
-    "sd": lambda x, context, args: conditions.sphere_domination_everywhere(x),
-    "weakly-systolic": lambda x, context, args: conditions.is_weakly_systolic(
+    "k-large": lambda x, fc, args: conditions.is_k_large(x, args.k),
+    "locally-k-large": lambda x, fc, args: conditions.is_locally_k_large(x, args.k),
+    "tc": lambda x, fc, args: conditions.triangle_condition(x),
+    "qc": lambda x, fc, args: conditions.quadrangle_condition(x),
+    "weakly-modular": lambda x, fc, args: conditions.is_weakly_modular(x),
+    "w5hat": lambda x, fc, args: conditions.extended_wheel_condition(x),
+    "sd": lambda x, fc, args: conditions.sphere_domination_everywhere(x),
+    "weakly-systolic": lambda x, fc, args: conditions.is_weakly_systolic(
         x, mode=args.mode, oracle_budget=args.oracle_budget
     ),
-    "systolic": lambda x, context, args: conditions.is_systolic(
+    "systolic": lambda x, fc, args: conditions.is_systolic(
         x, oracle_budget=args.oracle_budget
     ),
 }
@@ -361,7 +363,7 @@ def cmd_run(args) -> int:
     """The command loop of check, isometry and theorems: one record per
     token, in the order given."""
     table, option, what = SUBCOMMANDS[args.command]
-    target, context, name = load_target(args)
+    target, name, maps, facets = load_target(args)
     tokens = split_tokens(getattr(args, option), table, what)
     required = set(split_tokens(getattr(args, "require", None), table, what))
     missing = required - set(tokens)
@@ -369,10 +371,10 @@ def cmd_run(args) -> int:
         raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
     # a flag check alone reports non-flag input as its No
     if tokens != ["flag"]:
-        require_flag(context)
-    subject, suffix = context, ""
+        require_flag(facets)
+    subject, suffix = facets, ""
     if args.command != "check":
-        subject = resolve_auto(target, context, args.auto)
+        subject = resolve_auto(target, maps, args.auto)
         # isometry studies the power of the map; theorems hands --power to
         # invariant-geodesic only
         if args.command == "isometry" and args.power != 1:
@@ -397,11 +399,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    target, context, name = load_target(args)
-    require_flag(context)
-    auto = None
-    if args.auto:
-        auto = resolve_auto(target, context, args.auto)
+    target, name, maps, facets = load_target(args)
+    require_flag(facets)
+    auto = resolve_auto(target, maps, args.auto) if args.auto else None
     comments: tuple[str, ...] = ()
     if isinstance(target, WindowView):
         comments = (
@@ -432,7 +432,7 @@ def split_tokens(raw: str | None, allowed: dict, what: str) -> list[str]:
 
 def config_for(args, name: str) -> dict:
     cfg = {"target": name, "command": args.command}
-    for key in ("mode", "k", "max_len", "margin", "radius", "oracle_budget", "auto", "power"):
+    for key in ("mode", "k", "max_len", "oracle_budget", "auto", "power"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -453,14 +453,15 @@ def write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser, with_require: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, report: bool = True, with_require: bool = False
+) -> None:
     p.add_argument("--gen", help="generator spec, e.g. lattice:radius=10,margin=4")
     p.add_argument("--input", help="path to a complex file")
-    p.add_argument("--radius", type=int, default=10, help="default window radius for lattice")
-    p.add_argument("--margin", type=int, default=4, help="default window margin for lattice")
-    p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("--out", help="write the output here instead of stdout")
+    if report:
+        p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
+        p.add_argument("--format", choices=("text", "json"), default="text")
     if with_require:
         p.add_argument("--require", help="comma list of checks that must not answer no")
 
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="emit a complex in the text format")
-    _add_common(p_gen)
+    _add_common(p_gen, report=False)
     p_gen.add_argument("--auto", help="include this automorphism as map lines")
     p_gen.set_defaults(func=cmd_generate)
 

@@ -27,12 +27,12 @@ DEFAULT_BUDGET = 100_000
 _SIMPLEX_CAP = 500_000
 
 
-def all_simplices(x: FlagComplex, cap: int = _SIMPLEX_CAP) -> list[frozenset[int]] | None:
-    """Every non-empty clique, or None when the count exceeds the cap."""
+def all_simplices(x: FlagComplex) -> list[frozenset[int]] | None:
+    """Every non-empty clique, or None when the count exceeds ``_SIMPLEX_CAP``."""
     out: list[frozenset[int]] = []
     for c in x.cliques():
         out.append(frozenset(c))
-        if len(out) > cap:
+        if len(out) > _SIMPLEX_CAP:
             return None
     return out
 

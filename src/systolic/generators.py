@@ -21,7 +21,7 @@ def hex_distance(q: int, r: int) -> int:
     return max(abs(q), abs(r), abs(q + r))
 
 
-def triangular_lattice_window(radius: int, margin: int, name: str | None = None) -> WindowView:
+def triangular_lattice_window(radius: int, margin: int) -> WindowView:
     """Ball of the given radius around the origin of the triangular lattice.
 
     Vertices are the axial coordinates at hex distance <= radius, numbered
@@ -52,16 +52,15 @@ def triangular_lattice_window(radius: int, margin: int, name: str | None = None)
         id_of[(0, 0)],
         radius,
         margin,
-        name or f"lattice_r{radius}_m{margin}",
+        f"lattice_r{radius}_m{margin}",
         coord_of={i: c for c, i in id_of.items()},
     )
 
 
 def _coord_map(window: WindowView, image, name: str) -> Automorphism:
-    id_of = {c: i for i, c in window.coord_of.items()}
     mapping = {}
     for i, c in window.coord_of.items():
-        j = id_of.get(image(c))
+        j = window.id_of.get(image(c))
         if j is not None:
             mapping[i] = j
     return Automorphism(mapping, name)
@@ -121,13 +120,12 @@ def hex_torus(p: int, q: int) -> FlagComplex:
     return FlagComplex(range(p * q), sorted(edges))
 
 
-def torus_translation(x: FlagComplex, p: int, q: int, da: int = 1, db: int = 0) -> Automorphism:
-    """Total automorphism of hex_torus(p, q) shifting coordinates by (da, db)."""
+def torus_translation(x: FlagComplex, p: int, q: int) -> Automorphism:
+    """Total automorphism of hex_torus(p, q) shifting the first coordinate by 1."""
     if x.n_vertices != p * q:
         raise ComplexError("torus dimensions do not match the complex")
     return Automorphism(
-        {a * q + b: ((a + da) % p) * q + ((b + db) % q) for a in range(p) for b in range(q)},
-        f"shift({da},{db})",
+        {a * q + b: ((a + 1) % p) * q + b for a in range(p) for b in range(q)}, "shift(1,0)"
     )
 
 
@@ -196,11 +194,9 @@ def extended_wheel5(dominated: bool = False) -> FlagComplex:
     return FlagComplex(verts, edges)
 
 
-def cone(x: FlagComplex, apex: int | None = None) -> FlagComplex:
-    """Join a fresh apex to every vertex."""
-    a = apex if apex is not None else (max(x.vertices) + 1 if x.n_vertices else 0)
-    if a in x:
-        raise ComplexError(f"apex {a} is already a vertex")
+def cone(x: FlagComplex) -> FlagComplex:
+    """Join a fresh apex, one more than the largest vertex, to every vertex."""
+    a = max(x.vertices) + 1 if x.n_vertices else 0
     verts = list(x.vertices) + [a]
     edges = list(x.edges()) + [(v, a) for v in x.vertices]
     return FlagComplex(verts, edges)

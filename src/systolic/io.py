@@ -161,35 +161,23 @@ def parse_complex_file(path: str) -> ParsedInput:
 
 
 def format_complex(
-    x: FlagComplex | FacetComplex,
+    x: FlagComplex,
     name: str,
     automorphism: Automorphism | None = None,
     header_comments: tuple[str, ...] = (),
 ) -> str:
-    """Serialize in the text format above.  Vertex ids must be dense 0..n-1
-    (every generator in this package produces dense ids)."""
+    """Serialize a flag complex in flag mode.  Vertex ids must be dense
+    0..n-1 (every generator in this package produces dense ids)."""
+    verts = x.vertices
+    if list(verts) != list(range(len(verts))):
+        raise ComplexError("serialization needs dense vertex ids 0..n-1")
     lines = [f"# {c}" for c in header_comments]
     lines.append(f"complex {name}")
-    if isinstance(x, FacetComplex):
-        verts = x.vertices
-        _require_dense(verts)
-        lines.append("mode facets")
-        lines.append(f"vertices {len(verts)}")
-        for f in x.facets:
-            lines.append("facet " + " ".join(str(v) for v in f))
-    else:
-        verts = x.vertices
-        _require_dense(verts)
-        lines.append("mode flag")
-        lines.append(f"vertices {len(verts)}")
-        for u, v in x.edges():
-            lines.append(f"edge {u} {v}")
+    lines.append("mode flag")
+    lines.append(f"vertices {len(verts)}")
+    for u, v in x.edges():
+        lines.append(f"edge {u} {v}")
     if automorphism is not None:
         for u in sorted(automorphism.mapping):
             lines.append(f"map {u} {automorphism.mapping[u]}")
     return "\n".join(lines) + "\n"
-
-
-def _require_dense(verts: tuple[int, ...]) -> None:
-    if list(verts) != list(range(len(verts))):
-        raise ComplexError("serialization needs dense vertex ids 0..n-1")

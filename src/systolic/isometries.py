@@ -55,8 +55,8 @@ class Automorphism:
         self.name = name
 
     @staticmethod
-    def identity(x: FlagComplex, name: str = "id") -> "Automorphism":
-        return Automorphism({v: v for v in x.vertices}, name)
+    def identity(x: FlagComplex) -> "Automorphism":
+        return Automorphism({v: v for v in x.vertices}, "id")
 
     @property
     def domain(self) -> frozenset[int]:
@@ -319,22 +319,15 @@ class PathChain:
         return self.vertices[a - self.start]
 
 
-def orbit_path(
-    x: FlagComplex,
-    h: Automorphism,
-    v: int | None = None,
-    alpha: tuple[int, ...] | None = None,
-    powers: tuple[int, int] | None = None,
-) -> PathChain:
+def orbit_path(x: FlagComplex, h: Automorphism) -> PathChain:
     """Concatenate translates h^n(alpha) of a minimal geodesic into a chain.
 
-    ``alpha`` must be a geodesic from v to h(v) of length equal to the
-    translation length; by default it is the lexicographically least one
-    from the least minimal-displacement vertex.  ``powers`` bounds the range
-    of n; by default the chain extends in both directions until the map (or
-    the window) runs out, with a cap proportional to the complex size.
+    alpha is the lexicographically least geodesic from the least
+    minimal-displacement vertex v to h(v).  The chain extends in both
+    directions until the map (or the window) runs out, with a cap
+    proportional to the complex size.
     """
-    return orbit_chain(x, h, displacement_profile(x, h), v, alpha, powers)
+    return orbit_chain(x, h, displacement_profile(x, h))
 
 
 def orbit_chain(
@@ -343,12 +336,13 @@ def orbit_chain(
     prof: DisplacementProfile,
     v: int | None = None,
     alpha: tuple[int, ...] | None = None,
-    powers: tuple[int, int] | None = None,
 ) -> PathChain:
-    """:func:`orbit_path` for a caller that already holds h's profile.
+    """:func:`orbit_path` for a caller that already holds h's profile, with
+    an optional start vertex ``v`` and segment ``alpha``.
 
-    One walk translates alpha by h^-1 and by h in turn, as far as
-    ``powers`` allows and the map is defined on the whole segment.
+    ``alpha`` must be a geodesic from v to h(v) of length equal to the
+    translation length.  One walk translates alpha by h^-1 and by h in turn,
+    as far as the cap allows and the map is defined on the whole segment.
     """
     length = prof.translation_length
     if length in (0, INF):
@@ -369,15 +363,10 @@ def orbit_chain(
             raise ComplexError(f"alpha is not a path: {a} and {b} are not adjacent")
 
     cap = x.n_vertices // int(length) + 2
-    lo = -cap if powers is None else powers[0]
-    hi = cap if powers is None else powers[1]
-    if lo > 0 or hi < 0 or (powers is not None and lo >= hi):
-        raise ComplexError("powers must straddle 0 with room for one segment")
-
     back, fwd = [], []
-    for step, count, out in ((h.inverse_mapping, -lo, back), (h.mapping, hi, fwd)):
+    for step, out in ((h.inverse_mapping, back), (h.mapping, fwd)):
         seg = alpha
-        while len(out) < count and all(u in step for u in seg):
+        while len(out) < cap and all(u in step for u in seg):
             seg = tuple(step[u] for u in seg)
             out.append(seg)
     segments = back[::-1] + [alpha] + fwd

@@ -17,7 +17,6 @@ from ``DistanceOracle.geodesics``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .complexes import INF, ComplexError, FlagComplex
 from .conditions import find_extended_5_wheels, first_link_cycle
@@ -143,16 +142,12 @@ def wheel_domination_in_min(x: FlagComplex, min_complex: FlagComplex) -> Verdict
 GEODESIC_CAP = 10_000
 
 
-def invariant_geodesic_search(
-    x: FlagComplex,
-    h: Automorphism,
-    power: int = 1,
-    start: int | None = None,
-) -> Verdict:
-    """Look for an h^power-invariant geodesic through ``start``.
+def invariant_geodesic_search(x: FlagComplex, h: Automorphism, power: int = 1) -> Verdict:
+    """Look for an h^power-invariant geodesic through the least vertex of
+    least displacement under g = h^power.
 
-    Candidates are chains built from each geodesic from start to its image
-    under g = h^power, enumerated in lexicographic order.  A chain passes if
+    Candidates are chains built from each geodesic from that vertex to its
+    image under g, enumerated in lexicographic order.  A chain passes if
     every trusted index pair sits at distance equal to its index gap.  No
     passing chain means unknown: the window may simply be too small.  At
     most ``GEODESIC_CAP`` candidates are tried.
@@ -164,13 +159,12 @@ def invariant_geodesic_search(
         raise ComplexError("no trusted displacement values for the composed map")
     if length == 0:
         raise ComplexError("the composed map fixes a vertex; no geodesic to look for")
-    if start is None:
-        start = prof.min_vertices[0]
-    if prof.values.get(start) != length:
-        raise ComplexError(f"start vertex {start} does not attain the translation length")
-    target = g_map(start)
+    start = prof.min_vertices[0]
     tried = 0
-    for beta in islice(x.oracle.geodesics(start, target), GEODESIC_CAP):
+    for beta in x.oracle.geodesics(start, g_map(start)):
+        if tried == GEODESIC_CAP:
+            # a further candidate exists that the cap leaves untried
+            return unknown(reason="geodesic candidate cap reached", candidates_tried=tried)
         tried += 1
         chain = orbit_chain(x, g_map, prof, start, beta)
         verdict = verify_local_geodesic(x, chain, gap=None)
@@ -181,8 +175,6 @@ def invariant_geodesic_search(
                 candidates_tried=tried,
                 pairs=verdict.detail["pairs"],
             )
-    if tried >= GEODESIC_CAP:
-        return unknown(reason="geodesic candidate cap reached", candidates_tried=tried)
     return unknown(
         reason="no invariant geodesic found in the trusted region", candidates_tried=tried
     )

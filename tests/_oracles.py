@@ -500,7 +500,6 @@ def reference_orbit_path(
     h: Automorphism,
     v: int | None = None,
     alpha: tuple[int, ...] | None = None,
-    powers: tuple[int, int] | None = None,
 ) -> PathChain:
     """Orbit chain by a forward walk over h and a mirror-image backward walk
     over h^-1, stitched segment by segment; the reference for
@@ -526,10 +525,7 @@ def reference_orbit_path(
             raise ComplexError(f"alpha is not a path: {a} and {b} are not adjacent")
 
     cap = g.n_vertices // int(length) + 2
-    lo = -cap if powers is None else powers[0]
-    hi = cap if powers is None else powers[1]
-    if lo > 0 or hi < 0 or (powers is not None and lo >= hi):
-        raise ComplexError("powers must straddle 0 with room for one segment")
+    lo, hi = -cap, cap
 
     segments: dict[int, tuple[int, ...]] = {0: alpha}
     seg = alpha

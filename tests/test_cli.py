@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import systolic
-from systolic.cli import CHECKS, ISOMETRY, THEOREMS, main
+from systolic.cli import (
+    CHECKS,
+    GENERATORS,
+    ISOMETRY,
+    THEOREMS,
+    CliError,
+    build_generated,
+    main,
+    resolve_auto,
+)
 from systolic.report import strip_timing
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(systolic.__file__)))
@@ -124,7 +133,6 @@ class TestExitCodes:
              "--oracle-budget", "-1"],
             ["theorems", "--gen", "octahedron", "--auto", "antipodal", "--do", "embedding",
              "--oracle-budget", "-2"],
-            ["generate", "--gen", "octahedron", "--oracle-budget", "-7"],
         ],
     )
     def test_negative_count_exits_two(self, capsys, argv):
@@ -149,10 +157,19 @@ class TestExitCodes:
         assert "no collapse found within budget" in by["systolic"]["reason"]
 
     def test_jobs_is_not_an_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--gen", "octahedron", "--checks", "tc", "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        # lattice windows take radius and margin from the spec, and generate
+        # writes the text format with no header, so it has no report options
+        for argv in (
+            ["check", "--gen", "octahedron", "--checks", "tc", "--jobs", "2"],
+            ["check", "--gen", "lattice", "--checks", "tc", "--radius", "6"],
+            ["theorems", "--gen", "lattice", "--auto", "t1", "--do", "embedding", "--margin", "2"],
+            ["generate", "--gen", "octahedron", "--format", "json"],
+            ["generate", "--gen", "octahedron", "--oracle-budget", "7"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert argv[-2] in capsys.readouterr().err
 
 
 class TestDisconnectedInput:
@@ -467,6 +484,52 @@ class TestTheoremsCommand:
         )
         assert code == 2
         assert "translation length" in err
+
+
+# one small spec per generator
+SMALL_SPECS = {
+    "lattice": "lattice:radius=3,margin=1",
+    "thick_line": "thick_line:k=2,n=6",
+    "hex_torus": "hex_torus:p=4,q=5",
+    "octahedron": "octahedron",
+    "icosahedron": "icosahedron",
+    "wheel": "wheel:k=5",
+    "extended_wheel5": "extended_wheel5",
+    "cycle": "cycle:n=5",
+    "complete": "complete:n=4",
+    "cone_over_cycle": "cone_over_cycle:n=5",
+    "random": "random:n=8,p=0.4,seed=1",
+}
+
+
+class TestGeneratorTable:
+    def test_every_generator_has_a_small_spec(self):
+        assert set(SMALL_SPECS) == set(GENERATORS)
+
+    @pytest.mark.parametrize("gen", sorted(SMALL_SPECS))
+    def test_listed_maps_and_identity_are_automorphisms(self, gen):
+        target, _, maps = build_generated(SMALL_SPECS[gen])
+        names = [*maps, "identity"] + (["t1", "t-2"] if gen == "lattice" else [])
+        for auto in names:
+            h = resolve_auto(target, maps, auto)
+            assert systolic.validate_automorphism(target, h).is_yes, (gen, auto)
+
+    def test_maps_of_other_generators_are_refused(self):
+        built = {gen: build_generated(spec) for gen, spec in SMALL_SPECS.items()}
+        every = {auto for _, _, maps in built.values() for auto in maps} | {"t1", "file"}
+        for gen, (target, _, maps) in built.items():
+            for auto in sorted(every - set(maps)):
+                if gen == "lattice" and auto == "t1":
+                    continue
+                with pytest.raises(CliError, match="no automorphism named"):
+                    resolve_auto(target, maps, auto)
+
+    def test_another_generators_map_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "isometry", "--gen", "icosahedron", "--auto", "rotate", "--do", "all"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: no automorphism named 'rotate' for this target\n"
 
 
 class TestGenerateCommand:

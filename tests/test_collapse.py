@@ -77,8 +77,9 @@ class TestAllSimplices:
         # 6 vertices + 12 edges + 8 triangles
         assert len(simp) == 26
 
-    def test_cap_returns_none(self, octa):
-        assert all_simplices(octa, cap=10) is None
+    def test_cap_returns_none(self, octa, monkeypatch):
+        monkeypatch.setattr(systolic.collapse, "_SIMPLEX_CAP", 10)
+        assert all_simplices(octa) is None
 
 
 class TestCollapse:

