@@ -47,6 +47,10 @@ elliptic map read from a file (``triangle_rotate.txt``, a triangle rotated
 0 -> 1 -> 2), and the antipodal map of the octahedron, whose orbit chain
 revisits a vertex and whose invariant-geodesic search refutes all four
 candidate geodesics.
+Every JSON report was re-captured once more when the ``--radius`` and
+``--margin`` options were deleted: a lattice window takes both from its spec,
+so the ``config`` header lost its ``"margin": 4`` and ``"radius": 10`` lines,
+and no other byte changed.
 """
 
 import os
