@@ -525,12 +525,11 @@ def reference_orbit_path(
             raise ComplexError(f"alpha is not a path: {a} and {b} are not adjacent")
 
     cap = g.n_vertices // int(length) + 2
-    lo, hi = -cap, cap
 
     segments: dict[int, tuple[int, ...]] = {0: alpha}
     seg = alpha
     n = 0
-    while n < hi:
+    while n < cap:
         if not all(h.defined(u) for u in seg):
             break
         seg = tuple(h.mapping[u] for u in seg)
@@ -539,7 +538,7 @@ def reference_orbit_path(
     fwd = n
     seg = alpha
     n = 0
-    while n > lo:
+    while n > -cap:
         if not all(u in h.inverse_mapping for u in seg):
             break
         seg = tuple(h.inverse_mapping[u] for u in seg)
