@@ -460,7 +460,6 @@ def _add_common(
     p.add_argument("--input", help="path to a complex file")
     p.add_argument("--out", help="write the output here instead of stdout")
     if report:
-        p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
         p.add_argument("--format", choices=("text", "json"), default="text")
     if with_require:
         p.add_argument("--require", help="comma list of checks that must not answer no")
@@ -498,6 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--power", type=int, default=1, help="power used by invariant-geodesic")
     p_thm.add_argument("--do", required=True, help=f"comma list from: {', '.join(THEOREMS)}")
     p_thm.set_defaults(func=cmd_run)
+
+    # only check and theorems reach the simple-connectivity oracle
+    for p in (p_check, p_thm):
+        p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
 
     p_gen = sub.add_parser("generate", help="emit a complex in the text format")
     _add_common(p_gen, report=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 
-from .complexes import ComplexError, FlagComplex
+from .complexes import ComplexError, FlagComplex, once
 from .verdict import Verdict, no, unknown, yes
 
 DEFAULT_BUDGET = 100_000
@@ -246,6 +246,7 @@ def first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     return n_edges - rank1 - units - len(diag), torsion
 
 
+@once
 def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Yes / No / Unknown for simple connectivity.
 

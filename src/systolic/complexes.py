@@ -12,6 +12,7 @@ its boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 
@@ -24,6 +25,23 @@ Simplex = tuple[int, ...]
 
 class ComplexError(ValueError):
     """Raised for structurally invalid inputs (bad ids, non-cliques, ...)."""
+
+
+def once(f):
+    """Compute ``f(x, *args, **kwargs)`` once per complex x and arguments.
+
+    The result is kept on x itself, so it lives exactly as long as its
+    target; a call that raises keeps nothing and raises again next time.
+    """
+
+    @functools.wraps(f)
+    def cached(x, *args, **kwargs):
+        key = (f, args, tuple(sorted(kwargs.items())))
+        if key not in x._memo:
+            x._memo[key] = f(x, *args, **kwargs)
+        return x._memo[key]
+
+    return cached
 
 
 def as_simplex(vertices: Iterable[int]) -> Simplex:
@@ -50,7 +68,7 @@ class FlagComplex:
     distance.
     """
 
-    __slots__ = ("_adj", "_vertices", "_oracle")
+    __slots__ = ("_adj", "_vertices", "_oracle", "_memo")
 
     margin: float = INF
 
@@ -75,6 +93,7 @@ class FlagComplex:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
         self._oracle: DistanceOracle | None = None
+        self._memo: dict = {}
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -157,9 +176,12 @@ class FlagComplex:
         """All non-empty cliques in ascending lexicographic order.
 
         ``within`` restricts the vertex pool; ``max_size`` bounds the number
-        of vertices per clique.
+        of vertices per clique.  Each vertex v grows its cliques from its
+        neighbours above v in the pool, so the work follows the edges of the
+        pool rather than its square.
         """
         pool = self._vertices if within is None else tuple(sorted(set(within)))
+        inside = frozenset(pool)
         adj = self._adj
 
         def grow(base: tuple[int, ...], candidates: tuple[int, ...]) -> Iterator[Simplex]:
@@ -172,7 +194,13 @@ class FlagComplex:
                 if nxt:
                     yield from grow(cur, nxt)
 
-        yield from grow((), pool)
+        for v in pool:
+            yield (v,)
+            if max_size is not None and max_size <= 1:
+                continue
+            up = tuple(sorted(w for w in adj[v] if w > v and w in inside))
+            if up:
+                yield from grow((v,), up)
 
     def maximal_cliques(self) -> list[Simplex]:
         """Facets of the complex (maximal cliques), sorted."""
@@ -453,6 +481,7 @@ class WindowView(FlagComplex):
         self._adj = complex_._adj
         self._vertices = complex_._vertices
         self._oracle = None
+        self._memo = {}
         self.basepoint = basepoint
         self.radius = radius
         self.margin = margin

@@ -10,12 +10,16 @@ Every scan takes one flag complex, a finite one or a window, and reads its
 over the trusted vertices and only distance values up to the margin
 participate, so every verdict is exact for the trusted region it mentions.
 A finite complex trusts every vertex and every distance.
+
+The scans that several checks share (TC, QC, SD, the 5-wheel condition and
+local k-largeness for each k) are computed once per complex
+(``complexes.once``).
 """
 
 from __future__ import annotations
 
 from .collapse import DEFAULT_BUDGET, simple_connectivity_oracle
-from .complexes import INF, ComplexError, FlagComplex
+from .complexes import INF, ComplexError, FlagComplex, once
 from .verdict import (
     CycleInLink,
     ExtendedWheel5,
@@ -142,6 +146,7 @@ def is_k_large(x: FlagComplex, k: int) -> Verdict:
     return is_locally_k_large(x, k)
 
 
+@once
 def is_locally_k_large(x: FlagComplex, k: int) -> Verdict:
     """Every simplex link has systole at least k.
 
@@ -181,6 +186,7 @@ def first_link_cycle(
 # triangle and quadrangle conditions
 
 
+@once
 def triangle_condition(x: FlagComplex) -> Verdict:
     """For adjacent v, w equidistant from u, some common neighbor of v and w
     is one step closer to u.
@@ -226,6 +232,7 @@ def triangle_violation_holds(x: FlagComplex, w: TriangleViolation) -> bool:
     return all(du.get(t, INF) != w.distance - 1 for t in x.common_neighbors((w.v, w.w)))
 
 
+@once
 def quadrangle_condition(x: FlagComplex) -> Verdict:
     """For v, w at distance 2 with a common neighbor z one step further from
     u than both, some common neighbor of v and w is one step closer to u.
@@ -332,6 +339,7 @@ def is_extended_wheel5(x: FlagComplex, w: ExtendedWheel5) -> bool:
     return not any(x.adjacent(w.apex, r) for r in w.rim[2:])
 
 
+@once
 def extended_wheel_condition(x: FlagComplex) -> Verdict:
     """Every extended 5-wheel has a vertex adjacent to all seven of its
     vertices.  The negative witness is an undominated wheel."""
@@ -509,6 +517,7 @@ def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
     return yes()
 
 
+@once
 def sphere_domination_everywhere(x: FlagComplex) -> Verdict:
     """Sphere simplex domination at every (trusted) vertex, to the deepest
     radius the input supports: eccentricity - 1 on a finite complex,

@@ -11,15 +11,15 @@ trusts every vertex and every distance, a window only its inner ball.
 Checks return :class:`~systolic.verdict.Verdict` records; ``classify`` is
 always a yes whose detail names the kind of map.  An orbit chain is built
 from h's displacement profile by one walk that translates a minimal
-geodesic by h^-1 and by h; callers that already hold the profile call
-:func:`orbit_chain` directly.
+geodesic by h^-1 and by h.  The profile is computed once per complex and
+map, however many checks read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import INF, ComplexError, FlagComplex, as_simplex
+from .complexes import INF, ComplexError, FlagComplex, as_simplex, once
 from .verdict import (
     NO,
     UNKNOWN,
@@ -151,6 +151,7 @@ class DisplacementProfile:
     min_vertices: tuple[int, ...]
 
 
+@once
 def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
     region, bound = x.trusted_vertices, x.margin
     values: dict[int, int] = {}
@@ -319,31 +320,22 @@ class PathChain:
         return self.vertices[a - self.start]
 
 
-def orbit_path(x: FlagComplex, h: Automorphism) -> PathChain:
-    """Concatenate translates h^n(alpha) of a minimal geodesic into a chain.
-
-    alpha is the lexicographically least geodesic from the least
-    minimal-displacement vertex v to h(v).  The chain extends in both
-    directions until the map (or the window) runs out, with a cap
-    proportional to the complex size.
-    """
-    return orbit_chain(x, h, displacement_profile(x, h))
-
-
-def orbit_chain(
+def orbit_path(
     x: FlagComplex,
     h: Automorphism,
-    prof: DisplacementProfile,
     v: int | None = None,
     alpha: tuple[int, ...] | None = None,
 ) -> PathChain:
-    """:func:`orbit_path` for a caller that already holds h's profile, with
-    an optional start vertex ``v`` and segment ``alpha``.
+    """Concatenate translates h^n(alpha) of a minimal geodesic into a chain.
 
-    ``alpha`` must be a geodesic from v to h(v) of length equal to the
-    translation length.  One walk translates alpha by h^-1 and by h in turn,
-    as far as the cap allows and the map is defined on the whole segment.
+    v defaults to the least minimal-displacement vertex and alpha to the
+    lexicographically least geodesic from v to h(v); a given alpha must be
+    a geodesic from v to h(v) of length equal to the translation length.
+    One walk translates alpha by h^-1 and by h in turn, as far as the map is
+    defined on the whole segment, with a cap proportional to the complex
+    size.
     """
+    prof = displacement_profile(x, h)
     length = prof.translation_length
     if length in (0, INF):
         raise ComplexError("chains need a positive trusted translation length")

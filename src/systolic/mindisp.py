@@ -9,9 +9,9 @@ thick interval instead.  Whether the set is itself systolic is
 
 Each check returns a Verdict, except the embedding check, which returns an
 :class:`EmbeddingReport` with its pair count.  The geodesic search and the
-dichotomy compute the map's displacement profile once and build every
-candidate chain from it; candidate geodesics come in lexicographic order
-from ``DistanceOracle.geodesics``.
+dichotomy build every candidate chain from the map's displacement profile,
+which is computed once per complex and map; candidate geodesics come in
+lexicographic order from ``DistanceOracle.geodesics``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .isometries import (
     displacement_profile,
     find_invariant_simplex,
     is_invariant_simplex,
-    orbit_chain,
+    orbit_path,
     verify_local_geodesic,
 )
 from .verdict import (
@@ -166,7 +166,7 @@ def invariant_geodesic_search(x: FlagComplex, h: Automorphism, power: int = 1) -
             # a further candidate exists that the cap leaves untried
             return unknown(reason="geodesic candidate cap reached", candidates_tried=tried)
         tried += 1
-        chain = orbit_chain(x, g_map, prof, start, beta)
+        chain = orbit_path(x, g_map, start, beta)
         verdict = verify_local_geodesic(x, chain, gap=None)
         if verdict.is_yes:
             return yes(
@@ -287,7 +287,7 @@ def dichotomy_report(x: FlagComplex, h: Automorphism) -> Verdict:
         return answer(
             witness=inv.witness, kind=kind, translation_length=prof.translation_length
         )
-    chain = orbit_chain(x, h, prof)
+    chain = orbit_path(x, h)
     k = fit_thickness(x, chain)
     if k is None:
         witness = None

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import systolic
 from systolic.cli import (
@@ -129,8 +129,6 @@ class TestExitCodes:
             ["check", "--gen", "octahedron", "--checks", "tc", "--oracle-budget", "-5"],
             ["check", "--gen", "octahedron", "--checks", "k-large", "--k", "-3"],
             ["check", "--gen", "octahedron", "--checks", "full-cycles", "--max-len", "-1"],
-            ["isometry", "--gen", "octahedron", "--auto", "antipodal", "--do", "validate",
-             "--oracle-budget", "-1"],
             ["theorems", "--gen", "octahedron", "--auto", "antipodal", "--do", "embedding",
              "--oracle-budget", "-2"],
         ],
@@ -157,14 +155,17 @@ class TestExitCodes:
         assert "no collapse found within budget" in by["systolic"]["reason"]
 
     def test_jobs_is_not_an_option(self, capsys):
-        # lattice windows take radius and margin from the spec, and generate
-        # writes the text format with no header, so it has no report options
+        # lattice windows take radius and margin from the spec, generate
+        # writes the text format with no header, so it has no report options,
+        # and no isometry operation asks the simple-connectivity oracle
         for argv in (
             ["check", "--gen", "octahedron", "--checks", "tc", "--jobs", "2"],
             ["check", "--gen", "lattice", "--checks", "tc", "--radius", "6"],
             ["theorems", "--gen", "lattice", "--auto", "t1", "--do", "embedding", "--margin", "2"],
             ["generate", "--gen", "octahedron", "--format", "json"],
             ["generate", "--gen", "octahedron", "--oracle-budget", "7"],
+            ["isometry", "--gen", "octahedron", "--auto", "antipodal", "--do", "validate",
+             "--oracle-budget", "1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -581,6 +582,91 @@ class TestDeterminism:
         assert self.collect(capsys) == self.collect(capsys)
 
 
+def _json_records(argv) -> tuple[int, list[dict]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json"])
+    if code == 2:
+        return code, []
+    return code, json.loads(strip_timing(out.getvalue()))["records"]
+
+
+_CHECK_TARGETS = st.one_of(
+    st.sampled_from([
+        "octahedron", "icosahedron", "cone_over_cycle:n=7", "hex_torus:p=4,q=4", "wheel:k=5",
+        "extended_wheel5:dominated=yes", "lattice:radius=5,margin=2",
+    ]),
+    st.builds(
+        "random:n={},p={},seed={}".format,
+        st.integers(6, 11), st.sampled_from([0.3, 0.45, 0.6]), st.integers(0, 60),
+    ),
+)
+_MAPPED_TARGETS = st.sampled_from([
+    ("octahedron", "antipodal"),
+    ("lattice:radius=6,margin=3", "t1"),
+    ("lattice:radius=6,margin=3", "glide"),
+    ("thick_line:k=2,n=10", "shift"),
+    ("hex_torus:p=4,q=4", "translate"),
+    ("cone_over_cycle:n=6", "rotate"),
+])
+
+
+class TestSharedScans:
+    """Scans shared by several tokens run once per target; every record is
+    still the one its token gives when it runs alone."""
+
+    def assert_each_token_alone_agrees(self, argv, option, tokens):
+        code, together = _json_records(argv + [option, "all"])
+        assume(code != 2)
+        alone = []
+        for token in tokens:
+            code_alone, records = _json_records(argv + [option, token])
+            assert code_alone == 0, (argv, token)
+            alone += records
+        assert together == alone, argv
+
+    @given(_CHECK_TARGETS, st.integers(3, 7), st.integers(4, 8),
+           st.sampled_from(["graph", "sd", "composite"]))
+    @settings(max_examples=40, deadline=None)
+    def test_check_all(self, spec, k, max_len, mode):
+        argv = ["check", "--gen", spec, "--k", str(k), "--max-len", str(max_len), "--mode", mode]
+        self.assert_each_token_alone_agrees(argv, "--checks", CHECKS)
+
+    @given(_MAPPED_TARGETS, st.sampled_from(["isometry", "theorems"]), st.sampled_from([1, 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_isometry_and_theorems_all(self, target, command, power):
+        spec, auto = target
+        argv = [command, "--gen", spec, "--auto", auto, "--power", str(power)]
+        self.assert_each_token_alone_agrees(
+            argv, "--do", ISOMETRY if command == "isometry" else THEOREMS
+        )
+
+    def test_weak_modularity_reuses_the_distance_scans(self, monkeypatch):
+        from systolic.complexes import DistanceOracle
+
+        radii = []
+        original = DistanceOracle.ball
+
+        def counted(self, source, radius):
+            radii.append(radius)
+            return original(self, source, radius)
+
+        monkeypatch.setattr(DistanceOracle, "ball", counted)
+
+        def balls(checks):
+            radii.clear()
+            argv = ["check", "--gen", "lattice:radius=10,margin=4", "--checks", checks]
+            assert main(argv + ["--out", os.devnull]) == 0
+            return len(radii), radii.count(4)
+
+        base = balls("tc,qc")
+        # weakly-modular is TC and QC, so after them it asks for no ball at all
+        assert balls("tc,qc,weakly-modular") == base
+        # weakly-systolic adds a 4-cycle scan and a connectivity test, but no
+        # ball of the trust radius 4, where every TC and QC source reads
+        assert balls("tc,qc,weakly-modular,weakly-systolic")[1] == base[1]
+
+
 class TestStartup:
     def test_import_loads_no_thread_pool(self):
         proc = subprocess.run(
@@ -625,7 +711,8 @@ def _argv(command, draw):
     argv = [command, "--gen", draw(_GEN_SPECS)]
     if command == "generate":
         return argv + ["--auto", draw(_AUTOS)] if draw(st.booleans()) else argv
-    argv += ["--oracle-budget", draw(st.integers(-5, 200).map(str))]
+    if command != "isometry":
+        argv += ["--oracle-budget", draw(st.integers(-5, 200).map(str))]
     argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     if command == "check":
         argv += ["--checks", draw(_token_list(CHECKS)), "--k", draw(_NUMBERS)]

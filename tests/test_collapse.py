@@ -236,8 +236,8 @@ class TestOracleOrder:
 
         monkeypatch.setattr(systolic.collapse, "collapse_to_point", refuse)
 
-    def test_torus_needs_no_collapse(self, torus44, no_collapse):
-        v = S.simple_connectivity_oracle(torus44)
+    def test_torus_needs_no_collapse(self, no_collapse):
+        v = S.simple_connectivity_oracle(S.hex_torus(4, 4))
         assert v.is_no and v.witness == {"betti1": 2, "torsion": []}
 
     def test_backtrack_fixture_needs_no_collapse(self, no_collapse):

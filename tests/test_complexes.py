@@ -80,12 +80,19 @@ class TestFlagComplex:
         assert octa.common_neighbors((0,)) == frozenset({2, 3, 4, 5})
         assert octa.common_neighbors((0, 2)) == frozenset({4, 5})
 
-    @given(graph_params)
-    @settings(max_examples=40, deadline=None)
-    def test_cliques_match_brute_force(self, params):
+    @given(graph_params, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cliques_match_brute_force(self, params, data):
+        # in ascending lexicographic order, inside any pool, up to any size
         n, p, seed = params
         g = random_graph(min(n, 12), p, seed)
-        assert sorted(g.cliques()) == sorted(all_cliques(g))
+        pool = data.draw(st.none() | st.sets(st.sampled_from(g.vertices)))
+        max_size = data.draw(st.none() | st.integers(min_value=1, max_value=4))
+        want = sorted(
+            c for c in all_cliques(g)
+            if (pool is None or set(c) <= pool) and (max_size is None or len(c) <= max_size)
+        )
+        assert list(g.cliques(max_size=max_size, within=pool)) == want
 
     def test_cliques_within_restricts(self, octa):
         inside = list(octa.cliques(within=[0, 2, 4]))
@@ -102,6 +109,62 @@ class TestFlagComplex:
         comps = sorted(tuple(sorted(c)) for c in g.connected_components())
         assert comps == [(0, 1), (2, 3)]
         assert not g.is_connected()
+
+
+def _probes_per_trusted_vertex(radius: int) -> float:
+    """Adjacency probes (membership tests and elements iterated) that
+    listing the cliques of a window's trusted region makes, per trusted
+    vertex."""
+    probes = [0]
+
+    class Probed(frozenset):
+        def __contains__(self, v):
+            probes[0] += 1
+            return frozenset.__contains__(self, v)
+
+        def __iter__(self):
+            for v in frozenset.__iter__(self):
+                probes[0] += 1
+                yield v
+
+    window = S.triangular_lattice_window(radius, 4)
+    window._adj = {v: Probed(ns) for v, ns in window._adj.items()}
+    trusted = window.trusted_vertices
+    for _ in window.cliques(within=trusted):
+        pass
+    return probes[0] / len(trusted)
+
+
+def test_clique_listing_grows_with_the_trusted_region():
+    # a pool-wide candidate list would cost the square of the pool: about
+    # 8 times more per trusted vertex at radius 22 than at radius 10
+    small, large = _probes_per_trusted_vertex(10), _probes_per_trusted_vertex(22)
+    assert large <= 2 * small, (small, large)
+
+
+class TestOnce:
+    def test_result_lives_on_its_complex(self):
+        a, b = S.octahedron(), S.octahedron()
+        first = S.triangle_condition(a)
+        assert S.triangle_condition(a) is first
+        assert S.triangle_condition(b) is not first
+        assert S.triangle_condition(b) == first
+
+    def test_arguments_are_part_of_the_key(self):
+        g = S.cone(S.cycle(5))
+        assert S.is_locally_k_large(g, 5).is_yes
+        assert S.is_locally_k_large(g, 6).is_no
+        assert S.is_locally_k_large(g, 5).is_yes
+
+    @pytest.mark.parametrize("spec", [(10, 0.1, 1), (12, 0.15, 1)])
+    def test_an_error_is_raised_every_time_and_never_kept(self, spec):
+        g = S.random_flag_complex(*spec)
+        for _ in range(2):
+            with pytest.raises(ComplexError, match="connected"):
+                S.triangle_condition(g)
+            with pytest.raises(ComplexError, match="connected"):
+                S.sphere_domination_everywhere(g)
+        assert g._memo == {}
 
 
 class TestDistances:

@@ -392,13 +392,14 @@ class TestSphereDomination:
         assert S.sphere_domination_violation_holds(g, v.witness)
         assert v == first_sphere_violation(g, 0, i)
 
-    def test_scan_needs_no_clique_enumeration(self, window10, monkeypatch):
+    def test_scan_needs_no_clique_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sphere domination must not call this")
 
+        window = S.triangular_lattice_window(10, 4)
         monkeypatch.setattr(FlagComplex, "cliques", refuse)
         monkeypatch.setattr(FlagComplex, "is_clique", refuse)
-        assert S.sphere_domination_everywhere(window10).is_yes
+        assert S.sphere_domination_everywhere(window).is_yes
 
 
 def _random_connected(n, p, seed):

@@ -51,6 +51,9 @@ Every JSON report was re-captured once more when the ``--radius`` and
 ``--margin`` options were deleted: a lattice window takes both from its spec,
 so the ``config`` header lost its ``"margin": 4`` and ``"radius": 10`` lines,
 and no other byte changed.
+The five ``isometry_*`` reports were re-captured once more when ``isometry``
+stopped taking ``--oracle-budget``, which no isometry operation reads: each
+lost its ``"oracle_budget": 100000`` config line, and no other byte changed.
 """
 
 import os

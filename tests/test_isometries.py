@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import Automorphism, ComplexError
-from systolic.isometries import orbit_chain
 from systolic.verdict import MapViolation
 
 from _oracles import (
@@ -292,15 +291,16 @@ class TestChains:
         assert v.is_yes
         assert v.detail["pairs"] > 0
 
-    def test_orbit_chain_rejects_bad_alpha(self, octa):
+    def test_orbit_path_rejects_bad_alpha(self, octa):
         anti = S.octahedron_antipodal()
-        prof = S.displacement_profile(octa, anti)
-        with pytest.raises(ComplexError):
-            orbit_chain(octa, anti, prof, 0, (0, 4, 3, 1))  # too long
-        with pytest.raises(ComplexError):
-            orbit_chain(octa, anti, prof, 0, (0, 1))  # not a path
-        with pytest.raises(ComplexError):
-            orbit_chain(octa, anti, prof, 0, (1, 3, 0))  # does not start at v
+        with pytest.raises(ComplexError, match="not minimal"):
+            S.orbit_path(octa, anti, 0, (0, 4, 3, 1))  # too long
+        with pytest.raises(ComplexError, match="not minimal"):
+            S.orbit_path(octa, anti, 0, (0, 1))  # too short
+        with pytest.raises(ComplexError, match="not a path"):
+            S.orbit_path(octa, anti, 0, (0, 0, 1))  # 0-0 is no edge
+        with pytest.raises(ComplexError, match="from v to h"):
+            S.orbit_path(octa, anti, 0, (1, 3, 0))  # does not start at v
 
 
 def _chain_or_error(build, *args):
@@ -319,9 +319,7 @@ def test_orbit_path_matches_the_two_walk_reference(hyperbolic_corpus, data):
     prof = S.displacement_profile(x, h)
     v = data.draw(st.sampled_from((None,) + prof.min_vertices[:4]))
     want = _chain_or_error(reference_orbit_path, x, h, v)
-    assert _chain_or_error(orbit_chain, x, h, prof, v) == want, (name, v)
-    if v is None:
-        assert S.orbit_path(x, h) == want, name
+    assert _chain_or_error(S.orbit_path, x, h, v) == want, (name, v)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=-3, max_value=3))

@@ -136,17 +136,17 @@ class TestInvariantGeodesic:
         rows = {window10.coord_of[x][1] for x in chain.vertices}
         assert len(rows) == 1
 
-    def test_candidate_cap_is_unknown(self, octa, monkeypatch):
+    def test_candidate_cap_is_unknown(self, monkeypatch):
         # the octahedron's antipodal map has 4 candidates and none passes
         monkeypatch.setattr(mindisp, "GEODESIC_CAP", 2)
-        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+        v = S.invariant_geodesic_search(S.octahedron(), S.octahedron_antipodal())
         assert v.is_unknown and v.reason == "geodesic candidate cap reached"
         assert v.detail["candidates_tried"] == 2
 
-    def test_cap_equal_to_the_candidates_is_not_reached(self, octa, monkeypatch):
+    def test_cap_equal_to_the_candidates_is_not_reached(self, monkeypatch):
         # all 4 candidates fit under the cap, so every one was refuted
         monkeypatch.setattr(mindisp, "GEODESIC_CAP", 4)
-        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+        v = S.invariant_geodesic_search(S.octahedron(), S.octahedron_antipodal())
         assert v.is_unknown
         assert v.reason == "no invariant geodesic found in the trusted region"
         assert v.detail["candidates_tried"] == 4
@@ -159,27 +159,25 @@ class TestInvariantGeodesic:
 
 
 class TestOneProfile:
-    """Each theorem computes the displacement profile of its map once and
-    hands it to the orbit walk, whatever the number of candidates."""
+    """Each theorem computes the displacement profile of its map once,
+    whatever the number of candidate chains the orbit walk builds from it."""
 
     @pytest.fixture
     def profiles(self, monkeypatch):
         import systolic.isometries
-        import systolic.mindisp
 
-        calls = []
-        original = systolic.isometries.displacement_profile
+        built = []
+        original = systolic.isometries.DisplacementProfile
 
-        def counted(x, h):
-            calls.append(h.name)
-            return original(x, h)
+        def counted(*args):
+            built.append(args)
+            return original(*args)
 
-        for module in (systolic.isometries, systolic.mindisp):
-            monkeypatch.setattr(module, "displacement_profile", counted)
-        return calls
+        monkeypatch.setattr(systolic.isometries, "DisplacementProfile", counted)
+        return built
 
-    def test_invariant_geodesic_search(self, octa, profiles):
-        v = S.invariant_geodesic_search(octa, S.octahedron_antipodal())
+    def test_invariant_geodesic_search(self, profiles):
+        v = S.invariant_geodesic_search(S.octahedron(), S.octahedron_antipodal())
         assert v.detail["candidates_tried"] == 4
         assert len(profiles) == 1
 
