@@ -131,6 +131,8 @@ class TestExitCodes:
             ["check", "--gen", "octahedron", "--checks", "full-cycles", "--max-len", "-1"],
             ["theorems", "--gen", "octahedron", "--auto", "antipodal", "--do", "embedding",
              "--oracle-budget", "-2"],
+            ["check", "--gen", "cone_over_cycle:n=7", "--checks", "systolic",
+             "--oracle-budget", "-7"],
         ],
     )
     def test_negative_count_exits_two(self, capsys, argv):
