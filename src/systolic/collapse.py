@@ -98,70 +98,44 @@ def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def _smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Non-zero diagonal of the Smith normal form of an integer matrix."""
+    """Non-zero diagonal of the Smith normal form of an integer matrix.
+
+    Each round moves the least non-zero |entry| to the corner and clears its
+    row and column by division with remainder.  A remainder that survives is
+    smaller than the pivot, and so is one left by folding in a row that the
+    pivot does not divide; either way the round starts again.  Otherwise
+    |pivot| is an invariant factor and the first row and column are dropped.
+    """
     m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-
-    def smallest_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        where = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                a = m[i][j]
-                if a and (best is None or abs(a) < best):
-                    best, where = abs(a), (i, j)
-        return where
-
     out: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        where = smallest_pivot(t)
-        if where is None:
+    while m and m[0]:
+        entries = [(abs(a), i, j) for i, row in enumerate(m) for j, a in enumerate(row) if a]
+        if not entries:
             break
-        pr, pc = where
-        m[t], m[pr] = m[pr], m[t]
+        _, pr, pc = min(entries)
+        m[0], m[pr] = m[pr], m[0]
         for row in m:
-            row[t], row[pc] = row[pc], row[t]
-        clean = False
-        while not clean:
-            pivot = m[t][t]
-            for i in range(t + 1, nr):
-                q = m[i][t] // pivot
-                if q:
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
-            for j in range(t + 1, nc):
-                q = m[t][j] // pivot
-                if q:
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-            if any(m[i][t] for i in range(t + 1, nr)) or any(
-                m[t][j] for j in range(t + 1, nc)
-            ):
-                # remainders survived (pivot did not divide); re-pivot here
-                where = smallest_pivot(t)
-                pr, pc = where
-                m[t], m[pr] = m[pr], m[t]
-                for row in m:
-                    row[t], row[pc] = row[pc], row[t]
-                continue
-            clean = True
-        pivot = m[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            if any(m[i][j] % pivot for j in range(t + 1, nc)):
-                offender = i
-                break
+            row[0], row[pc] = row[pc], row[0]
+        top = m[0]
+        pivot = top[0]
+        for row in m[1:]:
+            q = row[0] // pivot
+            for j, a in enumerate(top):
+                row[j] -= q * a
+        for j in range(1, len(top)):
+            q = top[j] // pivot
+            for row in m:
+                row[j] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(top[1:]):
+            continue
+        offender = next((row for row in m[1:] if any(a % pivot for a in row[1:])), None)
         if offender is not None:
-            # fold the offending row in so the divisibility chain holds
-            for j in range(t, nc):
-                m[t][j] += m[offender][j]
+            for j, a in enumerate(offender):
+                top[j] += a
             continue
         out.append(abs(pivot))
-        t += 1
-    out.sort()
-    return out
+        m = [row[1:] for row in m[1:]]
+    return sorted(out)
 
 
 def _unit_pivots(n_rows: int, columns: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
@@ -246,6 +220,17 @@ def first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     return n_edges - rank1 - units - len(diag), torsion
 
 
+def disconnection(x: FlagComplex) -> Verdict | None:
+    """The No for a disconnected complex, witnessed by the least vertices of
+    its first two components in sorted order; None when it is connected."""
+    if x.n_vertices == 0:
+        raise ComplexError("empty complex")
+    comps = x.connected_components()
+    if len(comps) < 2:
+        return None
+    return no(witness=tuple(sorted(min(c) for c in comps)[:2]), reason="disconnected")
+
+
 @once
 def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Yes / No / Unknown for simple connectivity.
@@ -254,13 +239,9 @@ def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> 
     first; Yes from a collapse certificate, searched for only when first
     homology vanishes; Unknown otherwise.
     """
-    if x.n_vertices == 0:
-        raise ComplexError("empty complex")
-    comps = x.connected_components()
-    if len(comps) > 1:
-        reps = sorted(min(c) for c in comps)
-        return no(witness=tuple(reps[:2]), reason="disconnected")
-
+    split = disconnection(x)
+    if split is not None:
+        return split
     betti1, torsion = first_homology(x)
     if betti1 > 0 or torsion:
         return no(

@@ -18,7 +18,7 @@ local k-largeness for each k) are computed once per complex
 
 from __future__ import annotations
 
-from .collapse import DEFAULT_BUDGET, simple_connectivity_oracle
+from .collapse import DEFAULT_BUDGET, disconnection, simple_connectivity_oracle
 from .complexes import INF, ComplexError, FlagComplex, once
 from .verdict import (
     CycleInLink,
@@ -361,7 +361,8 @@ def sphere_domination(x: FlagComplex, v: int, n: int) -> Verdict:
 
     Single vertices count as simplices here, so the scan covers every
     dimension including zero.  On a window this requires n + 1 at most the
-    margin, keeping all participating distances exact.
+    margin, keeping all participating distances exact.  On a finite complex
+    n may be INF: every sphere is scanned.
 
     The spheres are the layers of ``ball(v, n + 1)``, as deep as the ball
     reaches.  A neighbor of a vertex u of sphere i+1 inside the ball of
@@ -479,7 +480,7 @@ def is_weakly_systolic(
 
     graph mode: no full 4-cycles and the 1-skeleton is weakly modular.
     sd mode: sphere simplex domination at every vertex to every depth that
-    the input supports (eccentricity on finite complexes, margin - 1 on
+    the input supports (every sphere on finite complexes, margin - 1 on
     windows).
     composite mode: runs both, plus the local-to-global route (simple
     connectivity, extended 5-wheel condition, no full 4-cycles), and
@@ -489,8 +490,7 @@ def is_weakly_systolic(
     """
     if mode not in MODES:
         raise ComplexError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not x.is_connected():
-        raise ComplexError("weak systolicity is about connected complexes")
+    _require_connected(x, "weak systolicity")
     if mode == "graph":
         return _weakly_systolic_graph(x)
     if mode == "sd":
@@ -520,13 +520,12 @@ def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
 @once
 def sphere_domination_everywhere(x: FlagComplex) -> Verdict:
     """Sphere simplex domination at every (trusted) vertex, to the deepest
-    radius the input supports: eccentricity - 1 on a finite complex,
-    margin - 1 on a window."""
+    radius the input supports: margin - 1, which is INF on a finite complex,
+    where the scan stops at the last sphere the ball reaches."""
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "sphere domination")
     for v in sorted(region):
-        n = int(bound) - 1 if bound < INF else max(int(x.eccentricity(v)) - 1, 0)
-        sub = sphere_domination(x, v, n)
+        sub = sphere_domination(x, v, bound - 1)
         if sub.is_no:
             return sub
     return yes()
@@ -553,12 +552,9 @@ def is_systolic(x: FlagComplex, oracle_budget: int = DEFAULT_BUDGET) -> Verdict:
     Local 6-largeness is decided exhaustively; simple connectivity comes
     from the semi-decision oracle, so the overall verdict can be unknown.
     """
-    if x.n_vertices == 0:
-        raise ComplexError("empty complex")
-    comps = x.connected_components()
-    if len(comps) > 1:
-        reps = tuple(sorted(min(c) for c in comps)[:2])
-        return no(witness=reps, reason="disconnected")
+    split = disconnection(x)
+    if split is not None:
+        return split
     local = is_locally_k_large(x, 6)
     if local.is_no:
         return no(witness=local.witness, reason="a link has a full cycle shorter than 6")

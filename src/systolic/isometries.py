@@ -173,6 +173,22 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
     return DisplacementProfile(values, skipped, length, mins)
 
 
+def moving_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
+    """The displacement profile of h when its translation length is positive
+    and trusted, as Min(h) and the orbit chains need.
+
+    Refused, naming the map, when no displacement value is trusted or when
+    the translation length is zero (h fixes a vertex; the notion under study
+    concerns maps that move everything).
+    """
+    prof = displacement_profile(x, h)
+    if prof.translation_length == INF:
+        raise ComplexError(f"no trusted displacement value for {h.name}")
+    if prof.translation_length == 0:
+        raise ComplexError(f"{h.name} fixes a vertex: its translation length is zero")
+    return prof
+
+
 def find_invariant_simplex(x: FlagComplex, h: Automorphism) -> Verdict:
     """Search for a simplex mapped onto itself.
 
@@ -236,18 +252,9 @@ def classify(x: FlagComplex, h: Automorphism) -> Verdict:
 
 
 def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
-    """Full subcomplex on the vertices of minimal displacement.
-
-    Rejected when the translation length is zero (the map fixes a vertex;
-    the notion under study concerns maps that move everything) or when no
-    displacement value is trusted.
-    """
-    prof = displacement_profile(x, h)
-    if prof.translation_length == INF:
-        raise ComplexError("no trusted displacement values; cannot form the set")
-    if prof.translation_length == 0:
-        raise ComplexError("translation length is zero; the map fixes a vertex")
-    return x.span(prof.min_vertices)
+    """Full subcomplex on the vertices of minimal displacement; refused as
+    by :func:`moving_profile`."""
+    return x.span(moving_profile(x, h).min_vertices)
 
 
 def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
@@ -258,12 +265,10 @@ def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
     Vertices whose image falls outside the profile's trusted scope are
     skipped; a vertex whose image provably leaves the set is a violation.
     """
+    sub = min_set(x, h)
     prof = displacement_profile(x, h)
-    if prof.translation_length in (0, INF):
-        raise ComplexError("idempotence check needs a positive translation length")
     length = prof.translation_length
     members = set(prof.min_vertices)
-    sub = x.span(prof.min_vertices)
     checked = 0
     for v in sorted(members):
         if not h.defined(v):
@@ -335,10 +340,8 @@ def orbit_path(
     defined on the whole segment, with a cap proportional to the complex
     size.
     """
-    prof = displacement_profile(x, h)
+    prof = moving_profile(x, h)
     length = prof.translation_length
-    if length in (0, INF):
-        raise ComplexError("chains need a positive trusted translation length")
     if v is None:
         v = prof.min_vertices[0]
     if v not in prof.values or prof.values[v] != length:

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import INF, ComplexError, FlagComplex
+from .complexes import ComplexError, FlagComplex
 from .conditions import find_extended_5_wheels, first_link_cycle
 from .isometries import (
-    MAP_KINDS,
     Automorphism,
     PathChain,
-    displacement_profile,
-    find_invariant_simplex,
+    classify,
     is_invariant_simplex,
+    moving_profile,
     orbit_path,
     verify_local_geodesic,
 )
@@ -153,13 +152,7 @@ def invariant_geodesic_search(x: FlagComplex, h: Automorphism, power: int = 1) -
     most ``GEODESIC_CAP`` candidates are tried.
     """
     g_map = h.power(power) if power != 1 else h
-    prof = displacement_profile(x, g_map)
-    length = prof.translation_length
-    if length == INF:
-        raise ComplexError("no trusted displacement values for the composed map")
-    if length == 0:
-        raise ComplexError("the composed map fixes a vertex; no geodesic to look for")
-    start = prof.min_vertices[0]
+    start = moving_profile(x, g_map).min_vertices[0]
     tried = 0
     for beta in x.oracle.geodesics(start, g_map(start)):
         if tried == GEODESIC_CAP:
@@ -279,14 +272,12 @@ def dichotomy_report(x: FlagComplex, h: Automorphism) -> Verdict:
     thick interval: the verdict takes that re-validation's answer and
     reason, the thick witness, and the thickness and chain range as detail.
     """
-    prof = displacement_profile(x, h)
-    inv = find_invariant_simplex(x, h)
-    kind = MAP_KINDS[inv.answer]
-    if inv.is_yes:
-        answer = yes if is_invariant_simplex(x, h, inv.witness) else no
-        return answer(
-            witness=inv.witness, kind=kind, translation_length=prof.translation_length
-        )
+    c = classify(x, h).detail
+    head = dict(kind=c["kind"], translation_length=c["translation_length"])
+    if c["kind"] == "elliptic":
+        simplex = c["invariant_simplex"]
+        answer = yes if is_invariant_simplex(x, h, simplex) else no
+        return answer(witness=simplex, **head)
     chain = orbit_path(x, h)
     k = fit_thickness(x, chain)
     if k is None:
@@ -295,11 +286,5 @@ def dichotomy_report(x: FlagComplex, h: Automorphism) -> Verdict:
     else:
         witness = ThickGeodesicWitness(k, chain.start, chain.vertices)
         verdict = verify_thick_geodesic(x, witness)
-    detail = dict(
-        kind=kind,
-        translation_length=prof.translation_length,
-        thickness=k,
-        chain_start=chain.start,
-        chain_stop=chain.stop,
-    )
+    detail = dict(head, thickness=k, chain_start=chain.start, chain_stop=chain.stop)
     return Verdict(verdict.answer, witness, verdict.reason, detail)

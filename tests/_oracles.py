@@ -335,6 +335,38 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def _determinant(a: list[list[int]]) -> int:
+    """Integer determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * _determinant([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
+def invariant_factors(rows: list[list[int]]) -> list[int]:
+    """Invariant factors of an integer matrix from its determinantal
+    divisors: d_k is the gcd of all k x k minors, and the k-th factor is
+    d_k / d_(k-1) for every k with d_k non-zero (Newman, Integral Matrices,
+    ch. II); the reference for the package's Smith normal form."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    out: list[int] = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for r in itertools.combinations(range(nr), k):
+            for c in itertools.combinations(range(nc), k):
+                d = math.gcd(d, _determinant([[rows[i][j] for j in c] for i in r]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
 def dense_first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     """(free rank, torsion coefficients > 1) of first integral homology from
     the full dense boundary matrices d1 (V x E) and d2 (E x T), each through

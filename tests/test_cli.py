@@ -141,6 +141,26 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: {option} must be non-negative, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("isometry --gen cycle:n=5 --auto identity --do idempotence",
+             "id fixes a vertex: its translation length is zero"),
+            ("isometry --gen cycle:n=5 --auto identity --do chain",
+             "id fixes a vertex: its translation length is zero"),
+            ("theorems --gen cycle:n=5 --auto rotate --power 5 --do invariant-geodesic",
+             "rotate^5 fixes a vertex: its translation length is zero"),
+            ("isometry --gen lattice:radius=2,margin=2 --auto t1 --do chain",
+             "no trusted displacement value for t1"),
+            ("isometry --gen lattice:radius=2,margin=2 --auto t1 --do min-set",
+             "no trusted displacement value for t1"),
+        ],
+    )
+    def test_translation_length_refusals_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_zero_counts_are_valid(self, capsys):
         code, out, err = run(
             capsys, "check", "--gen", "cone_over_cycle:n=7", "--checks", "k-large,full-cycles,systolic",
@@ -380,6 +400,16 @@ class TestIsometryCommand:
         )
         assert code == 0
         assert "chain[t1]" in out and "yes" in out
+
+    def test_long_detail_names_its_size(self, capsys):
+        argv = ["isometry", "--gen", "lattice:radius=10,margin=4", "--auto", "t1", "--do", "min-set"]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        (rec,) = json.loads(out)["records"]
+        size = len(json.dumps(rec["detail"], sort_keys=True))
+        assert size == 611
+        assert "    detail: (611 bytes, use --format json)" in text.splitlines()
 
     def test_unknown_auto_exits_two(self, capsys):
         code, _, err = run(

@@ -7,10 +7,16 @@ from hypothesis import given, settings, strategies as st
 import systolic as S
 import systolic.collapse
 from systolic import FlagComplex
-from systolic.collapse import DEFAULT_BUDGET, all_simplices, collapse_to_point
+from systolic.collapse import DEFAULT_BUDGET, _smith_diagonal, all_simplices, collapse_to_point
 from systolic.io import parse_complex_file
 
-from _oracles import collapse_first_oracle, cycle_space_rank_mod2, dense_first_homology, naive_greedy_collapse
+from _oracles import (
+    collapse_first_oracle,
+    cycle_space_rank_mod2,
+    dense_first_homology,
+    invariant_factors,
+    naive_greedy_collapse,
+)
 
 # A connected, locally 6-large random complex with betti1 = 1: when the collapse
 # search came before homology and backtracked over collapse orders, it spent
@@ -187,6 +193,44 @@ class TestHomology:
     def test_matches_dense_reference(self, params):
         g = random_union(*params)
         assert S.first_homology(g) == dense_first_homology(g)
+
+
+# non-units, so a pivot can leave a remainder or fail to divide the rest
+small_entries = st.sampled_from([0, 1, -1, 2, -2, 3, 4, -4, 6, 9])
+small_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda nc: st.lists(
+        st.lists(small_entries, min_size=nc, max_size=nc), min_size=1, max_size=4
+    )
+)
+
+
+class TestSmithForm:
+    """The dense Smith normal form against determinantal divisors.  Boundary
+    matrices of the benchmark's complexes leave it only zero residuals, so
+    these are the tests that reach its re-pivot and divisibility steps."""
+
+    @pytest.mark.parametrize(
+        "rows, factors",
+        [
+            ([[2, 3]], [1]),  # the column remainder 1 survives: re-pivot
+            ([[2, 0], [0, 3]], [1, 6]),  # 2 does not divide 3: fold the row in
+            ([[-4, 6], [6, 9]], [1, 72]),
+            ([[0, 0, 0], [0, 0, 0]], []),
+            ([[], []], []),
+            ([], []),
+        ],
+    )
+    def test_named_matrices(self, rows, factors):
+        assert _smith_diagonal(rows) == factors
+        if rows and rows[0]:
+            assert invariant_factors(rows) == factors
+
+    @given(small_matrices)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_determinantal_divisors(self, rows):
+        before = [row[:] for row in rows]
+        assert _smith_diagonal(rows) == invariant_factors(rows)
+        assert rows == before
 
 
 class TestOracle:

@@ -392,6 +392,16 @@ class TestSphereDomination:
         assert S.sphere_domination_violation_holds(g, v.witness)
         assert v == first_sphere_violation(g, 0, i)
 
+    def test_everywhere_needs_no_eccentricity(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sphere domination must not ask for eccentricities")
+
+        g = S.random_flag_complex(12, 0.4, 34)
+        monkeypatch.setattr(FlagComplex, "eccentricity", refuse)
+        v = S.sphere_domination_everywhere(g)
+        assert v.witness == SphereSimplexViolation(v=0, i=1, simplex=(1, 2, 7, 8), inner_set=())
+        assert S.sphere_domination_everywhere(S.wheel(6)).is_yes
+
     def test_scan_needs_no_clique_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sphere domination must not call this")
@@ -432,6 +442,23 @@ class TestAgainstReferences:
                 assert _verdict_key(got) == _verdict_key(want)
                 if got.is_no:
                     assert S.sphere_domination_violation_holds(g, got.witness)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sphere_domination_at_depth_inf(self, n, p, seed):
+        # depth INF stops at the last sphere, as eccentricity - 1 does; a
+        # lone vertex has eccentricity 0 and depth 0 scans nothing either
+        g = _random_connected(n, p, seed)
+        if g is None:
+            return
+        for v in g.vertices:
+            depth = max(int(g.eccentricity(v)) - 1, 0)
+            got = S.sphere_domination(g, v, INF)
+            assert _verdict_key(got) == _verdict_key(S.sphere_domination(g, v, depth))
 
     @given(
         st.integers(min_value=4, max_value=16),
