@@ -272,10 +272,10 @@ def dichotomy_report(x: FlagComplex, h: Automorphism) -> Verdict:
     thick interval: the verdict takes that re-validation's answer and
     reason, the thick witness, and the thickness and chain range as detail.
     """
-    c = classify(x, h).detail
-    head = dict(kind=c["kind"], translation_length=c["translation_length"])
-    if c["kind"] == "elliptic":
-        simplex = c["invariant_simplex"]
+    summary = classify(x, h).detail
+    head = dict(kind=summary["kind"], translation_length=summary["translation_length"])
+    if summary["kind"] == "elliptic":
+        simplex = summary["invariant_simplex"]
         answer = yes if is_invariant_simplex(x, h, simplex) else no
         return answer(witness=simplex, **head)
     chain = orbit_path(x, h)
