@@ -196,18 +196,24 @@ def triangle_condition(x: FlagComplex) -> Verdict:
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the triangle condition")
+    adj = x._adj
     verts = sorted(region)
-    higher = {v: sorted(w for w in x.neighbors(v) if w > v and w in region) for v in verts}
+    higher = {v: sorted(w for w in adj[v] if w > v and w in region) for v in verts}
     for u in verts:
         dist = x.oracle.ball(u, bound)
+        get = dist.get
         for v in sorted(dist):
             d = dist[v]
             if d < 2 or d > bound or v not in higher:
                 continue
+            nv = adj[v]
             for w in higher[v]:
-                if dist.get(w) != d:
+                if get(w) != d:
                     continue
-                if not any(dist.get(t) == d - 1 for t in x.neighbors(v) & x.neighbors(w)):
+                for t in nv & adj[w]:
+                    if get(t) == d - 1:
+                        break
+                else:
                     return no(
                         witness=TriangleViolation(u, v, w, d),
                         reason="no common neighbor descends toward u",
@@ -242,22 +248,29 @@ def quadrangle_condition(x: FlagComplex) -> Verdict:
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the quadrangle condition")
+    adj = x._adj
     verts = sorted(region)
-    around = {z: sorted(n for n in x.neighbors(z) if n in region) for z in verts}
+    around = {z: sorted(n for n in adj[z] if n in region) for z in verts}
     for u in verts:
         dist = x.oracle.ball(u, bound)
+        get = dist.get
         for z in sorted(dist):
             dz = dist[z]
             if dz < 3 or dz > bound or z not in region:
                 continue
             d = dz - 1
-            lower = [n for n in around[z] if dist.get(n) == d]
+            lower = [n for n in around[z] if get(n) == d]
+            if len(lower) < 2:
+                continue
             for i, v in enumerate(lower):
-                nv = x.neighbors(v)
+                nv = adj[v]
                 for w in lower[i + 1 :]:
                     if w in nv:
                         continue
-                    if not any(dist.get(t) == d - 1 for t in nv & x.neighbors(w)):
+                    for t in nv & adj[w]:
+                        if get(t) == d - 1:
+                            break
+                    else:
                         return no(
                             witness=QuadrangleViolation(u, v, w, z, d),
                             reason="no common neighbor descends toward u",
@@ -373,7 +386,8 @@ def sphere_domination(x: FlagComplex, v: int, n: int) -> Verdict:
     them), carrying the meet along.  A simplex is reached only after its
     first vertex passed, so its inner set lies inside a non-empty simplex:
     only vertices need the clique test, and above them only emptiness is
-    left.  The first failure in this order is the witness.
+    left.  The first failure in this order is the witness.  Sphere 1 is
+    skipped: every inner set there is {v}, so none of its simplices fails.
     """
     region, bound = x.trusted_vertices, x.margin
     if n < 0:
@@ -388,9 +402,8 @@ def sphere_domination(x: FlagComplex, v: int, n: int) -> Verdict:
     for u, d in dist.items():
         if d <= depth:
             spheres[d].append(u)
-    for i in range(depth):
-        below = frozenset(spheres[i])
-        hit = _first_undominated(x, sorted(spheres[i + 1]), below)
+    for i in range(1, depth):
+        hit = _first_undominated(x._adj, sorted(spheres[i + 1]), frozenset(spheres[i]))
         if hit is not None:
             sigma, inner = hit
             return no(
@@ -401,54 +414,57 @@ def sphere_domination(x: FlagComplex, v: int, n: int) -> Verdict:
 
 
 def _first_undominated(
-    g: FlagComplex, sphere: list[int], below: frozenset[int]
+    adj: dict[int, frozenset[int]], sphere: list[int], below: frozenset[int]
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
     """First simplex of the sorted sphere, in the order of
     ``FlagComplex.cliques``, whose inner set in ``below`` is empty or, for a
     vertex, not a simplex; (simplex, inner set) or None."""
     pool = frozenset(sphere)
-    nbrs = {u: g.neighbors(u) for u in sphere}
-    inner = {u: nbrs[u] & below for u in sphere}
-    path: list[int] = []
-
-    def grow(candidates: list[int], meet: frozenset[int]):
-        # simplices path + (u, ...) for u in candidates, each inside meet
-        for j, u in enumerate(candidates):
-            here = meet & inner[u]
-            path.append(u)
-            if not here:
-                return tuple(path), here
-            nu = nbrs[u]
-            nxt = [w for w in candidates[j + 1 :] if w in nu]
-            if nxt:
-                hit = grow(nxt, here)
-                if hit is not None:
-                    return hit
-            path.pop()
-        return None
-
-    # vertices take the clique test; each starts the walk over its upper
-    # neighbors, where only an empty meet can fail
+    inner = {u: adj[u] & below for u in sphere}
     for u in sphere:
         here = inner[u]
-        if not here or (len(here) > 1 and not _spans_simplex(g, here)):
+        if not here:
             return (u,), here
-        up = sorted(w for w in nbrs[u] & pool if w > u)
-        if up:
-            path.append(u)
-            hit = grow(up, here)
+        if len(here) == 2:
+            a, b = here
+            if b not in adj[a]:
+                return (u,), here
+        elif len(here) > 2:
+            rest = set(here)
+            while rest:
+                if not rest <= adj[rest.pop()]:
+                    return (u,), here
+        # above the vertex only an empty meet can fail
+        up = [w for w in adj[u] & pool if w > u]
+        if len(up) == 1:
+            if here.isdisjoint(inner[up[0]]):
+                return (u, up[0]), frozenset()
+        elif up:
+            up.sort()
+            hit = _first_empty_meet(adj, inner, (u,), up, here)
             if hit is not None:
                 return hit
-            path.pop()
     return None
 
 
-def _spans_simplex(g: FlagComplex, vertices: frozenset[int]) -> bool:
-    rest = set(vertices)
-    while rest:
-        if not rest <= g.neighbors(rest.pop()):
-            return False
-    return True
+def _first_empty_meet(
+    adj: dict[int, frozenset[int]], inner: dict[int, frozenset[int]],
+    path: tuple[int, ...], candidates: list[int], meet: frozenset[int],
+) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    """First simplex path + (u, ...), u in the sorted ``candidates`` (each
+    adjacent to all of path), in lexicographic order, whose meet of inner
+    sets is empty; a walk goes deeper only where a triangle continues it."""
+    for j, u in enumerate(candidates):
+        here = meet & inner[u]
+        if not here:
+            return path + (u,), here
+        nu = adj[u]
+        nxt = [w for w in candidates[j + 1 :] if w in nu]
+        if nxt:
+            hit = _first_empty_meet(adj, inner, path + (u,), nxt, here)
+            if hit is not None:
+                return hit
+    return None
 
 
 def sphere_domination_violation_holds(x: FlagComplex, w: SphereSimplexViolation) -> bool:

@@ -212,14 +212,16 @@ def cycle_space_rank_mod2(g: FlagComplex, triangles: list[tuple[int, int, int]])
 
 def first_triangle_violation(g: FlagComplex) -> tuple[int, int, int, float] | None:
     """First (u, v, w, d) breaking the triangle condition on a connected
-    complex: sources in sorted order, then every edge v < w in sorted order,
-    with Floyd-Warshall distances."""
+    complex: trusted sources in sorted order, then every edge v < w of
+    trusted vertices in sorted order, with Floyd-Warshall distances; only
+    d up to ``g.margin`` counts."""
     dist = floyd_warshall(g)
-    edges = sorted(g.edges())
-    for u in g.vertices:
+    trusted, bound = g.trusted_vertices, g.margin
+    edges = sorted(e for e in g.edges() if set(e) <= trusted)
+    for u in sorted(trusted):
         for v, w in edges:
             d = dist[(u, v)]
-            if d < 2 or d != dist[(u, w)]:
+            if d < 2 or d > bound or d != dist[(u, w)]:
                 continue
             common = set(g.neighbors(v)) & set(g.neighbors(w))
             if not any(dist[(u, t)] == d - 1 for t in common):
@@ -229,15 +231,19 @@ def first_triangle_violation(g: FlagComplex) -> tuple[int, int, int, float] | No
 
 def first_quadrangle_violation(g: FlagComplex) -> tuple[int, int, int, int, float] | None:
     """First (u, v, w, z, d) breaking the quadrangle condition on a connected
-    complex: sources, then z, then non-adjacent neighbor pairs v < w of z,
-    all in sorted order, with Floyd-Warshall distances."""
+    complex: trusted sources, then trusted z, then non-adjacent trusted
+    neighbor pairs v < w of z, all in sorted order, with Floyd-Warshall
+    distances; only d(u, z) up to ``g.margin`` counts."""
     dist = floyd_warshall(g)
-    for u in g.vertices:
-        for z in g.vertices:
+    trusted, bound = g.trusted_vertices, g.margin
+    for u in sorted(trusted):
+        for z in sorted(trusted):
+            if dist[(u, z)] > bound:
+                continue
             d = dist[(u, z)] - 1
             if d < 2:
                 continue
-            for v, w in itertools.combinations(sorted(g.neighbors(z)), 2):
+            for v, w in itertools.combinations(sorted(g.neighbors(z) & trusted), 2):
                 if g.adjacent(v, w) or dist[(u, v)] != d or dist[(u, w)] != d:
                     continue
                 common = set(g.neighbors(v)) & set(g.neighbors(w))
@@ -269,70 +275,66 @@ def first_nested_facets(facets: list[tuple[int, ...]]) -> tuple[tuple[int, ...],
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
     """Non-zero diagonal of the Smith normal form of a dense integer matrix,
-    by repeated smallest-pivot reduction."""
+    by extended-gcd elimination (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.4.14): a unimodular 2 x 2 combination of the
+    corner's row (column) with another puts their gcd in the corner and a
+    zero below (beside) it, and a corner that does not divide the rest of
+    the block takes in the offending row before the round runs again."""
     m = [row[:] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-
-    def smallest_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        where = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                a = m[i][j]
-                if a and (best is None or abs(a) < best):
-                    best, where = abs(a), (i, j)
-        return where
-
     out: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        where = smallest_pivot(t)
+    for t in range(min(nr, nc)):
+        where = next(((i, j) for j in range(t, nc) for i in range(t, nr) if m[i][j]), None)
         if where is None:
             break
-        pr, pc = where
-        m[t], m[pr] = m[pr], m[t]
+        i, j = where
+        m[t], m[i] = m[i], m[t]
         for row in m:
-            row[t], row[pc] = row[pc], row[t]
-        clean = False
-        while not clean:
-            pivot = m[t][t]
+            row[t], row[j] = row[j], row[t]
+        while True:
             for i in range(t + 1, nr):
-                q = m[i][t] // pivot
-                if q:
-                    for j in range(t, nc):
-                        m[i][j] -= q * m[t][j]
+                a, b = m[t][t], m[i][t]
+                if b:
+                    g, p, q = _extended_gcd(a, b)
+                    top, low = m[t], m[i]
+                    m[t] = [p * x + q * y for x, y in zip(top, low)]
+                    m[i] = [a // g * y - b // g * x for x, y in zip(top, low)]
             for j in range(t + 1, nc):
-                q = m[t][j] // pivot
-                if q:
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-            if any(m[i][t] for i in range(t + 1, nr)) or any(
-                m[t][j] for j in range(t + 1, nc)
-            ):
-                # remainders survived (pivot did not divide); re-pivot here
-                where = smallest_pivot(t)
-                pr, pc = where
-                m[t], m[pr] = m[pr], m[t]
-                for row in m:
-                    row[t], row[pc] = row[pc], row[t]
+                a, b = m[t][t], m[t][j]
+                if b:
+                    g, p, q = _extended_gcd(a, b)
+                    for row in m:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = p * x + q * y, a // g * y - b // g * x
+            if any(m[i][t] for i in range(t + 1, nr)):
                 continue
-            clean = True
-        pivot = m[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            if any(m[i][j] % pivot for j in range(t + 1, nc)):
-                offender = i
+            corner = m[t][t]
+            bad = next(
+                (i for i in range(t + 1, nr) if any(m[i][j] % corner for j in range(t + 1, nc))),
+                None,
+            )
+            if bad is None:
                 break
-        if offender is not None:
-            # fold the offending row in so the divisibility chain holds
-            for j in range(t, nc):
-                m[t][j] += m[offender][j]
-            continue
-        out.append(abs(pivot))
-        t += 1
-    out.sort()
+            m[t] = [x + y for x, y in zip(m[t], m[bad])]
+        out.append(abs(m[t][t]))
     return out
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, p, q) with p * a + q * b = g = gcd(a, b) >= 0; (|a|, +-1, 0)
+    when a divides b, so that a corner dividing its column stays put."""
+    if a and b % a == 0:
+        return abs(a), (1 if a > 0 else -1), 0
+    r0, r1, p0, p1, q0, q1 = a, b, 1, 0, 0, 1
+    while r1:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        p0, p1 = p1, p0 - k * p1
+        q0, q1 = q1, q0 - k * q1
+    if r0 < 0:
+        return -r0, -p0, -q0
+    return r0, p0, q0
 
 
 def _determinant(a: list[list[int]]) -> int:

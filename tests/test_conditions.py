@@ -241,16 +241,20 @@ class TestWeaklyModular:
         g = S.random_flag_complex(n, p, seed)
         if not g.is_connected():
             return
-        tc, qc = S.triangle_condition(g), S.quadrangle_condition(g)
-        want_tc, want_qc = first_triangle_violation(g), first_quadrangle_violation(g)
-        assert tc.is_no == (want_tc is not None)
-        assert qc.is_no == (want_qc is not None)
-        if tc.is_no:
-            w = tc.witness
-            assert (w.u, w.v, w.w, w.distance) == want_tc
-        if qc.is_no:
-            w = qc.witness
-            assert (w.u, w.v, w.w, w.z, w.distance) == want_qc
+        _assert_first_witnesses_match(g)
+
+
+def _assert_first_witnesses_match(x):
+    tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
+    want_tc, want_qc = first_triangle_violation(x), first_quadrangle_violation(x)
+    assert tc.is_no == (want_tc is not None)
+    assert qc.is_no == (want_qc is not None)
+    if tc.is_no:
+        w = tc.witness
+        assert (w.u, w.v, w.w, w.distance) == want_tc
+    if qc.is_no:
+        w = qc.witness
+        assert (w.u, w.v, w.w, w.z, w.distance) == want_qc
 
 
 class TestDisconnectedInput:
@@ -422,8 +426,8 @@ def _verdict_key(v):
 
 
 class TestAgainstReferences:
-    """The one-pass sphere scan and the cut link scan against the
-    clique-by-clique references in ``_oracles``."""
+    """The one-pass sphere scan, the cut link scan and, on windows, TC and
+    QC against the references in ``_oracles``."""
 
     @given(
         st.integers(min_value=1, max_value=16),
@@ -480,6 +484,34 @@ class TestAgainstReferences:
         for k in (5, 6, 7):
             got = S.is_locally_k_large(x, k)
             assert _verdict_key(got) == _verdict_key(first_short_link_cycle(x, k))
+        _assert_first_witnesses_match(x)
+        # TC and QC stop at the margin also where the oracle holds whole tables
+        warm = WindowView(g, 0, margin + extra, margin)
+        for v in warm.vertices:
+            warm.oracle.distances_from(v)
+        _assert_first_witnesses_match(warm)
+
+    @pytest.mark.parametrize(
+        "n, basepoint, radius, margin, tc, qc",
+        [
+            # C7: the edge 3-4 opposite 0 breaks TC at distance 3
+            (7, 0, 5, 2, None, None),
+            (7, 0, 6, 3, (0, 3, 4, 3), None),
+            # ... but only 0..3 and 6 are trusted, so 4 may not take part
+            (7, 1, 5, 3, (3, 0, 6, 3), None),
+            # C8: v, w = 3, 5 at distance 3 below z = 4 break QC for u = 0
+            (8, 0, 7, 3, None, None),
+            (8, 0, 8, 4, None, (0, 3, 5, 4, 3)),
+            # ... but only 0..4 are trusted, so 5 may not take part
+            (8, 2, 6, 4, None, None),
+            # ... and z = 4 may not when all but 4 are
+            (8, 0, 7, 4, None, (2, 5, 7, 6, 3)),
+        ],
+    )
+    def test_window_scans_stop_at_margin_and_trust(self, n, basepoint, radius, margin, tc, qc):
+        x = WindowView(S.cycle(n), basepoint, radius, margin)
+        assert (first_triangle_violation(x), first_quadrangle_violation(x)) == (tc, qc)
+        _assert_first_witnesses_match(x)
 
     @given(
         st.integers(min_value=1, max_value=16),
