@@ -231,9 +231,6 @@ class FlagComplex:
                 comps.append(comp)
         return comps
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
-
     @property
     def oracle(self) -> "DistanceOracle":
         # Lazy, write-once; filling twice computes the same object.

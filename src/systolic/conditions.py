@@ -223,8 +223,8 @@ def triangle_condition(x: FlagComplex) -> Verdict:
 
 def _require_connected(g: FlagComplex, what: str) -> None:
     # Distance conditions quantify over finite distances; across components
-    # they would compare infinities.
-    if not g.is_connected():
+    # they would compare infinities.  disconnection refuses the empty complex.
+    if disconnection(g) is not None:
         raise ComplexError(f"{what} is about connected complexes")
 
 
@@ -502,7 +502,7 @@ def is_weakly_systolic(
     connectivity, extended 5-wheel condition, no full 4-cycles), and
     cross-reports all three in the verdict detail.
 
-    Disconnected input is rejected: the notion presupposes connectivity.
+    Empty or disconnected input is rejected: the notion presupposes both.
     """
     if mode not in MODES:
         raise ComplexError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -527,10 +527,7 @@ def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
     squares = enumerate_full_cycles(x, 4)
     if squares:
         return no(witness=squares[0], reason="full 4-cycle")
-    wm = is_weakly_modular(x)
-    if wm.is_no:
-        return no(witness=wm.witness, reason=wm.reason)
-    return yes()
+    return is_weakly_modular(x)
 
 
 @once
@@ -553,7 +550,7 @@ def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verd
         return no(witness=squares[0], reason="full 4-cycle")
     wheels = extended_wheel_condition(x)
     if wheels.is_no:
-        return no(witness=wheels.witness, reason=wheels.reason)
+        return wheels
     sc = simple_connectivity_oracle(x, oracle_budget)
     if sc.is_no:
         return no(witness=sc.witness, reason="not simply connected")

@@ -209,6 +209,8 @@ def random_flag_complex(n: int, p: float, seed: int) -> FlagComplex:
     platforms and versions) and draws pairs in sorted order, so the output
     depends only on (n, p, seed).
     """
+    if n < 0:
+        raise ComplexError("vertex count cannot be negative")
     if not 0 <= p <= 1:
         raise ComplexError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)

@@ -259,11 +259,12 @@ def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
 
 def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
     """Recomputing displacement inside the minimal displacement set must
-    reproduce it: every vertex (whose image is available) attains the
-    translation length using paths inside the set only.
+    reproduce it: every vertex attains the translation length using paths
+    inside the set only.
 
-    Vertices whose image falls outside the profile's trusted scope are
-    skipped; a vertex whose image provably leaves the set is a violation.
+    Every vertex of the set has an image (the profile keeps only trusted
+    images).  One whose image has no trusted displacement is skipped; one
+    whose image provably leaves the set is a violation.
     """
     sub = min_set(x, h)
     prof = displacement_profile(x, h)
@@ -271,8 +272,6 @@ def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
     members = set(prof.min_vertices)
     checked = 0
     for v in sorted(members):
-        if not h.defined(v):
-            continue
         hv = h.mapping[v]
         if hv not in prof.values:
             continue  # image displacement untrusted; cannot judge from here
@@ -338,7 +337,8 @@ def orbit_path(
     a geodesic from v to h(v) of length equal to the translation length.
     One walk translates alpha by h^-1 and by h in turn, as far as the map is
     defined on the whole segment, with a cap proportional to the complex
-    size.
+    size.  Translates meet end to end: alpha runs from v to h(v), and
+    ``inverse_mapping`` inverts ``mapping`` exactly.
     """
     prof = moving_profile(x, h)
     length = prof.translation_length
@@ -367,8 +367,6 @@ def orbit_path(
     segments = back[::-1] + [alpha] + fwd
     vertices = list(segments[0])
     for part in segments[1:]:
-        if vertices[-1] != part[0]:
-            raise ComplexError("segment seam mismatch")
         vertices.extend(part[1:])
     return PathChain(-len(back) * int(length), tuple(vertices), int(length))
 

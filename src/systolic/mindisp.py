@@ -83,8 +83,8 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
     contribute, so each u is paired only with the vertices v > u of its
     ambient ball of that radius.  On a finite complex that is every pair in
     one component; a pair in two components has no distance to compare.  The
-    deviation of a pair is never negative because every inner path is also
-    an ambient path.
+    deviation of a pair is never negative: ``_require_full_subcomplex``
+    makes every inner edge, so every inner path, an ambient one.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_full_subcomplex(x, sub)
@@ -98,10 +98,6 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
             d_amb = amb[v]
             # an isometric pair lies inside the inner ball of the same radius
             d_sub = sub.oracle.distance_within(u, v, bound)
-            if d_sub < d_amb:
-                raise ComplexError(
-                    f"inner distance below ambient for {u},{v}; subcomplex ids are inconsistent"
-                )
             pairs += 1
             dev = d_sub - d_amb
             if dev > 0 and witness is None:

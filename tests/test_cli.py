@@ -216,6 +216,46 @@ class TestDisconnectedInput:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+class TestEmptyInput:
+    """The empty complex is not connected: every check that presupposes
+    connectivity refuses it, and the others keep answering."""
+
+    @pytest.fixture(params=["file", "random"])
+    def source(self, request, tmp_path):
+        if request.param == "random":
+            return ["--gen", "random:n=0,p=0.5,seed=1"]
+        f = tmp_path / "empty.txt"
+        f.write_text("complex empty\nmode flag\nvertices 0\n")
+        return ["--input", str(f)]
+
+    @pytest.mark.parametrize(
+        "checks",
+        ["tc", "qc", "weakly-modular", "sd", "systolic",
+         "weakly-systolic --mode graph", "weakly-systolic --mode sd",
+         "weakly-systolic --mode composite"],
+    )
+    def test_connected_only_checks_exit_two(self, capsys, source, checks):
+        code, out, err = run(capsys, "check", *source, "--checks", *checks.split())
+        assert code == 2 and out == ""
+        assert err == "error: empty complex\n"
+
+    def test_other_checks_answer(self, capsys, source):
+        tokens = ["systole", "flag", "full-cycles", "k-large", "locally-k-large", "w5hat"]
+        code, out, err = run(
+            capsys, "check", *source, "--checks", ",".join(tokens), "--format", "json"
+        )
+        assert code == 0 and err == ""
+        records = json.loads(out)["records"]
+        assert [(r["check"], r["verdict"]) for r in records] == [(t, "yes") for t in tokens]
+
+    def test_negative_random_vertex_count_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--gen", "random:n=-3,p=0.5,seed=1", "--checks", "systole"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: vertex count cannot be negative\n"
+
+
 # a circle given by its facets: the 1-skeleton is a triangle, so the flag
 # completion would be a filled, contractible triangle
 HOLLOW = "complex hollow\nmode facets\nvertices 3\nfacet 0 1\nfacet 1 2\nfacet 0 2\n"

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import systolic as S
 from systolic import ComplexError, FlagComplex, WindowView
@@ -239,7 +239,7 @@ class TestWeaklyModular:
     @settings(max_examples=60, deadline=None)
     def test_first_witnesses_match_full_scans(self, n, p, seed):
         g = S.random_flag_complex(n, p, seed)
-        if not g.is_connected():
+        if len(g.connected_components()) != 1:
             return
         _assert_first_witnesses_match(g)
 
@@ -277,7 +277,7 @@ class TestDisconnectedInput:
     def test_random_complexes_from_the_cli_examples(self):
         for n, p in ((10, 0.1), (12, 0.15)):
             g = S.random_flag_complex(n, p, 1)
-            assert not g.is_connected()
+            assert len(g.connected_components()) != 1
             for scan in (S.triangle_condition, S.sphere_domination_everywhere):
                 with pytest.raises(ComplexError):
                     scan(g)
@@ -418,7 +418,7 @@ class TestSphereDomination:
 
 def _random_connected(n, p, seed):
     g = S.random_flag_complex(n, p, seed)
-    return g if g.is_connected() else None
+    return g if len(g.connected_components()) == 1 else None
 
 
 def _verdict_key(v):
@@ -583,6 +583,25 @@ class TestWeaklySystolic:
         g = FlagComplex([0, 1, 2, 3], [(0, 1), (2, 3)])
         with pytest.raises(ComplexError):
             S.is_weakly_systolic(g)
+
+    @given(
+        st.integers(min_value=0, max_value=9),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @example(0, 0.5, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_modes_refuse_the_same_inputs(self, n, p, seed):
+        # the empty complex and disconnected ones are refused in every mode
+        g = S.random_flag_complex(n, p, seed)
+        errors = []
+        for mode in S.MODES:
+            try:
+                S.is_weakly_systolic(g, mode)
+                errors.append(None)
+            except ComplexError as exc:
+                errors.append(str(exc))
+        assert len(set(errors)) == 1, errors
 
     def test_rejects_unknown_mode(self, octa):
         with pytest.raises(ComplexError):

@@ -47,7 +47,7 @@ CONDITIONS = [
 @settings(max_examples=60, deadline=None)
 def test_conditions_agree_on_random_complexes(n, p, seed):
     g = S.random_flag_complex(n, p, seed)
-    if not g.is_connected():
+    if len(g.connected_components()) != 1:
         return
     x = all_trusted_window(g)
     for check in CONDITIONS:
