@@ -135,12 +135,6 @@ def _sized(params: dict[str, str], key: str, name: str, build, rotation=None) ->
     return build(size), f"{name}_{size}", maps
 
 
-def _cone_rotation(n: int) -> Automorphism:
-    mapping = {i: (i + 1) % n for i in range(n)}
-    mapping[n] = n  # apex fixed
-    return Automorphism(mapping, "rotate")
-
-
 # generator name -> f(params) -> (target, name, maps); maps sends an --auto
 # name to f(target) -> Automorphism, built only when asked for
 GENERATORS = {
@@ -161,7 +155,8 @@ GENERATORS = {
     "complete": lambda params: _sized(params, "n", "complete", generators.complete),
     "cone_over_cycle": lambda params: _sized(
         params, "n", "cone_over_cycle", lambda n: generators.cone(generators.cycle(n)),
-        _cone_rotation,
+        # the cycle's rotation, the apex n fixed
+        lambda n: Automorphism({**generators.cycle_rotation(n).mapping, n: n}, "rotate"),
     ),
     "random": _random,
 }
@@ -390,7 +385,8 @@ def cmd_run(args) -> int:
         records.append(CheckRecord.from_verdict(token + suffix, name, verdict, trusted, wall))
         if token in required and verdict.is_no:
             status = 1
-    emit(records, args, config_for(args, name))
+    render = render_json if args.format == "json" else render_text
+    write(render(records, config_for(args, name)), args.out)
     return status
 
 
@@ -436,13 +432,6 @@ def config_for(args, name: str) -> dict:
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
-
-
-def emit(records, args, config: dict) -> None:
-    if args.format == "json":
-        write(render_json(records, config), args.out)
-    else:
-        write(render_text(records, config), args.out)
 
 
 def write(text: str, out: str | None) -> None:
@@ -521,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ParseError, ComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
         return 2
 
 

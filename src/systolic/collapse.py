@@ -211,8 +211,6 @@ def first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     through the Smith normal form.
     """
     n_edges = x.n_edges
-    if not n_edges:
-        return 0, []
     rank1 = x.n_vertices - len(x.connected_components())
     units, residual = _unit_pivots(n_edges, _boundary_columns(x))
     diag = _smith_diagonal(residual)

@@ -2,12 +2,13 @@
 
 A flag complex is determined by its 1-skeleton: the simplices are exactly the
 cliques, so everything here stores a graph and materializes simplices on
-demand.  Distances count edges on shortest 1-skeleton paths.  Every complex
-says what a scan may trust: ``trusted_vertices`` and ``margin``, the bound on
-trusted distance values.  A finite complex trusts every vertex and every
-distance.  A :class:`WindowView` is the flag complex of a finite ball cut out
-of an infinite periodic complex, and trusts only what lies far enough from
-its boundary.
+demand.  Distances count edges on shortest 1-skeleton paths and come from
+the complex's ``oracle``.  Every complex says what a scan may trust:
+``trusted_vertices`` and ``margin``, the bound on trusted distance values;
+the oracle and the trusted vertices are set when it is built.  A finite
+complex trusts every vertex and every distance.  A :class:`WindowView` is
+the flag complex of a finite ball cut out of an infinite periodic complex,
+and trusts only what lies far enough from its boundary.
 """
 
 from __future__ import annotations
@@ -44,14 +45,20 @@ def once(f):
     return cached
 
 
-def as_simplex(vertices: Iterable[int]) -> Simplex:
-    """Normalize to a sorted duplicate-free non-empty vertex tuple."""
+def _vertex_ids(vertices: Iterable[int]) -> list[int]:
+    """The sorted distinct vertex ids, each a non-negative integer."""
     vs = sorted(set(vertices))
-    if not vs:
-        raise ComplexError("a simplex has at least one vertex")
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ComplexError(f"vertex ids are non-negative integers, got {v!r}")
+    return vs
+
+
+def as_simplex(vertices: Iterable[int]) -> Simplex:
+    """Normalize to a sorted duplicate-free non-empty vertex tuple."""
+    vs = _vertex_ids(vertices)
+    if not vs:
+        raise ComplexError("a simplex has at least one vertex")
     return tuple(vs)
 
 
@@ -68,16 +75,13 @@ class FlagComplex:
     distance.
     """
 
-    __slots__ = ("_adj", "_vertices", "_oracle", "_memo")
+    __slots__ = ("_adj", "_vertices", "trusted_vertices", "oracle", "_memo")
 
     margin: float = INF
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        vs = sorted(set(vertices))
-        for v in vs:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ComplexError(f"vertex ids are non-negative integers, got {v!r}")
-        vset = set(vs)
+        vs = _vertex_ids(vertices)
+        vset = frozenset(vs)
         adj: dict[int, set[int]] = {v: set() for v in vs}
         for e in edges:
             try:
@@ -92,7 +96,8 @@ class FlagComplex:
             adj[w].add(u)
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
-        self._oracle: DistanceOracle | None = None
+        self.trusted_vertices = vset
+        self.oracle = DistanceOracle(self)
         self._memo: dict = {}
 
     @property
@@ -103,10 +108,6 @@ class FlagComplex:
     def n_vertices(self) -> int:
         return len(self._vertices)
 
-    @property
-    def trusted_vertices(self) -> frozenset[int]:
-        return frozenset(self._vertices)
-
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
@@ -115,9 +116,6 @@ class FlagComplex:
             return self._adj[v]
         except KeyError:
             raise ComplexError(f"unknown vertex {v}") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
@@ -230,19 +228,6 @@ class FlagComplex:
                 seen |= comp
                 comps.append(comp)
         return comps
-
-    @property
-    def oracle(self) -> "DistanceOracle":
-        # Lazy, write-once; filling twice computes the same object.
-        if self._oracle is None:
-            self._oracle = DistanceOracle(self)
-        return self._oracle
-
-    def distance(self, u: int, v: int) -> float:
-        return self.oracle.distance(u, v)
-
-    def geodesic(self, u: int, v: int) -> tuple[int, ...] | None:
-        return self.oracle.geodesic(u, v)
 
     def eccentricity(self, v: int) -> float:
         dists = self.oracle.distances_from(v)
@@ -460,7 +445,7 @@ class WindowView(FlagComplex):
     tests compare windows of different radii vertex by vertex.
     """
 
-    __slots__ = ("basepoint", "radius", "margin", "name", "coord_of", "id_of", "_trusted")
+    __slots__ = ("basepoint", "radius", "margin", "name", "coord_of", "id_of")
 
     def __init__(
         self,
@@ -477,7 +462,7 @@ class WindowView(FlagComplex):
             raise ComplexError(f"basepoint {basepoint} is not a window vertex")
         self._adj = complex_._adj
         self._vertices = complex_._vertices
-        self._oracle = None
+        self.oracle = DistanceOracle(self)
         self._memo = {}
         self.basepoint = basepoint
         self.radius = radius
@@ -486,16 +471,12 @@ class WindowView(FlagComplex):
         self.coord_of = dict(coord_of) if coord_of else {}
         self.id_of = {c: v for v, c in self.coord_of.items()}
         base_dist = self.oracle.distances_from(basepoint)
-        self._trusted = frozenset(
+        self.trusted_vertices = frozenset(
             v for v in self._vertices if base_dist.get(v, INF) <= radius - margin
         )
-
-    @property
-    def trusted_vertices(self) -> frozenset[int]:
-        return self._trusted
 
     def __repr__(self) -> str:
         return (
             f"WindowView({self.name!r}, radius={self.radius}, margin={self.margin}, "
-            f"n_vertices={self.n_vertices}, n_trusted={len(self._trusted)})"
+            f"n_vertices={self.n_vertices}, n_trusted={len(self.trusted_vertices)})"
         )

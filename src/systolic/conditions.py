@@ -134,12 +134,10 @@ def is_k_large(x: FlagComplex, k: int) -> Verdict:
     """Systole of the complex and of every link at least k.
 
     Equivalently: no full cycle shorter than k in the complex or in any link.
-    Always yes for k <= 4.  The negative witness names the violating cycle
-    and the simplex whose link contains it (the empty tuple meaning the
-    complex itself).
+    Always yes for k <= 4, as :func:`is_locally_k_large` says.  The negative
+    witness names the violating cycle and the simplex whose link contains it
+    (the empty tuple meaning the complex itself).
     """
-    if k <= 4:
-        return yes(reason="full cycles never have length below 4")
     short = enumerate_full_cycles(x, k - 1)
     if short:
         return no(witness=CycleInLink((), short[0]), reason="short full cycle")
@@ -523,11 +521,16 @@ def is_weakly_systolic(
     return yes(**detail)
 
 
-def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
+@once
+def _full_square(x: FlagComplex) -> Verdict | None:
+    """The No for a full 4-cycle, witnessed by the least one; None when
+    there is none."""
     squares = enumerate_full_cycles(x, 4)
-    if squares:
-        return no(witness=squares[0], reason="full 4-cycle")
-    return is_weakly_modular(x)
+    return no(witness=squares[0], reason="full 4-cycle") if squares else None
+
+
+def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
+    return _full_square(x) or is_weakly_modular(x)
 
 
 @once
@@ -545,9 +548,9 @@ def sphere_domination_everywhere(x: FlagComplex) -> Verdict:
 
 
 def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verdict:
-    squares = enumerate_full_cycles(x, 4)
-    if squares:
-        return no(witness=squares[0], reason="full 4-cycle")
+    square = _full_square(x)
+    if square is not None:
+        return square
     wheels = extended_wheel_condition(x)
     if wheels.is_no:
         return wheels

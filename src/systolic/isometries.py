@@ -58,10 +58,6 @@ class Automorphism:
     def identity(x: FlagComplex) -> "Automorphism":
         return Automorphism({v: v for v in x.vertices}, "id")
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
     def defined(self, v: int) -> bool:
         return v in self.mapping
 
@@ -71,14 +67,8 @@ class Automorphism:
         except KeyError:
             raise ComplexError(f"vertex {v} is outside the domain of {self.name}") from None
 
-    def inverse(self, v: int) -> int:
-        try:
-            return self.inverse_mapping[v]
-        except KeyError:
-            raise ComplexError(f"vertex {v} is outside the image of {self.name}") from None
-
     def is_total_on(self, x: FlagComplex) -> bool:
-        return self.domain == frozenset(x.vertices)
+        return self.mapping.keys() == set(x.vertices)
 
     def power(self, n: int) -> "Automorphism":
         """n-fold composition; negative n composes the inverse.
@@ -347,7 +337,7 @@ def orbit_path(
     if v not in prof.values or prof.values[v] != length:
         raise ComplexError(f"vertex {v} does not attain the translation length")
     if alpha is None:
-        alpha = x.geodesic(v, h(v))
+        alpha = x.oracle.geodesic(v, h(v))
     alpha = tuple(alpha)
     if alpha[0] != v or alpha[-1] != h(v):
         raise ComplexError("alpha must run from v to h(v)")
@@ -407,4 +397,4 @@ def verify_local_geodesic(x: FlagComplex, chain: PathChain, gap: int | None = No
 
 def chain_gap_violation_holds(x: FlagComplex, w: ChainGapViolation) -> bool:
     """Re-validate a chain distance witness from scratch."""
-    return x.distance(w.u, w.v) == w.actual and w.actual != w.expected
+    return x.oracle.distance(w.u, w.v) == w.actual and w.actual != w.expected

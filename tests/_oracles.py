@@ -153,7 +153,7 @@ def all_automorphisms(g: FlagComplex) -> list[dict[int, int]]:
     """Every total adjacency-preserving bijection, by backtracking with
     degree pruning."""
     verts = sorted(g.vertices)
-    degree = {v: g.degree(v) for v in verts}
+    degree = {v: len(g.neighbors(v)) for v in verts}
     results: list[dict[int, int]] = []
 
     def extend(i: int, mapping: dict[int, int], used: set[int]) -> None:

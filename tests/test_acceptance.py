@@ -143,8 +143,8 @@ def test_criterion_08_falsifiability():
         rep = S.isometric_embedding_check(w6, rim)
         assert rep.max_deviation > 0
         pair = rep.witness
-        assert rim.distance(pair.u, pair.v) == pair.d_sub
-        assert w6.distance(pair.u, pair.v) == pair.d_ambient
+        assert rim.oracle.distance(pair.u, pair.v) == pair.d_sub
+        assert w6.oracle.distance(pair.u, pair.v) == pair.d_ambient
         assert pair.d_sub > pair.d_ambient
 
         octa = S.octahedron()

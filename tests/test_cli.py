@@ -216,6 +216,18 @@ class TestDisconnectedInput:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    # a build that runs out of memory is refused like any other input,
+    # not shown as a traceback; exit 1 stays for a required No
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(systolic.generators, "cycle", exhausted)
+    code, out, err = run(capsys, "check", "--gen", "cycle:n=100000000", "--checks", "flag")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 class TestEmptyInput:
     """The empty complex is not connected: every check that presupposes
     connectivity refuses it, and the others keep answering."""

@@ -146,6 +146,10 @@ class TestHomology:
         g = FlagComplex(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
         assert S.first_homology(g) == (0, [])
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_edgeless_trivial(self, n):
+        assert S.first_homology(FlagComplex(range(n), [])) == (0, [])
+
     def test_cycle_is_z(self):
         assert S.first_homology(S.cycle(7)) == (1, [])
 

@@ -13,6 +13,7 @@ from systolic.verdict import (
     QuadrangleViolation,
     SphereSimplexViolation,
     TriangleViolation,
+    yes,
 )
 
 from _oracles import (
@@ -145,6 +146,18 @@ class TestKLarge:
     def test_small_k_vacuous(self, octa):
         for k in (2, 3, 4):
             assert S.is_k_large(octa, k).is_yes
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=-1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_small_k_has_one_reason(self, n, p, seed, k):
+        # no full cycle is shorter than 4, in the complex or in a link
+        g = S.random_flag_complex(n, p, seed)
+        assert S.is_k_large(g, k) == yes(reason="full cycles never have length below 4")
 
     def test_octahedron_5(self, octa):
         v = S.is_k_large(octa, 5)
@@ -620,6 +633,19 @@ class TestWeaklySystolic:
             a = S.is_weakly_systolic(g, "graph")
             b = S.is_weakly_systolic(g, "sd")
             assert a.answer == b.answer, name
+
+    def test_composite_lists_the_squares_once(self, monkeypatch):
+        # the graph route and the local-to-global route share one 4-cycle scan
+        lengths = []
+        original = S.conditions.enumerate_full_cycles
+
+        def counted(x, max_len, min_len=4):
+            lengths.append(max_len)
+            return original(x, max_len, min_len)
+
+        monkeypatch.setattr(S.conditions, "enumerate_full_cycles", counted)
+        S.is_weakly_systolic(S.hex_torus(6, 6), "composite")
+        assert lengths.count(4) == 1
 
     def test_composite_detail_cross_reports(self, octa):
         v = S.is_weakly_systolic(octa, "composite")

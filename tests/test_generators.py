@@ -98,7 +98,7 @@ class TestThickLine:
         vs = sorted(line.vertices)
         for a in vs[:: max(1, len(vs) // 12)]:
             for b in vs[:: max(1, len(vs) // 12)]:
-                assert line.distance(a, b) == thick_line_distance(k, a, b)
+                assert line.oracle.distance(a, b) == thick_line_distance(k, a, b)
 
     def test_shift_moves_by_k(self):
         line, shift = S.thick_line(2, 10)

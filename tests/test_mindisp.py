@@ -34,7 +34,7 @@ class TestEmbedding:
         assert rep.max_deviation == 1
         assert rep.witness == DistancePair(u=1, v=4, d_sub=3, d_ambient=2)
         # the witness re-validates against fresh distance computations
-        assert rim.distance(1, 4) == 3 and w6.distance(1, 4) == 2
+        assert rim.oracle.distance(1, 4) == 3 and w6.oracle.distance(1, 4) == 2
 
     def test_disconnected_subcomplex_infinite_deviation(self):
         w6 = S.wheel(6)
@@ -203,7 +203,7 @@ class TestThickGeodesics:
             assert S.verify_thick_geodesic(line, w).is_yes
             # the ambient distance formula matches the closed form
             for a in range(0, n, k):
-                assert line.distance(0, a) == thick_line_distance(k, 0, a)
+                assert line.oracle.distance(0, a) == thick_line_distance(k, 0, a)
 
     def test_wrong_k_rejected(self):
         line, _ = S.thick_line(2, 12)
