@@ -62,26 +62,28 @@ def parse_gen_spec(spec: str) -> tuple[str, dict[str, str]]:
 
 
 def _param(params: dict[str, str], key: str, kind=int, default=None):
+    """Take ``key`` out of ``params``, converted by ``kind``."""
     if key not in params:
         if default is None:
             raise CliError(f"generator needs parameter {key}=...")
         return default
+    value = params.pop(key)
     try:
-        return kind(params[key])
+        return kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise CliError(f"parameter {key} must be {noun}, got {params[key]!r}") from None
+        raise CliError(f"parameter {key} must be {noun}, got {value!r}") from None
 
 
 def _bool_param(params: dict[str, str], key: str, default: bool) -> bool:
     if key not in params:
         return default
-    value = params[key].lower()
-    if value in ("1", "true", "yes"):
+    value = params.pop(key)
+    if value.lower() in ("1", "true", "yes"):
         return True
-    if value in ("0", "false", "no"):
+    if value.lower() in ("0", "false", "no"):
         return False
-    raise CliError(f"parameter {key} must be a boolean, got {params[key]!r}")
+    raise CliError(f"parameter {key} must be a boolean, got {value!r}")
 
 
 class _LatticeMaps(dict):
@@ -167,7 +169,10 @@ def build_generated(spec: str) -> tuple:
     name, params = parse_gen_spec(spec)
     if name not in GENERATORS:
         raise CliError(f"unknown generator {name!r}")
-    return GENERATORS[name](params)
+    built = GENERATORS[name](params)
+    if params:  # each generator takes out the parameters it reads
+        raise CliError(f"generator {name!r} takes no parameter {min(params)!r}")
+    return built
 
 
 def _file_auto(x, h: Automorphism | None) -> Automorphism:

@@ -73,9 +73,8 @@ def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
         s = frozenset(heapq.heappop(heap)[1])
         if s not in present or cofaces[s] != 1:
             continue
+        # t is maximal: a coface t | {w} would give s a second one, s | {w}
         t = next(s | {v} for v in x.common_neighbors(s) if s | {v} in present)
-        if cofaces[t]:
-            continue
         if steps >= budget:
             return unknown(reason="collapse budget exhausted")
         present -= {s, t}

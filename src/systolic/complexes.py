@@ -8,7 +8,9 @@ the complex's ``oracle``.  Every complex says what a scan may trust:
 the oracle and the trusted vertices are set when it is built.  A finite
 complex trusts every vertex and every distance.  A :class:`WindowView` is
 the flag complex of a finite ball cut out of an infinite periodic complex,
-and trusts only what lies far enough from its boundary.
+and trusts only what lies far enough from its boundary.  A complex owns its
+adjacency; the oracle only reads it and holds no reference back, so a
+complex and its cached tables are freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class FlagComplex:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
         self.trusted_vertices = vset
-        self.oracle = DistanceOracle(self)
+        self.oracle = DistanceOracle(self._adj)
         self._memo: dict = {}
 
     @property
@@ -181,42 +183,18 @@ class FlagComplex:
         pool = self._vertices if within is None else tuple(sorted(set(within)))
         inside = frozenset(pool)
         adj = self._adj
-
-        def grow(base: tuple[int, ...], candidates: tuple[int, ...]) -> Iterator[Simplex]:
-            for i, v in enumerate(candidates):
-                cur = base + (v,)
-                yield cur
-                if max_size is not None and len(cur) >= max_size:
-                    continue
-                nxt = tuple(w for w in candidates[i + 1 :] if w in adj[v])
-                if nxt:
-                    yield from grow(cur, nxt)
-
         for v in pool:
             yield (v,)
             if max_size is not None and max_size <= 1:
                 continue
             up = tuple(sorted(w for w in adj[v] if w > v and w in inside))
             if up:
-                yield from grow((v,), up)
+                yield from _grow(adj, (v,), up, max_size)
 
     def maximal_cliques(self) -> list[Simplex]:
         """Facets of the complex (maximal cliques), sorted."""
         out: list[Simplex] = []
-        adj = self._adj
-
-        def extend(r: set[int], p: set[int], x: set[int]) -> None:
-            if not p and not x:
-                out.append(tuple(sorted(r)))
-                return
-            pivot_pool = p | x
-            pivot = max(pivot_pool, key=lambda v: len(adj[v] & p))
-            for v in sorted(p - adj[pivot]):
-                extend(r | {v}, p & adj[v], x & adj[v])
-                p.remove(v)
-                x.add(v)
-
-        extend(set(), set(self._vertices), set())
+        _extend(self._adj, set(), set(self._vertices), set(), out)
         return sorted(out)
 
     def connected_components(self) -> list[frozenset[int]]:
@@ -239,8 +217,39 @@ class FlagComplex:
         return f"FlagComplex(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
+def _grow(
+    adj: dict[int, frozenset[int]], base: Simplex, candidates: tuple[int, ...], max_size: int | None
+) -> Iterator[Simplex]:
+    """The cliques ``base + c`` for c a non-empty clique of the sorted
+    ``candidates``, each adjacent to all of base, in ascending order."""
+    for i, v in enumerate(candidates):
+        cur = base + (v,)
+        yield cur
+        if max_size is not None and len(cur) >= max_size:
+            continue
+        nxt = tuple(w for w in candidates[i + 1 :] if w in adj[v])
+        if nxt:
+            yield from _grow(adj, cur, nxt, max_size)
+
+
+def _extend(
+    adj: dict[int, frozenset[int]], r: set[int], p: set[int], x: set[int], out: list[Simplex]
+) -> None:
+    """Bron-Kerbosch with a pivot: append to ``out`` every maximal clique
+    that contains r, meets p and avoids x."""
+    if not p and not x:
+        out.append(tuple(sorted(r)))
+        return
+    pivot = max(p | x, key=lambda v: len(adj[v] & p))
+    for v in sorted(p - adj[pivot]):
+        _extend(adj, r | {v}, p & adj[v], x & adj[v], out)
+        p.remove(v)
+        x.add(v)
+
+
 class DistanceOracle:
-    """Horizon-bounded BFS distances with one cache per complex.
+    """Horizon-bounded BFS distances over an adjacency it only reads, with
+    one cache per complex.
 
     :meth:`ball` is the only place a BFS runs; every other query reads a
     ball, connected components and the geodesic enumerator included.  The
@@ -253,8 +262,8 @@ class DistanceOracle:
 
     ALL_PAIRS_THRESHOLD = 2000
 
-    def __init__(self, complex_: FlagComplex):
-        self._x = complex_
+    def __init__(self, adj: dict[int, frozenset[int]]):
+        self._adj = adj
         self._cache: dict[int, tuple[dict[int, int], float]] = {}
 
     def ball(self, source: int, radius: float) -> dict[int, int]:
@@ -268,7 +277,7 @@ class DistanceOracle:
         if hit is not None and hit[1] >= radius:
             return hit[0]
         table = self._bfs(source, radius)
-        n = self._x.n_vertices
+        n = len(self._adj)
         # the last entry is the deepest layer; short of the radius, BFS ran dry
         if len(table) == n or next(reversed(table.values())) < radius:
             if n <= self.ALL_PAIRS_THRESHOLD:
@@ -282,10 +291,9 @@ class DistanceOracle:
         return self.ball(source, INF)
 
     def _bfs(self, source: int, radius: float) -> dict[int, int]:
-        x = self._x
-        if source not in x:
+        adj = self._adj
+        if source not in adj:
             raise ComplexError(f"unknown vertex {source}")
-        adj = x._adj
         dist = {source: 0}
         frontier = [source]
         depth = 0
@@ -301,7 +309,7 @@ class DistanceOracle:
         return dist
 
     def distance(self, u: int, v: int) -> float:
-        if v not in self._x:
+        if v not in self._adj:
             raise ComplexError(f"unknown vertex {v}")
         return self.distances_from(u).get(v, INF)
 
@@ -325,10 +333,10 @@ class DistanceOracle:
         """
         back = self.distances_from(v)
         if u not in back:
-            if u not in self._x:
+            if u not in self._adj:
                 raise ComplexError(f"unknown vertex {u}")
             return
-        adj = self._x._adj
+        adj = self._adj
         stack = [(u, (u,))]
         while stack:
             cur, path = stack.pop()
@@ -432,14 +440,14 @@ def is_flag(fc: FacetComplex) -> Verdict:
 class WindowView(FlagComplex):
     """A finite radius-R ball cut out of an unbounded periodic complex.
 
-    The window is the flag complex of the ball: it shares the adjacency of
-    ``complex_`` and keeps a distance oracle of its own.  ``margin``
-    controls conservatism: a vertex is trusted when it lies at distance at
-    most ``radius - margin`` from the basepoint, and a distance d(u, v) is
-    trusted when u and v are trusted and v lies in ``ball(u, margin)``.
-    Trusted values agree with the unbounded parent complex: any parent
-    geodesic between two trusted vertices of length at most ``margin`` stays
-    inside the window, so the windowed distance is exact.
+    The window is the flag complex of the ball, built from its vertices and
+    edges like any complex.  ``margin`` controls conservatism: a vertex is
+    trusted when it lies at distance at most ``radius - margin`` from the
+    basepoint, and a distance d(u, v) is trusted when u and v are trusted
+    and v lies in ``ball(u, margin)``.  Trusted values agree with the
+    unbounded parent complex: any parent geodesic between two trusted
+    vertices of length at most ``margin`` stays inside the window, so the
+    windowed distance is exact.
 
     ``coord_of`` optionally maps vertex ids to parent coordinates, which lets
     tests compare windows of different radii vertex by vertex.
@@ -449,7 +457,8 @@ class WindowView(FlagComplex):
 
     def __init__(
         self,
-        complex_: FlagComplex,
+        vertices: Iterable[int],
+        edges: Iterable[tuple[int, int]],
         basepoint: int,
         radius: int,
         margin: int,
@@ -458,21 +467,18 @@ class WindowView(FlagComplex):
     ):
         if margin < 1 or margin > radius:
             raise ComplexError("margin must satisfy 1 <= margin <= radius")
-        if basepoint not in complex_:
+        super().__init__(vertices, edges)
+        if basepoint not in self:
             raise ComplexError(f"basepoint {basepoint} is not a window vertex")
-        self._adj = complex_._adj
-        self._vertices = complex_._vertices
-        self.oracle = DistanceOracle(self)
-        self._memo = {}
         self.basepoint = basepoint
         self.radius = radius
         self.margin = margin
         self.name = name
         self.coord_of = dict(coord_of) if coord_of else {}
         self.id_of = {c: v for v, c in self.coord_of.items()}
-        base_dist = self.oracle.distances_from(basepoint)
+        inner = radius - margin
         self.trusted_vertices = frozenset(
-            v for v in self._vertices if base_dist.get(v, INF) <= radius - margin
+            v for v, d in self.oracle.ball(basepoint, inner).items() if d <= inner
         )
 
     def __repr__(self) -> str:

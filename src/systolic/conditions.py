@@ -86,8 +86,8 @@ def _induced_cycles(g: FlagComplex, pool: frozenset[int], max_len: int, min_len:
                         if length >= min_len:
                             yield FullCycle.canonical((v,) + path + (w,))
                         continue
-                    if length >= max_len:
-                        continue
+                    # no open path reaches max_len: one short of it the prune
+                    # admits only neighbours of w, and they close the cycle
                     for c in nbrs[last]:
                         if c <= v or c in blocked or dist_w.get(c, INF) > max_len - length:
                             continue
@@ -420,9 +420,7 @@ def _first_undominated(
     pool = frozenset(sphere)
     inner = {u: adj[u] & below for u in sphere}
     for u in sphere:
-        here = inner[u]
-        if not here:
-            return (u,), here
+        here = inner[u]  # never empty: u's BFS parent lies in the sphere below
         if len(here) == 2:
             a, b = here
             if b not in adj[a]:

@@ -46,9 +46,9 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
             j = id_of.get((q + dq, r + dr))
             if j is not None and i < j:
                 edges.append((i, j))
-    g = FlagComplex(range(len(coords)), edges)
     return WindowView(
-        g,
+        range(len(coords)),
+        edges,
         id_of[(0, 0)],
         radius,
         margin,

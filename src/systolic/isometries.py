@@ -287,8 +287,9 @@ class PathChain:
     """A path indexed by a window of integers, meant to be read as a
     bi-infinite concatenation of translates of one geodesic segment.
 
-    ``gamma(a + period) == h(gamma(a))`` holds by construction wherever both
-    indices are present.
+    ``vertices[i]`` is the vertex at index ``start + i``, and
+    ``vertices[i + period] == h(vertices[i])`` holds by construction
+    wherever both are present.
     """
 
     start: int
@@ -304,14 +305,6 @@ class PathChain:
     @property
     def stop(self) -> int:
         return self.start + len(self.vertices) - 1
-
-    def indices(self) -> range:
-        return range(self.start, self.stop + 1)
-
-    def gamma(self, a: int) -> int:
-        if not self.start <= a <= self.stop:
-            raise ComplexError(f"index {a} outside chain range")
-        return self.vertices[a - self.start]
 
 
 def orbit_path(
@@ -370,24 +363,22 @@ def verify_local_geodesic(x: FlagComplex, chain: PathChain, gap: int | None = No
     actually checked.
     """
     region, bound = x.trusted_vertices, x.margin
-    idx = list(chain.indices())
+    verts = chain.vertices
     checked = 0
-    for i, a in enumerate(idx):
-        u = chain.gamma(a)
+    for i, u in enumerate(verts):
         if u not in region:
             continue
-        for b in idx[i + 1 :]:
-            diff = b - a
+        for diff, w in enumerate(verts[i + 1 :], 1):
             if diff > bound or (gap is not None and diff > gap):
                 break
-            w = chain.gamma(b)
             if w not in region:
                 continue
             d = x.oracle.distance_within(u, w, bound)
             checked += 1
             if d != diff:
+                a = chain.start + i
                 return no(
-                    witness=ChainGapViolation(a, b, u, w, diff, d),
+                    witness=ChainGapViolation(a, a + diff, u, w, diff, d),
                     reason="chain pair at the wrong distance",
                 )
     if checked == 0:

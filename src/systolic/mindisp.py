@@ -171,19 +171,13 @@ def invariant_geodesic_search(x: FlagComplex, h: Automorphism, power: int = 1) -
 
 @dataclass(frozen=True)
 class ThickGeodesicWitness:
-    """A claimed k-thick interval: vertices indexed by consecutive integers
+    """A claimed k-thick interval: ``vertices[i]`` at index ``start + i``,
     with adjacency exactly between indices at gap 1..k, so that ambient
     distance between indices a and b is ceil(|a - b| / k)."""
 
     k: int
     start: int
     vertices: tuple[int, ...]
-
-    def indices(self) -> range:
-        return range(self.start, self.start + len(self.vertices))
-
-    def vertex_at(self, a: int) -> int:
-        return self.vertices[a - self.start]
 
 
 def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
@@ -201,13 +195,10 @@ def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
     if len(set(verts)) != len(verts):
         dup = next(v for v in verts if verts.count(v) > 1)
         return no(reason=f"vertex {dup} repeats; the map on indices is not injective")
-    idx = list(w.indices())
     pairs = 0
-    for i, a in enumerate(idx):
-        u = w.vertex_at(a)
-        for b in idx[i + 1 :]:
-            v = w.vertex_at(b)
-            gap = b - a
+    for i, u in enumerate(verts):
+        a = w.start + i
+        for gap, v in enumerate(verts[i + 1 :], 1):
             want_edge = gap <= w.k
             if x.adjacent(u, v) != want_edge:
                 reason = (
@@ -216,7 +207,7 @@ def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
                     else "unexpected edge beyond the thickness range"
                 )
                 return no(
-                    witness=ThickAdjacencyViolation(a, b, u, v, w.k, not want_edge),
+                    witness=ThickAdjacencyViolation(a, a + gap, u, v, w.k, not want_edge),
                     reason=reason,
                 )
             if gap % w.k == 0:
@@ -227,7 +218,7 @@ def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
                 pairs += 1
                 if d != expected:
                     return no(
-                        witness=ChainGapViolation(a, b, u, v, expected, d),
+                        witness=ChainGapViolation(a, a + gap, u, v, expected, d),
                         reason="distance off at a multiple of the thickness",
                     )
     if pairs == 0:
@@ -246,13 +237,9 @@ def fit_thickness(x: FlagComplex, chain: PathChain) -> int | None:
     if len(set(verts)) != len(verts):
         return None
     best = len(verts)  # sentinel: one past the largest possible gap
-    idx = list(chain.indices())
-    for i, a in enumerate(idx):
-        for j in range(i + 1, len(idx)):
-            gap = idx[j] - a
-            if gap >= best:
-                break
-            if not x.adjacent(verts[i], verts[j]):
+    for i, u in enumerate(verts):
+        for gap in range(1, min(best, len(verts) - i)):
+            if not x.adjacent(u, verts[i + gap]):
                 best = gap
                 break
     k = best - 1

@@ -30,6 +30,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a check of the input file, which the test writes in place of FILE
+CHECK_FILE = ["check", "--input", "FILE", "--checks", "tc"]
+
+
 class TestExitCodes:
     def test_passing_check_exits_zero(self, capsys):
         code, out, err = run(
@@ -62,6 +66,50 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "--gen", "dodecahedron", "--checks", "tc")
         assert code == 2
         assert "unknown generator" in err
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("lattice:radus=3,margin=2", "radus"), ("octahedron:n=9", "n"), ("cycle:n=5,m=2", "m")],
+    )
+    def test_unknown_generator_parameter_exits_two(self, capsys, spec, key):
+        code, out, err = run(capsys, "check", "--gen", spec, "--checks", "systole")
+        assert code == 2 and out == ""
+        assert err == f"error: generator {spec.partition(':')[0]!r} takes no parameter {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["check", "--gen", ":", "--checks", "tc"], None, "empty generator name in ':'"),
+            (["check", "--gen", "cycle:n", "--checks", "tc"], None,
+             "bad generator parameter 'n' in 'cycle:n'"),
+            (["check", "--gen", "cycle:n=5,n=6", "--checks", "tc"], None,
+             "duplicate generator parameter 'n'"),
+            (["check", "--gen", "octahedron", "--checks", ","], None, "empty check list"),
+            (["theorems", "--input", "FILE", "--auto", "file", "--do", "all"],
+             "complex tri\nmode flag\nvertices 3\nedge 0 1\nedge 1 2\nedge 0 2\n",
+             "the input file declares no map lines"),
+            (CHECK_FILE, "complex a b\nmode flag\nvertices 2\n",
+             "line 1: complex takes exactly one name"),
+            (CHECK_FILE, "complex a\nmode flag\nvertices 2 3\n",
+             "line 3: vertices takes exactly one count"),
+            (CHECK_FILE, "complex a\nmode flag\nvertices 2\nedge 0\n",
+             "line 4: edge takes exactly two vertex ids"),
+            (CHECK_FILE, "complex a\nmode facets\nvertices 2\nfacet\n",
+             "line 4: facet needs at least one vertex id"),
+            (CHECK_FILE, "complex a\nmode flag\nvertices 2\nmap 0\n",
+             "line 4: map takes exactly two vertex ids"),
+            (CHECK_FILE, "complex a\nmode facets\nvertices 2\n",
+             "line 0: facets mode needs at least one facet line"),
+        ],
+    )
+    def test_refused_spec_or_file_exits_two(self, capsys, tmp_path, argv, text, message):
+        # main() prints the reason and returns: nothing reaches a traceback
+        f = tmp_path / "input.txt"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n" and "Traceback" not in err
 
     def test_unknown_token_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "--gen", "octahedron", "--checks", "zz")
@@ -781,6 +829,9 @@ _GEN_SPECS = st.one_of(
     st.builds("wheel:k={}".format, _small),
     st.builds("extended_wheel5:dominated={}".format, st.sampled_from(["yes", "0", "maybe"])),
     st.sampled_from(["octahedron", "icosahedron", "lattice", "cycle", "cycle:n=x", "cube", ":"]),
+    # a misspelled or foreign key next to the ones the generator reads
+    st.builds("{}{}=3".format, st.sampled_from(["lattice:", "octahedron:", "cycle:n=5,"]),
+              st.sampled_from(["radus", "m", "k"])),
 )
 _AUTOS = st.sampled_from(
     ["identity", "t1", "t-2", "t0", "glide", "shift", "translate", "antipodal", "rotate",

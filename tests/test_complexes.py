@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import pytest
@@ -294,6 +296,14 @@ class TestFacetsAndFlagness:
         assert v.is_no
         assert v.witness == (0, 1, 2, 3)
 
+    def test_is_flag_skips_cliques_no_smaller_than_the_witness(self):
+        # the 2-skeleton of the 4-simplex: the 1-skeleton is K5, the first
+        # missing clique is the tetrahedron 0123, and the 5-clique after it
+        # cannot be smaller
+        fc = FacetComplex(itertools.combinations(range(5), 3))
+        v = S.is_flag(fc)
+        assert v.is_no and v.witness == (0, 1, 2, 3)
+
     def test_from_flag_roundtrip(self, octa):
         fc = FacetComplex.from_flag(octa)
         assert S.is_flag(fc).is_yes
@@ -309,9 +319,9 @@ class TestWindowView:
     def test_margin_bounds(self, window10):
         g = window10
         with pytest.raises(ComplexError):
-            S.WindowView(g, window10.basepoint, 10, 0)
+            S.WindowView(g.vertices, g.edges(), window10.basepoint, 10, 0)
         with pytest.raises(ComplexError):
-            S.WindowView(g, window10.basepoint, 10, 11)
+            S.WindowView(g.vertices, g.edges(), window10.basepoint, 10, 11)
 
     def test_trusted_set_is_inner_ball(self, window10):
         base = window10.basepoint
@@ -374,10 +384,39 @@ class TestWindowView:
         assert window10.n_vertices == 1 + 3 * 10 * 11
         assert window10.link((window10.basepoint,)).n_vertices == 6
 
-    def test_window_shares_adjacency_and_has_its_own_oracle(self):
+    def test_window_has_equal_adjacency_and_its_own_oracle(self):
         g = S.random_flag_complex(12, 0.4, 3)
-        w = S.WindowView(g, g.vertices[0], 3, 1)
-        assert w._adj is g._adj and w.vertices is g.vertices
+        w = S.WindowView(g.vertices, g.edges(), g.vertices[0], 3, 1)
+        assert w.vertices == g.vertices
+        assert all(w.neighbors(v) == g.neighbors(v) for v in g.vertices)
         assert w.oracle is not g.oracle
         for u in g.vertices:
             assert w.oracle.distances_from(u) == g.oracle.distances_from(u)
+
+
+def _torus_scans():
+    x = S.hex_torus(6, 6)
+    S.triangle_condition(x)
+    S.is_systolic(x)
+
+
+def _window_scan():
+    S.sphere_domination_everywhere(S.triangular_lattice_window(6, 3))
+
+
+def _min_set_check():
+    w = S.triangular_lattice_window(6, 3)
+    S.min_set_idempotence(w, S.lattice_glide(w))
+
+
+@pytest.mark.parametrize("use", [_torus_scans, _window_scan, _min_set_check])
+def test_no_reference_cycles(use):
+    """A complex, a window or a Min set, with its oracle tables and memo, is
+    freed by reference counting alone once the last reference goes."""
+    gc.collect()
+    gc.disable()
+    try:
+        use()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

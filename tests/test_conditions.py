@@ -81,7 +81,7 @@ class TestFullCycles:
         want = reference_full_cycles(g, max_len)
         assert S.enumerate_full_cycles(g, max_len) == want
         assert S.systole(g, max_len) == (len(want[0]) if want else INF)
-        x = WindowView(g, 0, margin + extra, margin)
+        x = WindowView(g.vertices, g.edges(), 0, margin + extra, margin)
         want = reference_full_cycles(g.span(x.trusted_vertices), max_len)
         assert S.enumerate_full_cycles(x, max_len) == want
         assert S.systole(x, max_len) == (len(want[0]) if want else INF)
@@ -489,7 +489,7 @@ class TestAgainstReferences:
         g = _random_connected(n, p, seed)
         if g is None:
             return
-        x = WindowView(g, 0, margin + extra, margin)
+        x = WindowView(g.vertices, g.edges(), 0, margin + extra, margin)
         for v in sorted(x.trusted_vertices):
             for depth in range(margin):
                 got = S.sphere_domination(x, v, depth)
@@ -499,7 +499,7 @@ class TestAgainstReferences:
             assert _verdict_key(got) == _verdict_key(first_short_link_cycle(x, k))
         _assert_first_witnesses_match(x)
         # TC and QC stop at the margin also where the oracle holds whole tables
-        warm = WindowView(g, 0, margin + extra, margin)
+        warm = WindowView(g.vertices, g.edges(), 0, margin + extra, margin)
         for v in warm.vertices:
             warm.oracle.distances_from(v)
         _assert_first_witnesses_match(warm)
@@ -522,7 +522,8 @@ class TestAgainstReferences:
         ],
     )
     def test_window_scans_stop_at_margin_and_trust(self, n, basepoint, radius, margin, tc, qc):
-        x = WindowView(S.cycle(n), basepoint, radius, margin)
+        g = S.cycle(n)
+        x = WindowView(g.vertices, g.edges(), basepoint, radius, margin)
         assert (first_triangle_violation(x), first_quadrangle_violation(x)) == (tc, qc)
         _assert_first_witnesses_match(x)
 
@@ -574,7 +575,7 @@ class TestWitnessesRevalidate:
         g = _random_connected(n, p, seed)
         if g is None:
             return
-        x = WindowView(g, 0, margin + extra, margin) if window else g
+        x = WindowView(g.vertices, g.edges(), 0, margin + extra, margin) if window else g
         checks = [
             ("tc", S.triangle_condition(x), S.triangle_violation_holds),
             ("qc", S.quadrangle_condition(x), S.quadrangle_violation_holds),

@@ -257,10 +257,10 @@ class TestChains:
     def test_equivariance(self, hyperbolic_corpus):
         for name, g, h in hyperbolic_corpus:
             chain = S.orbit_path(g, h)
-            L = chain.period
-            for a in chain.indices():
-                if a + L <= chain.stop and h.defined(chain.gamma(a)):
-                    assert chain.gamma(a + L) == h.mapping[chain.gamma(a)], name
+            vs, L = chain.vertices, chain.period
+            for i, u in enumerate(vs[:-L]):
+                if h.defined(u):
+                    assert vs[i + L] == h.mapping[u], name
 
     def test_chain_consecutive_adjacent(self, hyperbolic_corpus):
         for name, g, h in hyperbolic_corpus:

@@ -2,9 +2,10 @@
 
 Every complex carries its trust as ``trusted_vertices`` and ``margin``, and
 a finite complex g has every vertex and INF.  These properties check that
-every scan gives the same result on g as on ``WindowView(g, v0, ecc(v0) + M,
-M)`` with M = 10 n: a window whose trusted region is every vertex and whose margin
-exceeds every distance and every index gap of an orbit chain.  A margin equal
+every scan gives the same result on g as on ``WindowView(g.vertices,
+g.edges(), v0, ecc(v0) + M, M)`` with M = 10 n: a window whose trusted region
+is every vertex and whose margin exceeds every distance and every index gap
+of an orbit chain.  A margin equal
 to the diameter would be too small, because ``gap=None`` chain checks skip
 index gaps above the margin.
 """
@@ -18,7 +19,8 @@ from systolic import WindowView
 
 def all_trusted_window(g):
     m = 10 * g.n_vertices
-    return WindowView(g, g.vertices[0], int(g.eccentricity(g.vertices[0])) + m, m)
+    v0 = g.vertices[0]
+    return WindowView(g.vertices, g.edges(), v0, int(g.eccentricity(v0)) + m, m)
 
 
 def test_the_window_trusts_every_vertex(octa):
