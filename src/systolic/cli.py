@@ -14,10 +14,12 @@ usage or input errors.  Output is deterministic for fixed inputs and options,
 except for wall_ms timing fields.
 
 check, isometry and theorems each look their tokens up in one ordered table
-and share one command loop; one generator table builds each target with the
-maps that ``--auto`` may name on it.  Every entry names the package function
-it calls inside its body, so wrappers installed on module attributes (as a
-tracer does) see every call.
+and share one command loop; one generator table declares each generator's
+parameters and builds its target with the maps that ``--auto`` may name on
+it.  A spec's parameters, the token lists and ``--require`` are all checked
+before any target is built; only the ``--auto`` name waits for the target.
+Every entry names the package function it calls inside its body, so wrappers
+installed on module attributes (as a tracer does) see every call.
 """
 
 from __future__ import annotations
@@ -61,29 +63,19 @@ def parse_gen_spec(spec: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-def _param(params: dict[str, str], key: str, kind=int, default=None):
-    """Take ``key`` out of ``params``, converted by ``kind``."""
-    if key not in params:
-        if default is None:
-            raise CliError(f"generator needs parameter {key}=...")
-        return default
-    value = params.pop(key)
+def _read(key: str, value: str, kind: type):
+    """``value`` read as ``kind``: int, float or bool."""
+    if kind is bool:
+        if value.lower() in ("1", "true", "yes"):
+            return True
+        if value.lower() in ("0", "false", "no"):
+            return False
+        raise CliError(f"parameter {key} must be a boolean, got {value!r}")
     try:
         return kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise CliError(f"parameter {key} must be {noun}, got {value!r}") from None
-
-
-def _bool_param(params: dict[str, str], key: str, default: bool) -> bool:
-    if key not in params:
-        return default
-    value = params.pop(key)
-    if value.lower() in ("1", "true", "yes"):
-        return True
-    if value.lower() in ("0", "false", "no"):
-        return False
-    raise CliError(f"parameter {key} must be a boolean, got {value!r}")
 
 
 class _LatticeMaps(dict):
@@ -95,84 +87,81 @@ class _LatticeMaps(dict):
         return lambda w: generators.lattice_translation(w, int(name[1:]))
 
 
-def _lattice(params: dict[str, str]) -> tuple:
-    window = generators.triangular_lattice_window(
-        _param(params, "radius", default=10), _param(params, "margin", default=4)
-    )
-    return window, window.name, _LatticeMaps(glide=generators.lattice_glide)
+def _lattice(radius: int, margin: int) -> tuple:
+    window = generators.triangular_lattice_window(radius, margin)
+    return window, f"lattice_r{radius}_m{margin}", _LatticeMaps(glide=generators.lattice_glide)
 
 
-def _thick_line(params: dict[str, str]) -> tuple:
-    k = _param(params, "k")
-    n = _param(params, "n")
+def _thick_line(k: int, n: int) -> tuple:
     g, shift = generators.thick_line(k, n)
     return g, f"thick_line_k{k}_n{n}", {"shift": lambda x: shift}
 
 
-def _hex_torus(params: dict[str, str]) -> tuple:
-    p = _param(params, "p")
-    q = _param(params, "q")
-    maps = {"translate": lambda x: generators.torus_translation(x, p, q)}
-    return generators.hex_torus(p, q), f"hex_torus_{p}x{q}", maps
+def _cone_rotation(n: int) -> Automorphism:
+    """The cycle's rotation, the apex n fixed."""
+    return Automorphism({**generators.cycle_rotation(n).mapping, n: n}, "rotate")
 
 
-def _extended_wheel5(params: dict[str, str]) -> tuple:
-    dom = _bool_param(params, "dominated", False)
-    suffix = "dominated" if dom else "bare"
-    return generators.extended_wheel5(dom), f"extended_wheel5_{suffix}", {}
-
-
-def _random(params: dict[str, str]) -> tuple:
-    n = _param(params, "n")
-    p = _param(params, "p", float)
-    seed = _param(params, "seed")
-    return generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}", {}
-
-
-def _sized(params: dict[str, str], key: str, name: str, build, rotation=None) -> tuple:
-    """A generator of one integer parameter, named ``<name>_<value>``;
-    ``rotation(value)`` builds its map ``rotate``."""
-    size = _param(params, key)
-    maps = {"rotate": lambda x: rotation(size)} if rotation else {}
-    return build(size), f"{name}_{size}", maps
-
-
-# generator name -> f(params) -> (target, name, maps); maps sends an --auto
-# name to f(target) -> Automorphism, built only when asked for
+# generator name -> (parameters, build).  A parameter maps to its default, or
+# to its type (int, float or bool) when the spec must give it; the whole spec
+# is checked against these before build(**params) runs.  build returns
+# (target, name, maps), where maps sends an --auto name to
+# f(target) -> Automorphism, built only when asked for.
 GENERATORS = {
-    "lattice": _lattice,
-    "thick_line": _thick_line,
-    "hex_torus": _hex_torus,
-    "octahedron": lambda params: (
+    "lattice": ({"radius": 10, "margin": 4}, _lattice),
+    "thick_line": ({"k": int, "n": int}, _thick_line),
+    "hex_torus": ({"p": int, "q": int}, lambda p, q: (
+        generators.hex_torus(p, q),
+        f"hex_torus_{p}x{q}",
+        {"translate": lambda x: generators.torus_translation(x, p, q)},
+    )),
+    "octahedron": ({}, lambda: (
         generators.octahedron(),
         "octahedron",
         {"antipodal": lambda x: generators.octahedron_antipodal()},
-    ),
-    "icosahedron": lambda params: (generators.icosahedron(), "icosahedron", {}),
-    "wheel": lambda params: _sized(params, "k", "wheel", generators.wheel),
-    "extended_wheel5": _extended_wheel5,
-    "cycle": lambda params: _sized(
-        params, "n", "cycle", generators.cycle, generators.cycle_rotation
-    ),
-    "complete": lambda params: _sized(params, "n", "complete", generators.complete),
-    "cone_over_cycle": lambda params: _sized(
-        params, "n", "cone_over_cycle", lambda n: generators.cone(generators.cycle(n)),
-        # the cycle's rotation, the apex n fixed
-        lambda n: Automorphism({**generators.cycle_rotation(n).mapping, n: n}, "rotate"),
-    ),
-    "random": _random,
+    )),
+    "icosahedron": ({}, lambda: (generators.icosahedron(), "icosahedron", {})),
+    "wheel": ({"k": int}, lambda k: (generators.wheel(k), f"wheel_{k}", {})),
+    "extended_wheel5": ({"dominated": False}, lambda dominated: (
+        generators.extended_wheel5(dominated),
+        "extended_wheel5_" + ("dominated" if dominated else "bare"),
+        {},
+    )),
+    "cycle": ({"n": int}, lambda n: (
+        generators.cycle(n), f"cycle_{n}", {"rotate": lambda x: generators.cycle_rotation(n)}
+    )),
+    "complete": ({"n": int}, lambda n: (generators.complete(n), f"complete_{n}", {})),
+    "cone_over_cycle": ({"n": int}, lambda n: (
+        generators.cone(generators.cycle(n)),
+        f"cone_over_cycle_{n}",
+        {"rotate": lambda x: _cone_rotation(n)},
+    )),
+    "random": ({"n": int, "p": float, "seed": int}, lambda n, p, seed: (
+        generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}", {}
+    )),
 }
 
 
 def build_generated(spec: str) -> tuple:
-    """(target, name, maps) from a generator spec string."""
+    """(target, name, maps) from a generator spec string; every parameter is
+    checked before anything is built."""
     name, params = parse_gen_spec(spec)
     if name not in GENERATORS:
         raise CliError(f"unknown generator {name!r}")
-    built = GENERATORS[name](params)
-    if params:  # each generator takes out the parameters it reads
-        raise CliError(f"generator {name!r} takes no parameter {min(params)!r}")
-    return built
+    declared, build = GENERATORS[name]
+    unknown = params.keys() - declared.keys()
+    if unknown:
+        raise CliError(f"generator {name!r} takes no parameter {min(unknown)!r}")
+    values = {}
+    for key, default in declared.items():
+        if key in params:
+            kind = default if isinstance(default, type) else type(default)
+            values[key] = _read(key, params[key], kind)
+        elif isinstance(default, type):
+            raise CliError(f"generator needs parameter {key}=...")
+        else:
+            values[key] = default
+    return build(**values)
 
 
 def _file_auto(x, h: Automorphism | None) -> Automorphism:
@@ -214,32 +203,31 @@ def load_target(args) -> tuple:
     raise CliError("an input is required: --gen SPEC or --input FILE")
 
 
-def require_flag(fc: FacetComplex | None) -> None:
-    """Refuse facets input that is not flag: the checks would answer for its
-    flag completion, a different complex."""
-    if fc is not None:
-        verdict = is_flag(fc)
-        if verdict.is_no:
-            clique = " ".join(map(str, verdict.witness))
-            raise CliError(f"the facets do not form a flag complex: clique {clique} spans no simplex")
+def _flag(fc: FacetComplex | None) -> Verdict:
+    """Whether the input is flag: asked of a facets input, true by
+    construction of any other."""
+    if fc is None:
+        return yes(reason="defined by its 1-skeleton; flag by construction")
+    return is_flag(fc)
+
+
+def require_flag(flag: Verdict) -> None:
+    """Refuse input that is not flag: the checks would answer for its flag
+    completion, a different complex."""
+    if flag.is_no:
+        clique = " ".join(map(str, flag.witness))
+        raise CliError(f"the facets do not form a flag complex: clique {clique} spans no simplex")
 
 
 # ---------------------------------------------------------------------------
 # check, isometry and theorems
 #
 # Each subcommand has one table of token -> f(x, subject, args), in the order
-# that ``all`` runs.  x is the target; the subject is the FacetComplex of a
-# facets input (None otherwise) for check and the automorphism for isometry
-# and theorems.
+# that ``all`` runs.  x is the target; the subject is the flag verdict of the
+# input for check and the automorphism for isometry and theorems.
 
 
-def _flag(x, fc: FacetComplex | None, args) -> Verdict:
-    if fc is None:
-        return yes(reason="defined by its 1-skeleton; flag by construction")
-    return is_flag(fc)
-
-
-def _full_cycles(x, fc: FacetComplex | None, args) -> Verdict:
+def _full_cycles(x, flag: Verdict, args) -> Verdict:
     cycles = conditions.enumerate_full_cycles(x, max_len=args.max_len)
     return yes(
         witness=cycles[:50],
@@ -250,22 +238,22 @@ def _full_cycles(x, fc: FacetComplex | None, args) -> Verdict:
 
 
 CHECKS = {
-    "flag": _flag,
+    "flag": lambda x, flag, args: flag,
     "full-cycles": _full_cycles,
-    "systole": lambda x, fc, args: yes(
+    "systole": lambda x, flag, args: yes(
         value=conditions.systole(x, max_len=args.max_len), search_bound=args.max_len
     ),
-    "k-large": lambda x, fc, args: conditions.is_k_large(x, args.k),
-    "locally-k-large": lambda x, fc, args: conditions.is_locally_k_large(x, args.k),
-    "tc": lambda x, fc, args: conditions.triangle_condition(x),
-    "qc": lambda x, fc, args: conditions.quadrangle_condition(x),
-    "weakly-modular": lambda x, fc, args: conditions.is_weakly_modular(x),
-    "w5hat": lambda x, fc, args: conditions.extended_wheel_condition(x),
-    "sd": lambda x, fc, args: conditions.sphere_domination_everywhere(x),
-    "weakly-systolic": lambda x, fc, args: conditions.is_weakly_systolic(
+    "k-large": lambda x, flag, args: conditions.is_k_large(x, args.k),
+    "locally-k-large": lambda x, flag, args: conditions.is_locally_k_large(x, args.k),
+    "tc": lambda x, flag, args: conditions.triangle_condition(x),
+    "qc": lambda x, flag, args: conditions.quadrangle_condition(x),
+    "weakly-modular": lambda x, flag, args: conditions.is_weakly_modular(x),
+    "w5hat": lambda x, flag, args: conditions.extended_wheel_condition(x),
+    "sd": lambda x, flag, args: conditions.sphere_domination_everywhere(x),
+    "weakly-systolic": lambda x, flag, args: conditions.is_weakly_systolic(
         x, mode=args.mode, oracle_budget=args.oracle_budget
     ),
-    "systolic": lambda x, fc, args: conditions.is_systolic(
+    "systolic": lambda x, flag, args: conditions.is_systolic(
         x, oracle_budget=args.oracle_budget
     ),
 }
@@ -363,16 +351,17 @@ def cmd_run(args) -> int:
     """The command loop of check, isometry and theorems: one record per
     token, in the order given."""
     table, option, what = SUBCOMMANDS[args.command]
-    target, name, maps, facets = load_target(args)
     tokens = split_tokens(getattr(args, option), table, what)
     required = set(split_tokens(getattr(args, "require", None), table, what))
     missing = required - set(tokens)
     if missing:
         raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
+    target, name, maps, facets = load_target(args)
+    flag = _flag(facets)
     # a flag check alone reports non-flag input as its No
     if tokens != ["flag"]:
-        require_flag(facets)
-    subject, suffix = facets, ""
+        require_flag(flag)
+    subject, suffix = flag, ""
     if args.command != "check":
         subject = resolve_auto(target, maps, args.auto)
         # isometry studies the power of the map; theorems hands --power to
@@ -401,7 +390,7 @@ def cmd_run(args) -> int:
 
 def cmd_generate(args) -> int:
     target, name, maps, facets = load_target(args)
-    require_flag(facets)
+    require_flag(_flag(facets))
     auto = resolve_auto(target, maps, args.auto) if args.auto else None
     comments: tuple[str, ...] = ()
     if isinstance(target, WindowView):

@@ -453,7 +453,7 @@ class WindowView(FlagComplex):
     tests compare windows of different radii vertex by vertex.
     """
 
-    __slots__ = ("basepoint", "radius", "margin", "name", "coord_of", "id_of")
+    __slots__ = ("basepoint", "radius", "margin", "coord_of", "id_of")
 
     def __init__(
         self,
@@ -462,7 +462,6 @@ class WindowView(FlagComplex):
         basepoint: int,
         radius: int,
         margin: int,
-        name: str = "window",
         coord_of: dict[int, tuple] | None = None,
     ):
         if margin < 1 or margin > radius:
@@ -473,7 +472,6 @@ class WindowView(FlagComplex):
         self.basepoint = basepoint
         self.radius = radius
         self.margin = margin
-        self.name = name
         self.coord_of = dict(coord_of) if coord_of else {}
         self.id_of = {c: v for v, c in self.coord_of.items()}
         inner = radius - margin
@@ -483,6 +481,6 @@ class WindowView(FlagComplex):
 
     def __repr__(self) -> str:
         return (
-            f"WindowView({self.name!r}, radius={self.radius}, margin={self.margin}, "
+            f"WindowView(radius={self.radius}, margin={self.margin}, "
             f"n_vertices={self.n_vertices}, n_trusted={len(self.trusted_vertices)})"
         )

@@ -52,7 +52,6 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
         id_of[(0, 0)],
         radius,
         margin,
-        f"lattice_r{radius}_m{margin}",
         coord_of={i: c for c, i in id_of.items()},
     )
 

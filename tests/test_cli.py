@@ -17,6 +17,7 @@ from systolic.cli import (
     CliError,
     build_generated,
     main,
+    parse_gen_spec,
     resolve_auto,
 )
 from systolic.report import strip_timing
@@ -69,7 +70,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "spec, key",
-        [("lattice:radus=3,margin=2", "radus"), ("octahedron:n=9", "n"), ("cycle:n=5,m=2", "m")],
+        [("lattice:radus=3,margin=2", "radus"), ("octahedron:n=9", "n"), ("cycle:n=5,m=2", "m"),
+         # an unknown key wins over a bad or missing declared one
+         ("cycle:n=x,m=2", "m"), ("cycle:m=2", "m")],
     )
     def test_unknown_generator_parameter_exits_two(self, capsys, spec, key):
         code, out, err = run(capsys, "check", "--gen", spec, "--checks", "systole")
@@ -264,6 +267,44 @@ class TestDisconnectedInput:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+class TestRefusedBeforeBuild:
+    """A bad spec, token list or --require exits 2 before any target is
+    built, so a typo next to a huge size costs nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_window(self, monkeypatch):
+        def refuse(radius, margin):
+            raise AssertionError("the window was built")
+
+        monkeypatch.setattr(systolic.generators, "triangular_lattice_window", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("check --gen lattice:radius=1000,margin=4,radus=3 --checks tc",
+             "generator 'lattice' takes no parameter 'radus'"),
+            ("check --gen lattice:radius=1000,margin=4 --checks tcc",
+             f"unknown check 'tcc'; expected one of {', '.join(CHECKS)}"),
+            ("isometry --gen lattice:radius=1000,margin=4 --auto t1 --do min-sett",
+             f"unknown isometry operation 'min-sett'; expected one of {', '.join(ISOMETRY)}"),
+            ("theorems --gen lattice:radius=1000,margin=4 --auto t1 --do embeding",
+             f"unknown theorem check 'embeding'; expected one of {', '.join(THEOREMS)}"),
+            ("check --gen lattice:radius=1000,margin=4 --checks tc --require qc",
+             "--require names checks not being run: ['qc']"),
+            ("theorems --gen lattice:radius=1000,margin=4 --auto t1 --do embedding "
+             "--require dichotomy", "--require names theorem checks not being run: ['dichotomy']"),
+        ],
+    )
+    def test_exits_two_unbuilt(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_a_good_command_line_builds(self):
+        with pytest.raises(AssertionError, match="the window was built"):
+            main(["check", "--gen", "lattice:radius=1000,margin=4", "--checks", "tc"])
+
+
 def test_out_of_memory_exits_two(capsys, monkeypatch):
     # a build that runs out of memory is refused like any other input,
     # not shown as a traceback; exit 1 stays for a required No
@@ -354,6 +395,22 @@ class TestRefusedInput:
         assert code == 0 and err == ""
         (record,) = json.loads(out)["records"]
         assert record["verdict"] == "no" and record["witness"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("checks", ["all", "systole,flag"])
+    def test_flag_input_is_checked_once(self, capsys, tmp_path, monkeypatch, checks):
+        # the refusal of non-flag input and the flag token share one verdict
+        f = tmp_path / "filled.txt"
+        f.write_text("complex filled\nmode facets\nvertices 3\nfacet 0 1 2\n")
+        calls = []
+
+        def counted(fc):
+            calls.append(fc)
+            return systolic.is_flag(fc)
+
+        monkeypatch.setattr(systolic.cli, "is_flag", counted)
+        code, _, err = run(capsys, "check", "--input", str(f), "--checks", checks)
+        assert code == 0 and err == ""
+        assert len(calls) == 1
 
     def test_flag_facets_input_runs(self, capsys, tmp_path):
         f = tmp_path / "filled.txt"
@@ -621,7 +678,7 @@ class TestTheoremsCommand:
 
 # one small spec per generator
 SMALL_SPECS = {
-    "lattice": "lattice:radius=3,margin=1",
+    "lattice": "lattice:radius=4,margin=1",
     "thick_line": "thick_line:k=2,n=6",
     "hex_torus": "hex_torus:p=4,q=5",
     "octahedron": "octahedron",
@@ -646,6 +703,26 @@ class TestGeneratorTable:
         for auto in names:
             h = resolve_auto(target, maps, auto)
             assert systolic.validate_automorphism(target, h).is_yes, (gen, auto)
+
+    @pytest.mark.parametrize("gen", sorted(SMALL_SPECS))
+    def test_required_parameters_are_needed_and_optional_ones_default(self, gen):
+        declared, _ = GENERATORS[gen]
+        _, params = parse_gen_spec(SMALL_SPECS[gen])
+
+        def spec(**kv):
+            return gen + (":" + ",".join(f"{k}={v}" for k, v in kv.items()) if kv else "")
+
+        for key, default in declared.items():
+            rest = {k: v for k, v in params.items() if k != key}
+            if isinstance(default, type):
+                with pytest.raises(CliError) as exc:
+                    build_generated(spec(**rest))
+                assert str(exc.value) == f"generator needs parameter {key}=..."
+            else:
+                target, name, _ = build_generated(spec(**rest))
+                spelled, spelled_name, _ = build_generated(spec(**rest, **{key: default}))
+                assert name == spelled_name
+                assert list(target.edges()) == list(spelled.edges())
 
     def test_maps_of_other_generators_are_refused(self):
         built = {gen: build_generated(spec) for gen, spec in SMALL_SPECS.items()}
@@ -820,6 +897,16 @@ def _token_list(table):
 
 
 _small = st.integers(min_value=-2, max_value=9)
+# a misspelled or foreign key next to the ones the generator reads; only here
+# may a lattice radius be huge, since the key is refused before any build
+_MISSPELLED = st.builds(
+    "{}{}=3".format,
+    st.one_of(
+        st.sampled_from(["lattice:", "octahedron:", "cycle:n=5,"]),
+        st.builds("lattice:radius={},margin=4,".format, st.integers(1, 10**6)),
+    ),
+    st.sampled_from(["radus", "m", "k"]),
+)
 _GEN_SPECS = st.one_of(
     st.builds("lattice:radius={},margin={}".format, st.integers(0, 5), st.integers(0, 5)),
     st.builds("thick_line:k={},n={}".format, st.integers(-1, 3), _small),
@@ -829,9 +916,7 @@ _GEN_SPECS = st.one_of(
     st.builds("wheel:k={}".format, _small),
     st.builds("extended_wheel5:dominated={}".format, st.sampled_from(["yes", "0", "maybe"])),
     st.sampled_from(["octahedron", "icosahedron", "lattice", "cycle", "cycle:n=x", "cube", ":"]),
-    # a misspelled or foreign key next to the ones the generator reads
-    st.builds("{}{}=3".format, st.sampled_from(["lattice:", "octahedron:", "cycle:n=5,"]),
-              st.sampled_from(["radus", "m", "k"])),
+    _MISSPELLED,
 )
 _AUTOS = st.sampled_from(
     ["identity", "t1", "t-2", "t0", "glide", "shift", "translate", "antipodal", "rotate",
@@ -876,3 +961,13 @@ class TestArbitraryArguments:
             assert err.getvalue().startswith("error: "), argv
         else:
             assert err.getvalue() == "", argv
+
+    @given(st.sampled_from(["check", "isometry", "theorems", "generate"]), st.data())
+    @settings(max_examples=50, deadline=1000)
+    def test_a_misspelled_key_exits_two_within_the_deadline(self, command, data):
+        argv = _argv(command, data.draw)
+        argv[2] = data.draw(_MISSPELLED)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and err.getvalue().startswith("error: "), argv

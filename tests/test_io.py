@@ -139,6 +139,6 @@ class TestFormatting:
             format_complex(sub, "sparse")
 
     def test_window_complex_serializes(self, window10):
-        text = format_complex(window10, window10.name)
+        text = format_complex(window10, "lattice_r10_m4")
         parsed = parse_complex_text(text)
         assert parsed.complex.n_vertices == 331
