@@ -168,26 +168,19 @@ class FlagComplex:
             raise ComplexError(f"link of a non-simplex {s}")
         return self.span(self.common_neighbors(s))
 
-    def cliques(
-        self,
-        max_size: int | None = None,
-        within: Iterable[int] | None = None,
-    ) -> Iterator[Simplex]:
+    def cliques(self, max_size: int | None = None) -> Iterator[Simplex]:
         """All non-empty cliques in ascending lexicographic order.
 
-        ``within`` restricts the vertex pool; ``max_size`` bounds the number
-        of vertices per clique.  Each vertex v grows its cliques from its
-        neighbours above v in the pool, so the work follows the edges of the
-        pool rather than its square.
+        ``max_size`` bounds the number of vertices per clique.  Each vertex v
+        grows its cliques from its neighbours above v, so the work follows
+        the edges rather than the square of the vertex count.
         """
-        pool = self._vertices if within is None else tuple(sorted(set(within)))
-        inside = frozenset(pool)
         adj = self._adj
-        for v in pool:
+        for v in self._vertices:
             yield (v,)
             if max_size is not None and max_size <= 1:
                 continue
-            up = tuple(sorted(w for w in adj[v] if w > v and w in inside))
+            up = tuple(sorted(w for w in adj[v] if w > v))
             if up:
                 yield from _grow(adj, (v,), up, max_size)
 
@@ -417,11 +410,18 @@ def is_flag(fc: FacetComplex) -> Verdict:
     """Decide whether a facet complex equals the clique complex of its
     1-skeleton.
 
+    It is flag exactly when every maximal clique of the 1-skeleton is a
+    facet.  If so, every clique lies in a facet.  If flag, a maximal clique
+    is a simplex, so it lies in a facet, a clique, which must equal it.
+
     A negative verdict carries a smallest clique of the 1-skeleton that spans
     no simplex of the complex (for example the three vertices of an empty
     triangle).
     """
     skeleton = fc.one_skeleton()
+    facets = set(fc.facets)
+    if all(c in facets for c in skeleton.maximal_cliques()):
+        return yes()
     best: Simplex | None = None
     for clique in skeleton.cliques():
         if len(clique) < 3:
@@ -432,8 +432,6 @@ def is_flag(fc: FacetComplex) -> Verdict:
             best = clique
             if len(best) == 3:
                 break
-    if best is None:
-        return yes()
     return no(witness=best, reason="clique of the 1-skeleton spans no simplex")
 
 

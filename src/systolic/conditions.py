@@ -135,8 +135,8 @@ def is_k_large(x: FlagComplex, k: int) -> Verdict:
 
     Equivalently: no full cycle shorter than k in the complex or in any link.
     Always yes for k <= 4, as :func:`is_locally_k_large` says.  The negative
-    witness names the violating cycle and the simplex whose link contains it
-    (the empty tuple meaning the complex itself).
+    witness names the violating cycle and where it lies: the empty tuple for
+    the complex itself, else the first vertex (v,) whose link contains it.
     """
     short = enumerate_full_cycles(x, k - 1)
     if short:
@@ -148,35 +148,35 @@ def is_k_large(x: FlagComplex, k: int) -> Verdict:
 def is_locally_k_large(x: FlagComplex, k: int) -> Verdict:
     """Every simplex link has systole at least k.
 
-    Links of links are links, so scanning links of all non-empty simplices
-    covers the whole nested hierarchy.  On a window the scan covers simplices
-    whose vertices are all trusted; their links are complete inside the
-    window, so the verdict is exact for the trusted region.
+    Links of links are links, and the vertex links decide every link (see
+    :func:`first_link_cycle`).  On a window the scan covers trusted
+    vertices; their links are complete inside the window, so the verdict is
+    exact for the trusted region.
     """
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
-    hit = first_link_cycle(x, x.trusted_vertices, k - 1)
+    hit = first_link_cycle(x, k - 1)
     if hit is not None:
         return no(witness=hit, reason="short full cycle in a link")
     return yes()
 
 
-def first_link_cycle(
-    g: FlagComplex, within: frozenset[int], max_len: int, min_len: int = 4
-) -> CycleInLink | None:
-    """The first simplex inside ``within``, in the order of
-    ``FlagComplex.cliques``, whose link has a full cycle of min_len..max_len
-    vertices, with its least such cycle by (length, vertices); None when no
-    link has one.  A link is the full subcomplex on the common neighbors, so
-    no link is built; one smaller than a cycle is skipped."""
-    for sigma in g.cliques(within=within):
-        common = g.common_neighbors(sigma)
-        if len(common) < max(min_len, 4):
-            continue
-        cycles = _induced_cycles(g, common, max_len, min_len)
+def first_link_cycle(g: FlagComplex, max_len: int, min_len: int = 4) -> CycleInLink | None:
+    """The first trusted vertex v whose link has a full cycle of
+    min_len..max_len vertices, as ``CycleInLink((v,), cycle)`` with the
+    least such cycle by (length, vertices); None when no link has one.
+
+    It is also the first such simplex of the trusted region in the order of
+    ``FlagComplex.cliques``: a link is the full subcomplex on the common
+    neighbours, so a full cycle in link(s) is one in link(v) for every
+    vertex v of s, and (v,) comes before every other clique that starts at
+    v.  No link is built.
+    """
+    for v in sorted(g.trusted_vertices):
+        cycles = _induced_cycles(g, g._adj[v], max_len, min_len)
         cycle = min(cycles, key=_cycle_order, default=None)
         if cycle is not None:
-            return CycleInLink(sigma, cycle)
+            return CycleInLink((v,), cycle)
     return None
 
 
@@ -314,23 +314,21 @@ def find_extended_5_wheels(x: FlagComplex) -> list[ExtendedWheel5]:
 
     On a window only wheels with all seven vertices trusted are reported.
     """
-    region = x.trusted_vertices
+    region, adj = x.trusted_vertices, x._adj
     wheels: set[ExtendedWheel5] = set()
     for rim_cycle in enumerate_full_cycles(x, 5, min_len=5):
         rim = rim_cycle.vertices
-        rim_set = set(rim)
-        centers = sorted(c for c in x.common_neighbors(rim) if c in region)
-        for c in centers:
-            for i in range(5):
-                x1, x2 = rim[i], rim[(i + 1) % 5]
-                rest = [rim[(i + j) % 5] for j in range(2, 5)]
-                for a in sorted(x.common_neighbors((x1, x2))):
-                    if a == c or a in rim_set or a not in region or x.adjacent(a, c):
-                        continue
-                    if any(x.adjacent(a, y) for y in rest):
-                        continue
-                    ordered = (x1, x2, *rest)
-                    wheels.add(ExtendedWheel5.canonical(c, ordered, a))
+        centers = [c for c in x.common_neighbors(rim) if c in region]
+        if not centers:
+            continue
+        for i in range(5):
+            x1, x2 = rim[i], rim[(i + 1) % 5]
+            rest = [rim[(i + j) % 5] for j in range(2, 5)]
+            # the apexes of this rim edge; a center, adjacent to the rest, is none
+            apexes = [a for a in adj[x1] & adj[x2]
+                      if a in region and a not in rim and all(a not in adj[y] for y in rest)]
+            wheels.update(ExtendedWheel5.canonical(c, (x1, x2, *rest), a)
+                          for c in centers for a in apexes if a not in adj[c])
     return sorted(wheels, key=lambda w: (w.center, w.rim, w.apex))
 
 

@@ -114,6 +114,7 @@ def wheel_domination_in_min(x: FlagComplex, min_complex: FlagComplex) -> Verdict
 
     Yes means no link inside the set has a full 5-cycle; other lengths are
     not looked at, so this is not local 5-largeness (full 4-cycles pass).
+    A No names the first vertex whose link has one (vertex links decide).
     The detail lists every extended 5-wheel of the set together with its
     least ambient dominating vertex (a vertex adjacent to all seven wheel
     vertices), or None.
@@ -123,7 +124,7 @@ def wheel_domination_in_min(x: FlagComplex, min_complex: FlagComplex) -> Verdict
     for w in find_extended_5_wheels(min_complex):
         dom = sorted(x.common_neighbors(w.all_vertices()))
         wheels.append({"wheel": w, "dominator": dom[0] if dom else None})
-    hit = first_link_cycle(min_complex, frozenset(min_complex.vertices), 5, min_len=5)
+    hit = first_link_cycle(min_complex, 5, min_len=5)
     if hit is not None:
         return no(
             witness=hit,

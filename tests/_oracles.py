@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from systolic import Automorphism, FlagComplex, PathChain, displacement_profile
+from systolic import Automorphism, FlagComplex, PathChain, displacement_profile, is_extended_wheel5
 from systolic.collapse import collapse_to_point
 from systolic.complexes import ComplexError
 from systolic.verdict import (
     CycleInLink,
+    ExtendedWheel5,
     FullCycle,
     SphereSimplexViolation,
     Verdict,
@@ -147,6 +148,25 @@ def brute_force_invariant_simplices(
         if all(v in mapping for v in clique) and {mapping[v] for v in clique} == set(clique):
             out.append(clique)
     return out
+
+
+def brute_force_extended_wheels(x: FlagComplex) -> list[ExtendedWheel5]:
+    """Every extended 5-wheel with all seven vertices trusted: each rotation
+    of each induced 5-cycle of the trusted region, with every trusted center
+    and apex, kept when ``is_extended_wheel5`` accepts it; the reference for
+    the package's ``find_extended_5_wheels``."""
+    region = sorted(x.trusted_vertices)
+    out = set()
+    for rim in brute_force_full_cycles(x.span(region), 5):
+        if len(rim) != 5:
+            continue
+        for i in range(5):
+            ordered = rim[i:] + rim[:i]
+            for c in region:
+                for a in region:
+                    if is_extended_wheel5(x, ExtendedWheel5(c, ordered, a)):
+                        out.add(ExtendedWheel5.canonical(c, ordered, a))
+    return sorted(out, key=lambda w: (w.center, w.rim, w.apex))
 
 
 def all_automorphisms(g: FlagComplex) -> list[dict[int, int]]:
@@ -475,7 +495,7 @@ def first_sphere_violation(x: FlagComplex, v: int, n: int) -> Verdict:
         sphere = sorted(spheres[i + 1])
         if not sphere:
             break
-        for sigma in g.cliques(within=sphere):
+        for sigma in g.span(sphere).cliques():
             inner = g.common_neighbors(sigma) & ball
             if not inner or not g.is_clique(inner):
                 return no(
@@ -486,17 +506,17 @@ def first_sphere_violation(x: FlagComplex, v: int, n: int) -> Verdict:
     return yes()
 
 
-def first_short_link_cycle(x: FlagComplex, k: int) -> Verdict:
-    """Local k-largeness by building the link of every simplex through
-    ``FlagComplex.link`` and enumerating its full cycles shorter than k with
-    ``reference_full_cycles``; the reference for the package's
-    ``is_locally_k_large``."""
+def first_short_link_cycle(x: FlagComplex, k: int, min_len: int = 4) -> Verdict:
+    """Local k-largeness by building the link of every simplex of the
+    trusted region through ``FlagComplex.link`` and enumerating its full
+    cycles of min_len..k-1 vertices with ``reference_full_cycles``; the
+    reference for the package's vertex-link scan ``first_link_cycle``."""
     if k <= 4:
         return yes(reason="full cycles never have length below 4")
     g, region = x, x.trusted_vertices
-    for sigma in g.cliques(within=region):
+    for sigma in g.span(region).cliques():
         link = g.link(sigma)
-        short = reference_full_cycles(link, k - 1)
+        short = reference_full_cycles(link, k - 1, min_len)
         if short:
             return no(
                 witness=CycleInLink(sigma, short[0]),

@@ -876,6 +876,34 @@ class TestSharedScans:
         assert balls("tc,qc,weakly-modular,weakly-systolic")[1] == base[1]
 
 
+class TestDeadlines:
+    """Inputs with few vertices but exponentially many cliques answer at
+    once: vertex links decide local k-largeness, and maximal cliques decide
+    that a facets input is flag.  Each runs in a child process, so that a
+    clique walk would fail at the timeout instead of holding the suite."""
+
+    def verdicts(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "systolic.cli", *argv, "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        return [r["verdict"] for r in json.loads(proc.stdout)["records"]]
+
+    def test_links_of_a_40_clique(self):
+        got = self.verdicts("check", "--gen", "complete:n=40", "--checks", "k-large,locally-k-large")
+        assert got == ["yes", "yes"]
+
+    def test_one_facet_on_24_vertices(self, tmp_path):
+        f = tmp_path / "simplex24.txt"
+        f.write_text("complex simplex24\nmode facets\nvertices 24\nfacet "
+                     + " ".join(map(str, range(24))) + "\n")
+        assert self.verdicts("check", "--input", str(f), "--checks", "tc,flag") == ["yes", "yes"]
+
+
 class TestStartup:
     def test_import_loads_no_thread_pool(self):
         proc = subprocess.run(

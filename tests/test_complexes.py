@@ -85,21 +85,12 @@ class TestFlagComplex:
     @given(graph_params, st.data())
     @settings(max_examples=60, deadline=None)
     def test_cliques_match_brute_force(self, params, data):
-        # in ascending lexicographic order, inside any pool, up to any size
+        # in ascending lexicographic order, up to any size
         n, p, seed = params
         g = random_graph(min(n, 12), p, seed)
-        pool = data.draw(st.none() | st.sets(st.sampled_from(g.vertices)))
         max_size = data.draw(st.none() | st.integers(min_value=1, max_value=4))
-        want = sorted(
-            c for c in all_cliques(g)
-            if (pool is None or set(c) <= pool) and (max_size is None or len(c) <= max_size)
-        )
-        assert list(g.cliques(max_size=max_size, within=pool)) == want
-
-    def test_cliques_within_restricts(self, octa):
-        inside = list(octa.cliques(within=[0, 2, 4]))
-        assert (0, 2, 4) in inside
-        assert all(set(c) <= {0, 2, 4} for c in inside)
+        want = sorted(c for c in all_cliques(g) if max_size is None or len(c) <= max_size)
+        assert list(g.cliques(max_size=max_size)) == want
 
     def test_maximal_cliques_octahedron(self, octa):
         mc = sorted(octa.maximal_cliques())
@@ -113,10 +104,9 @@ class TestFlagComplex:
         assert len(g.connected_components()) != 1
 
 
-def _probes_per_trusted_vertex(radius: int) -> float:
+def _probes_per_vertex(radius: int) -> float:
     """Adjacency probes (membership tests and elements iterated) that
-    listing the cliques of a window's trusted region makes, per trusted
-    vertex."""
+    listing the cliques of a window makes, per vertex."""
     probes = [0]
 
     class Probed(frozenset):
@@ -131,16 +121,15 @@ def _probes_per_trusted_vertex(radius: int) -> float:
 
     window = S.triangular_lattice_window(radius, 4)
     window._adj = {v: Probed(ns) for v, ns in window._adj.items()}
-    trusted = window.trusted_vertices
-    for _ in window.cliques(within=trusted):
+    for _ in window.cliques():
         pass
-    return probes[0] / len(trusted)
+    return probes[0] / window.n_vertices
 
 
 def test_clique_listing_grows_with_the_trusted_region():
-    # a pool-wide candidate list would cost the square of the pool: about
-    # 8 times more per trusted vertex at radius 22 than at radius 10
-    small, large = _probes_per_trusted_vertex(10), _probes_per_trusted_vertex(22)
+    # a candidate list over every vertex would cost the square of the
+    # vertex count: about 5 times more per vertex at radius 22 than at 10
+    small, large = _probes_per_vertex(10), _probes_per_vertex(22)
     assert large <= 2 * small, (small, large)
 
 
@@ -303,6 +292,25 @@ class TestFacetsAndFlagness:
         fc = FacetComplex(itertools.combinations(range(5), 3))
         v = S.is_flag(fc)
         assert v.is_no and v.witness == (0, 1, 2, 3)
+
+    def test_is_flag_needs_every_maximal_clique(self):
+        # the filled triangle 2 3 4 is a facet; the hollow one 0 1 2 is not
+        fc = FacetComplex([(0, 1), (1, 2), (0, 2), (2, 3, 4)])
+        v = S.is_flag(fc)
+        assert v.is_no and v.witness == (0, 1, 2)
+
+    @given(st.lists(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),
+                    min_size=1, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_is_flag_matches_brute_force(self, sets):
+        # the least clique by (size, vertices) that lies in no facet
+        facets = [tuple(sorted(f)) for f in sets if not any(f < g for g in sets)]
+        fc = FacetComplex(facets)
+        missing = [c for c in all_cliques(fc.one_skeleton())
+                   if not any(set(c) <= set(f) for f in facets)]
+        want = min(missing, key=lambda c: (len(c), c), default=None)
+        v = S.is_flag(fc)
+        assert (v.is_yes, v.witness) == (want is None, want)
 
     def test_from_flag_roundtrip(self, octa):
         fc = FacetComplex.from_flag(octa)

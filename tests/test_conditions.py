@@ -17,6 +17,7 @@ from systolic.verdict import (
 )
 
 from _oracles import (
+    brute_force_extended_wheels,
     brute_force_full_cycles,
     first_quadrangle_violation,
     first_short_link_cycle,
@@ -334,6 +335,32 @@ class TestExtendedWheels:
         wheels = S.find_extended_5_wheels(g)
         assert len(wheels) == 1 and wheels[0].apex == 6
 
+    @given(
+        st.integers(min_value=5, max_value=13),
+        st.floats(min_value=0.3, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, n, p, seed, margin, extra):
+        # on the whole complex and on a window that trusts a ball around 0
+        g = S.random_flag_complex(n, p, seed)
+        assert S.find_extended_5_wheels(g) == brute_force_extended_wheels(g)
+        x = WindowView(g.vertices, g.edges(), 0, margin + extra, margin)
+        assert S.find_extended_5_wheels(x) == brute_force_extended_wheels(x)
+
+    @pytest.mark.parametrize("name", ["icosahedron", "extended_wheel5"])
+    @pytest.mark.parametrize("inner", [1, 2])
+    def test_windows_report_only_trusted_wheels(self, name, inner):
+        # a ball of radius 2 trusts 11 of the 12 icosahedron vertices, and
+        # a ball of radius 1 around the hub of the extended wheel leaves out
+        # its apex: a center or apex outside the ball must not count
+        g = getattr(S, name)()
+        for v in g.vertices:
+            x = WindowView(g.vertices, g.edges(), v, inner + 1, 1)
+            assert S.find_extended_5_wheels(x) == brute_force_extended_wheels(x)
+
     def test_validator_rejects_corrupted_witnesses(self):
         from systolic.verdict import ExtendedWheel5
 
@@ -537,6 +564,24 @@ class TestAgainstReferences:
         g = S.random_flag_complex(n, p, seed)
         for k in (5, 6, 7):
             got = S.is_locally_k_large(g, k)
+            assert _verdict_key(got) == _verdict_key(first_short_link_cycle(g, k))
+
+    @pytest.mark.parametrize("radius, margin", [(6, 2), (8, 3), (10, 4)])
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_locally_k_large_on_windows_matches_reference(self, radius, margin, k):
+        # every vertex link is a hexagon: yes at k = 6, no above it
+        x = S.triangular_lattice_window(radius, margin)
+        got = S.is_locally_k_large(x, k)
+        assert _verdict_key(got) == _verdict_key(first_short_link_cycle(x, k))
+        assert got.is_yes == (k == 6)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_locally_k_large_on_complete_graphs_matches_reference(self, n):
+        # every link is a simplex, so the reference walks all 2^n - 1 cliques
+        g = S.complete(n)
+        for k in (5, 6, 7):
+            got = S.is_locally_k_large(g, k)
+            assert got.is_yes
             assert _verdict_key(got) == _verdict_key(first_short_link_cycle(g, k))
 
 

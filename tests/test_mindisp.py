@@ -1,13 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import ComplexError, mindisp
 from systolic.mindisp import fit_thickness
 from systolic.verdict import DistancePair
 
-from _oracles import thick_line_distance
+from _oracles import first_short_link_cycle, thick_line_distance
 
 INF = math.inf
 
@@ -109,6 +110,22 @@ class TestWheelDomination:
         assert v.is_no
         wheels = v.detail["wheels"]
         assert len(wheels) == 1 and wheels[0]["dominator"] is None
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.2, max_value=0.9),
+        st.integers(min_value=0, max_value=5_000),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_link_witness_matches_reference(self, n, p, seed, data):
+        # only full 5-cycles count, in the link of any simplex of the set
+        g = S.random_flag_complex(n, p, seed)
+        part = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+        m = g.span(part)
+        got = S.wheel_domination_in_min(g, m)
+        want = first_short_link_cycle(m, 6, min_len=5)
+        assert (got.answer, got.witness) == (want.answer, want.witness)
 
 
 class TestInvariantGeodesic:
