@@ -15,9 +15,10 @@ except for wall_ms timing fields.
 
 check, isometry and theorems each look their tokens up in one ordered table
 and share one command loop; one generator table declares each generator's
-parameters and builds its target with the maps that ``--auto`` may name on
-it.  A spec's parameters, the token lists and ``--require`` are all checked
-before any target is built; only the ``--auto`` name waits for the target.
+parameters, its build and the maps that ``--auto`` may name on its target.
+The whole command line is checked before any target is built or any input
+file read: a spec's parameters, the token lists, ``--require`` and the
+``--auto`` name.
 Every entry names the package function it calls inside its body, so wrappers
 installed on module attributes (as a tracer does) see every call.
 """
@@ -79,22 +80,13 @@ def _read(key: str, value: str, kind: type):
 
 
 class _LatticeMaps(dict):
-    """The glide, and the translation ``t<n>`` for every integer n."""
+    """The glide, and the translation ``t<n>`` for every non-zero integer n."""
 
     def __missing__(self, name: str):
-        if not re.fullmatch(r"t-?\d+", name):
+        steps = int(name[1:]) if re.fullmatch(r"t-?\d+", name) else 0
+        if not steps:
             raise KeyError(name)
-        return lambda w: generators.lattice_translation(w, int(name[1:]))
-
-
-def _lattice(radius: int, margin: int) -> tuple:
-    window = generators.triangular_lattice_window(radius, margin)
-    return window, f"lattice_r{radius}_m{margin}", _LatticeMaps(glide=generators.lattice_glide)
-
-
-def _thick_line(k: int, n: int) -> tuple:
-    g, shift = generators.thick_line(k, n)
-    return g, f"thick_line_k{k}_n{n}", {"shift": lambda x: shift}
+        return lambda w: generators.lattice_translation(w, steps)
 
 
 def _cone_rotation(n: int) -> Automorphism:
@@ -102,53 +94,49 @@ def _cone_rotation(n: int) -> Automorphism:
     return Automorphism({**generators.cycle_rotation(n).mapping, n: n}, "rotate")
 
 
-# generator name -> (parameters, build).  A parameter maps to its default, or
-# to its type (int, float or bool) when the spec must give it; the whole spec
-# is checked against these before build(**params) runs.  build returns
-# (target, name, maps), where maps sends an --auto name to
-# f(target) -> Automorphism, built only when asked for.
+# generator name -> (parameters, build, maps).  A parameter maps to its
+# default, or to its type (int, float or bool) when the spec must give it.
+# build(**params) returns (target, name); maps(**params) builds nothing and
+# returns the table from each --auto name to f(target) -> Automorphism.  The
+# spec and the --auto name are both checked before build runs.
 GENERATORS = {
-    "lattice": ({"radius": 10, "margin": 4}, _lattice),
-    "thick_line": ({"k": int, "n": int}, _thick_line),
+    "lattice": ({"radius": 10, "margin": 4}, lambda radius, margin: (
+        generators.triangular_lattice_window(radius, margin), f"lattice_r{radius}_m{margin}"
+    ), lambda radius, margin: _LatticeMaps(glide=generators.lattice_glide)),
+    "thick_line": ({"k": int, "n": int}, lambda k, n: (
+        generators.thick_line(k, n)[0], f"thick_line_k{k}_n{n}"
+    ), lambda k, n: {"shift": lambda x: generators.line_shift(x.n_vertices)}),
     "hex_torus": ({"p": int, "q": int}, lambda p, q: (
-        generators.hex_torus(p, q),
-        f"hex_torus_{p}x{q}",
-        {"translate": lambda x: generators.torus_translation(x, p, q)},
-    )),
-    "octahedron": ({}, lambda: (
-        generators.octahedron(),
-        "octahedron",
-        {"antipodal": lambda x: generators.octahedron_antipodal()},
-    )),
-    "icosahedron": ({}, lambda: (generators.icosahedron(), "icosahedron", {})),
-    "wheel": ({"k": int}, lambda k: (generators.wheel(k), f"wheel_{k}", {})),
+        generators.hex_torus(p, q), f"hex_torus_{p}x{q}"
+    ), lambda p, q: {"translate": lambda x: generators.torus_translation(x, p, q)}),
+    "octahedron": ({}, lambda: (generators.octahedron(), "octahedron"),
+                   lambda: {"antipodal": lambda x: generators.octahedron_antipodal()}),
+    "icosahedron": ({}, lambda: (generators.icosahedron(), "icosahedron"), lambda **_: {}),
+    "wheel": ({"k": int}, lambda k: (generators.wheel(k), f"wheel_{k}"), lambda **_: {}),
     "extended_wheel5": ({"dominated": False}, lambda dominated: (
         generators.extended_wheel5(dominated),
         "extended_wheel5_" + ("dominated" if dominated else "bare"),
-        {},
-    )),
-    "cycle": ({"n": int}, lambda n: (
-        generators.cycle(n), f"cycle_{n}", {"rotate": lambda x: generators.cycle_rotation(n)}
-    )),
-    "complete": ({"n": int}, lambda n: (generators.complete(n), f"complete_{n}", {})),
+    ), lambda **_: {}),
+    "cycle": ({"n": int}, lambda n: (generators.cycle(n), f"cycle_{n}"),
+              lambda n: {"rotate": lambda x: generators.cycle_rotation(n)}),
+    "complete": ({"n": int}, lambda n: (generators.complete(n), f"complete_{n}"), lambda **_: {}),
     "cone_over_cycle": ({"n": int}, lambda n: (
-        generators.cone(generators.cycle(n)),
-        f"cone_over_cycle_{n}",
-        {"rotate": lambda x: _cone_rotation(n)},
-    )),
+        generators.cone(generators.cycle(n)), f"cone_over_cycle_{n}"
+    ), lambda n: {"rotate": lambda x: _cone_rotation(n)}),
     "random": ({"n": int, "p": float, "seed": int}, lambda n, p, seed: (
-        generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}", {}
-    )),
+        generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}"
+    ), lambda **_: {}),
 }
 
 
-def build_generated(spec: str) -> tuple:
-    """(target, name, maps) from a generator spec string; every parameter is
-    checked before anything is built."""
+def build_generated(spec: str, auto: str | None = None) -> tuple:
+    """(target, name, make) from a generator spec string; make builds the map
+    named ``auto`` from the target, None without ``auto``.  The spec, then the
+    map name, are checked before anything is built."""
     name, params = parse_gen_spec(spec)
     if name not in GENERATORS:
         raise CliError(f"unknown generator {name!r}")
-    declared, build = GENERATORS[name]
+    declared, build, maps = GENERATORS[name]
     unknown = params.keys() - declared.keys()
     if unknown:
         raise CliError(f"generator {name!r} takes no parameter {min(unknown)!r}")
@@ -161,7 +149,8 @@ def build_generated(spec: str) -> tuple:
             raise CliError(f"generator needs parameter {key}=...")
         else:
             values[key] = default
-    return build(**values)
+    make = None if auto is None else resolve_auto(maps(**values), auto)
+    return (*build(**values), make)
 
 
 def _file_auto(x, h: Automorphism | None) -> Automorphism:
@@ -177,29 +166,33 @@ def _file_auto(x, h: Automorphism | None) -> Automorphism:
     return h
 
 
-def resolve_auto(target, maps: dict, auto_name: str) -> Automorphism:
-    """The map named ``auto_name``: ``identity`` on every target, else one
-    of the target's own maps."""
+def resolve_auto(maps: dict, auto_name: str):
+    """f(target) -> Automorphism for the map named ``auto_name``:
+    ``identity`` on every target, else one of ``maps``.  Builds nothing."""
     if auto_name == "identity":
-        return Automorphism.identity(target)
+        return Automorphism.identity
     try:
-        build = maps[auto_name]
+        return maps[auto_name]
     except KeyError:
         raise CliError(f"no automorphism named {auto_name!r} for this target") from None
-    return build(target)
 
 
 def load_target(args) -> tuple:
-    """(target, name, maps, facets) from --gen or --input; facets is the
-    FacetComplex of a facets-mode input file, else None."""
+    """(target, name, make, facets) from --gen or --input: make builds the
+    --auto map from the target (None without --auto), and facets is the
+    FacetComplex of a facets-mode input file, else None.  The map name is
+    checked before a target is built or a file read."""
     if args.gen and args.input:
         raise CliError("give either --gen or --input, not both")
+    auto = getattr(args, "auto", None)
     if args.gen:
-        return (*build_generated(args.gen), None)
+        return (*build_generated(args.gen, auto), None)
     if args.input:
-        parsed = parse_complex_file(args.input)
+        # the file map reads ``parsed`` when it is built, after the read
         maps = {"file": lambda x: _file_auto(x, parsed.automorphism)}
-        return parsed.complex, parsed.name, maps, parsed.facet_complex
+        make = None if auto is None else resolve_auto(maps, auto)
+        parsed = parse_complex_file(args.input)
+        return parsed.complex, parsed.name, make, parsed.facet_complex
     raise CliError("an input is required: --gen SPEC or --input FILE")
 
 
@@ -356,14 +349,14 @@ def cmd_run(args) -> int:
     missing = required - set(tokens)
     if missing:
         raise CliError(f"--require names {what}s not being run: {sorted(missing)}")
-    target, name, maps, facets = load_target(args)
+    target, name, make, facets = load_target(args)
     flag = _flag(facets)
     # a flag check alone reports non-flag input as its No
     if tokens != ["flag"]:
         require_flag(flag)
     subject, suffix = flag, ""
-    if args.command != "check":
-        subject = resolve_auto(target, maps, args.auto)
+    if make is not None:
+        subject = make(target)
         # isometry studies the power of the map; theorems hands --power to
         # invariant-geodesic only
         if args.command == "isometry" and args.power != 1:
@@ -389,9 +382,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    target, name, maps, facets = load_target(args)
+    target, name, make, facets = load_target(args)
     require_flag(_flag(facets))
-    auto = resolve_auto(target, maps, args.auto) if args.auto else None
+    auto = None if make is None else make(target)
     comments: tuple[str, ...] = ()
     if isinstance(target, WindowView):
         comments = (

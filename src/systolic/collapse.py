@@ -45,7 +45,10 @@ def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
     vertices), together with its coface.  Yes means the pass reached a
     vertex.  No means no simplex is free at the start, so no collapse can
     begin.  Unknown means the pass stalled later, where another order might
-    still succeed, or the budget of steps ran out.
+    still succeed, or the budget of steps ran out.  Every present simplex
+    with one coface is on the heap: counts only fall, a simplex is queued at
+    the start or when its count falls to 1, and one popped with count 1 is
+    collapsed.
     """
     if x.n_vertices == 0:
         raise ComplexError("empty complex")
@@ -86,11 +89,6 @@ def collapse_to_point(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
                 cofaces[f] -= 1
                 if cofaces[f] == 1:
                     push(f)
-                elif cofaces[f] == 0 and f in present and len(f) >= 2:
-                    # f became maximal; faces of f may have become free
-                    for v in f:
-                        if cofaces[f - {v}] == 1:
-                            push(f - {v})
     if steps == 0:
         return no(reason="no collapse sequence reaches a point")
     return unknown(reason="greedy collapse stalled")
@@ -234,7 +232,8 @@ def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> 
 
     No comes from disconnectedness or non-trivial first homology, checked
     first; Yes from a collapse certificate, searched for only when first
-    homology vanishes; Unknown otherwise.
+    homology vanishes; Unknown otherwise, with the reason the collapse pass
+    gave, or that a budget <= 0 skipped it.
     """
     split = disconnection(x)
     if split is not None:
@@ -245,8 +244,9 @@ def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> 
             witness={"betti1": betti1, "torsion": torsion},
             reason="first integral homology is non-trivial",
         )
-    if budget > 0:
-        collapsed = collapse_to_point(x, budget)
-        if collapsed.is_yes:
-            return yes(reason=collapsed.reason, **collapsed.detail)
-    return unknown(reason="no collapse found within budget; first homology vanishes")
+    if budget <= 0:
+        return unknown(reason=f"budget {budget} skips the collapse pass; first homology vanishes")
+    collapsed = collapse_to_point(x, budget)
+    if collapsed.is_yes:
+        return yes(reason=collapsed.reason, **collapsed.detail)
+    return unknown(reason=f"{collapsed.reason}; first homology vanishes")

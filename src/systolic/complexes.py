@@ -301,21 +301,20 @@ class DistanceOracle:
             frontier = layer
         return dist
 
-    def distance(self, u: int, v: int) -> float:
+    def distance(self, u: int, v: int, radius: float = INF) -> float:
+        """Exact distance, INF included; explores only ball(u, radius) when
+        v lies inside it, and reads the whole table otherwise."""
         if v not in self._adj:
             raise ComplexError(f"unknown vertex {v}")
-        return self.distances_from(u).get(v, INF)
+        d = self.ball(u, radius).get(v)
+        if d is None and radius < INF:
+            d = self.ball(u, INF).get(v)
+        return INF if d is None else d
 
     def distance_capped(self, u: int, v: int, cap: float) -> float:
         """Distance if it is <= cap, else INF; explores only ball(u, cap)."""
         d = self.ball(u, cap).get(v, INF)
         return d if d <= cap else INF
-
-    def distance_within(self, u: int, v: int, radius: float) -> float:
-        """Exact distance, INF included; explores only ball(u, radius)
-        when v lies inside it."""
-        d = self.ball(u, radius).get(v)
-        return self.distance(u, v) if d is None else d
 
     def geodesics(self, u: int, v: int) -> Iterator[tuple[int, ...]]:
         """Every geodesic from u to v, in lexicographic order as vertex

@@ -447,7 +447,11 @@ def _first_empty_meet(
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
     """First simplex path + (u, ...), u in the sorted ``candidates`` (each
     adjacent to all of path), in lexicographic order, whose meet of inner
-    sets is empty; a walk goes deeper only where a triangle continues it."""
+    sets is empty; a walk goes deeper only where a triangle continues it.
+    It stops at once when every candidate's inner set contains the non-empty
+    ``meet``: every simplex below then has that meet, so none can fail."""
+    if all(meet <= inner[u] for u in candidates):
+        return None
     for j, u in enumerate(candidates):
         here = meet & inner[u]
         if not here:

@@ -96,9 +96,12 @@ def thick_line(k: int, half_width: int) -> tuple[FlagComplex, Automorphism]:
         raise ComplexError("half_width too small to exhibit the thickness")
     n = 2 * half_width + 1
     edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + k, n - 1) + 1)]
-    g = FlagComplex(range(n), edges)
-    shift = Automorphism({i: i + 1 for i in range(n - 1)}, "shift")
-    return g, shift
+    return FlagComplex(range(n), edges), line_shift(n)
+
+
+def line_shift(n_vertices: int) -> Automorphism:
+    """Vertex i to i + 1 on the line 0..n_vertices-1, where i + 1 exists."""
+    return Automorphism({i: i + 1 for i in range(n_vertices - 1)}, "shift")
 
 
 def hex_torus(p: int, q: int) -> FlagComplex:

@@ -270,7 +270,7 @@ def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:
                 witness=MapViolation("image_leaves_min_set", v, hv),
                 reason="image has trusted displacement above the minimum",
             )
-        d_inside = sub.oracle.distance_within(v, hv, length)
+        d_inside = sub.oracle.distance(v, hv, length)
         if d_inside != length:
             return no(
                 witness=DistancePair(v, hv, d_inside, length),
@@ -373,7 +373,7 @@ def verify_local_geodesic(x: FlagComplex, chain: PathChain, gap: int | None = No
                 break
             if w not in region:
                 continue
-            d = x.oracle.distance_within(u, w, bound)
+            d = x.oracle.distance(u, w, bound)
             checked += 1
             if d != diff:
                 a = chain.start + i

@@ -97,7 +97,7 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
         for v in sorted(v for v, d in amb.items() if v > u and v in members and d <= bound):
             d_amb = amb[v]
             # an isometric pair lies inside the inner ball of the same radius
-            d_sub = sub.oracle.distance_within(u, v, bound)
+            d_sub = sub.oracle.distance(u, v, bound)
             pairs += 1
             dev = d_sub - d_amb
             if dev > 0 and witness is None:
@@ -215,7 +215,7 @@ def verify_thick_geodesic(x: FlagComplex, w: ThickGeodesicWitness) -> Verdict:
                 expected = gap // w.k
                 if expected > bound or u not in region or v not in region:
                     continue
-                d = x.oracle.distance_within(u, v, bound)
+                d = x.oracle.distance(u, v, bound)
                 pairs += 1
                 if d != expected:
                     return no(

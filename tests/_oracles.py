@@ -458,17 +458,19 @@ def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:
     if len(comps) > 1:
         reps = sorted(min(c) for c in comps)
         return no(witness=tuple(reps[:2]), reason="disconnected")
+    stop = f"budget {budget} skips the collapse pass"
     if budget > 0:
         collapsed = collapse_to_point(x, budget)
         if collapsed.is_yes:
             return yes(reason=collapsed.reason, **collapsed.detail)
+        stop = collapsed.reason
     betti1, torsion = dense_first_homology(x)
     if betti1 > 0 or torsion:
         return no(
             witness={"betti1": betti1, "torsion": torsion},
             reason="first integral homology is non-trivial",
         )
-    return unknown(reason="no collapse found within budget; first homology vanishes")
+    return unknown(reason=f"{stop}; first homology vanishes")
 
 
 def first_sphere_violation(x: FlagComplex, v: int, n: int) -> Verdict:

@@ -225,7 +225,7 @@ class TestExitCodes:
         assert by["full-cycles"]["detail"]["count"] == 0
         # budget 0 skips the collapse pass: homology alone leaves the cone undecided
         assert by["systolic"]["verdict"] == "unknown"
-        assert "no collapse found within budget" in by["systolic"]["reason"]
+        assert "budget 0 skips the collapse pass" in by["systolic"]["reason"]
 
     def test_jobs_is_not_an_option(self, capsys):
         # lattice windows take radius and margin from the spec, generate
@@ -692,21 +692,26 @@ SMALL_SPECS = {
 }
 
 
+def _maps(gen):
+    """The map table of the small spec of ``gen``; making it builds nothing."""
+    declared, _, maps = GENERATORS[gen]
+    return maps(**{**declared, **parse_gen_spec(SMALL_SPECS[gen])[1]})
+
+
 class TestGeneratorTable:
     def test_every_generator_has_a_small_spec(self):
         assert set(SMALL_SPECS) == set(GENERATORS)
 
     @pytest.mark.parametrize("gen", sorted(SMALL_SPECS))
     def test_listed_maps_and_identity_are_automorphisms(self, gen):
-        target, _, maps = build_generated(SMALL_SPECS[gen])
-        names = [*maps, "identity"] + (["t1", "t-2"] if gen == "lattice" else [])
+        names = [*_maps(gen), "identity"] + (["t1", "t-2"] if gen == "lattice" else [])
         for auto in names:
-            h = resolve_auto(target, maps, auto)
-            assert systolic.validate_automorphism(target, h).is_yes, (gen, auto)
+            target, _, make = build_generated(SMALL_SPECS[gen], auto)
+            assert systolic.validate_automorphism(target, make(target)).is_yes, (gen, auto)
 
     @pytest.mark.parametrize("gen", sorted(SMALL_SPECS))
     def test_required_parameters_are_needed_and_optional_ones_default(self, gen):
-        declared, _ = GENERATORS[gen]
+        declared, _, _ = GENERATORS[gen]
         _, params = parse_gen_spec(SMALL_SPECS[gen])
 
         def spec(**kv):
@@ -725,13 +730,41 @@ class TestGeneratorTable:
                 assert list(target.edges()) == list(spelled.edges())
 
     def test_maps_of_other_generators_are_refused(self):
-        built = {gen: build_generated(spec) for gen, spec in SMALL_SPECS.items()}
-        every = {auto for _, _, maps in built.values() for auto in maps} | {"t1", "file"}
-        for gen, (target, _, maps) in built.items():
-            own = set(maps) | ({"t1"} if gen == "lattice" else set())
+        every = {auto for gen in SMALL_SPECS for auto in _maps(gen)} | {"t1", "file"}
+        for gen in SMALL_SPECS:
+            own = set(_maps(gen)) | ({"t1"} if gen == "lattice" else set())
             for auto in sorted(every - own):
                 with pytest.raises(CliError, match="no automorphism named"):
-                    resolve_auto(target, maps, auto)
+                    resolve_auto(_maps(gen), auto)
+
+    def test_an_unknown_name_never_reaches_the_build(self, capsys, monkeypatch):
+        def build(**params):
+            raise AssertionError("built")
+
+        for gen, (declared, _, maps) in list(GENERATORS.items()):
+            monkeypatch.setitem(GENERATORS, gen, (declared, build, maps))
+        for gen, spec in SMALL_SPECS.items():
+            for auto in ("zz", "t0", "file"):
+                with pytest.raises(CliError, match="no automorphism named"):
+                    build_generated(spec, auto)
+        code, out, err = run(capsys, "isometry", "--gen", "lattice:radius=1000000,margin=4",
+                             "--auto", "zz", "--do", "validate")
+        assert code == 2 and out == ""
+        assert err == "error: no automorphism named 'zz' for this target\n"
+
+    def test_t0_is_refused_before_the_build(self, capsys, monkeypatch):
+        declared, _, maps = GENERATORS["lattice"]
+        monkeypatch.setitem(GENERATORS, "lattice", (declared, None, maps))
+        code, out, err = run(capsys, "generate", "--gen", "lattice:radius=1000,margin=4",
+                             "--auto", "t0")
+        assert code == 2 and out == ""
+        assert err == "error: no automorphism named 't0' for this target\n"
+
+    def test_a_missing_input_with_an_unknown_map_names_the_map(self, capsys, tmp_path):
+        code, out, err = run(capsys, "theorems", "--input", str(tmp_path / "missing.txt"),
+                             "--auto", "zz", "--do", "all")
+        assert code == 2 and out == ""
+        assert err == "error: no automorphism named 'zz' for this target\n"
 
     def test_another_generators_map_exits_two(self, capsys):
         code, out, err = run(
@@ -878,9 +911,10 @@ class TestSharedScans:
 
 class TestDeadlines:
     """Inputs with few vertices but exponentially many cliques answer at
-    once: vertex links decide local k-largeness, and maximal cliques decide
-    that a facets input is flag.  Each runs in a child process, so that a
-    clique walk would fail at the timeout instead of holding the suite."""
+    once: vertex links decide local k-largeness, maximal cliques decide
+    that a facets input is flag, and the sphere walk stops where no meet can
+    shrink.  Each runs in a child process, so that a clique walk would fail
+    at the timeout instead of holding the suite."""
 
     def verdicts(self, *argv):
         proc = subprocess.run(
@@ -902,6 +936,15 @@ class TestDeadlines:
         f.write_text("complex simplex24\nmode facets\nvertices 24\nfacet "
                      + " ".join(map(str, range(24))) + "\n")
         assert self.verdicts("check", "--input", str(f), "--checks", "tc,flag") == ["yes", "yes"]
+
+    def test_a_41_clique_with_a_pendant_vertex(self, tmp_path):
+        # every simplex of sphere 2 around the pendant vertex 0 has the inner
+        # set {1}, so none of the 2^40 of them can fail
+        f = tmp_path / "pendant.txt"
+        f.write_text("complex pendant\nmode facets\nvertices 42\nfacet "
+                     + " ".join(map(str, range(1, 42))) + "\nfacet 0 1\n")
+        got = self.verdicts("check", "--input", str(f), "--checks", "sd,tc,qc,flag")
+        assert got == ["yes"] * 4
 
 
 class TestStartup:
@@ -989,6 +1032,19 @@ class TestArbitraryArguments:
             assert err.getvalue().startswith("error: "), argv
         else:
             assert err.getvalue() == "", argv
+
+    @given(st.sampled_from(["isometry", "theorems", "generate"]), st.integers(1, 10**6),
+           st.sampled_from(["zz", "t0", "t-0", "rotate", "shift", "file"]))
+    @settings(max_examples=50, deadline=1000)
+    def test_an_unknown_map_exits_two_within_the_deadline(self, command, radius, auto):
+        argv = [command, "--gen", f"lattice:radius={radius},margin=4", "--auto", auto]
+        if command != "generate":
+            argv += ["--do", "all"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and out.getvalue() == "", argv
+        assert err.getvalue() == f"error: no automorphism named {auto!r} for this target\n"
 
     @given(st.sampled_from(["check", "isometry", "theorems", "generate"]), st.data())
     @settings(max_examples=50, deadline=1000)

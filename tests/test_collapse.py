@@ -125,7 +125,7 @@ class TestCollapse:
         assert v.is_unknown and v.reason == "greedy collapse stalled"
         v = S.simple_connectivity_oracle(g)
         assert v.is_unknown
-        assert v.reason == "no collapse found within budget; first homology vanishes"
+        assert v.reason == "greedy collapse stalled; first homology vanishes"
 
     @given(greedy_params)
     @settings(max_examples=100, deadline=None)
@@ -296,4 +296,4 @@ class TestOracleOrder:
     def test_zero_budget_sphere_is_unknown(self, octa):
         v = S.simple_connectivity_oracle(octa, budget=0)
         assert v.is_unknown
-        assert v.reason == "no collapse found within budget; first homology vanishes"
+        assert v.reason == "budget 0 skips the collapse pass; first homology vanishes"

@@ -208,7 +208,7 @@ class TestDistances:
                 assert o.distance_capped(u, last, r) == (d if d <= r else INF)
             assert o.distances_from(u) == {v: d for v in g.vertices if (d := exact[(u, v)]) != INF}
             for v in g.vertices:
-                assert o.distance_within(v, u, small) == exact[(v, u)]
+                assert o.distance(v, u, small) == exact[(v, u)]
 
     def test_ball_cache_keeps_bounded_and_small_complete_tables(self, window10):
         g = FlagComplex(window10.vertices, window10.edges())

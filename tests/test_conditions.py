@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -486,6 +487,31 @@ class TestAgainstReferences:
                 assert _verdict_key(got) == _verdict_key(want)
                 if got.is_no:
                     assert S.sphere_domination_violation_holds(g, got.witness)
+
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sets(st.integers(min_value=1, max_value=10), max_size=3),
+        st.floats(min_value=0, max_value=0.4),
+        st.integers(min_value=0, max_value=5_000),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pendant_clique_variants_match_reference(self, m, attach, drop, seed, tail):
+        # a clique on 1..m, some of its edges dropped, and a pendant vertex 0
+        # joined to 1 and to ``attach``; with ``tail`` one more vertex hangs
+        # off m.  Around 0 the inner sets of sphere 2 share vertices, where
+        # the walk over the sphere's simplices stops early.
+        rng = random.Random(seed)
+        edges = [(0, a) for a in sorted({1} | attach) if a <= m]
+        edges += [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)
+                  if rng.random() >= drop]
+        if tail:
+            edges.append((m, m + 1))
+        g = FlagComplex(range(m + 1 + tail), edges)
+        for v in g.vertices:
+            for depth in range(4):
+                got = S.sphere_domination(g, v, depth)
+                assert _verdict_key(got) == _verdict_key(first_sphere_violation(g, v, depth))
 
     @given(
         st.integers(min_value=1, max_value=16),
