@@ -54,6 +54,9 @@ and no other byte changed.
 The five ``isometry_*`` reports were re-captured once more when ``isometry``
 stopped taking ``--oracle-budget``, which no isometry operation reads: each
 lost its ``"oracle_budget": 100000`` config line, and no other byte changed.
+``check_tc_qc_sd_random_n8_p03_s4`` was captured while TC, QC and SD each
+scanned every source on their own: SD fails at source 0, QC at source 3 and
+TC at source 4, so it pins scans that run on past SD's witness source.
 """
 
 import os
@@ -114,6 +117,9 @@ CASES = {
     "theorems_octahedron_antipodal": [
         "theorems", "--gen", "octahedron", "--auto", "antipodal",
         "--do", "dichotomy,invariant-geodesic",
+    ],
+    "check_tc_qc_sd_random_n8_p03_s4": [
+        "check", "--gen", "random:n=8,p=0.3,seed=4", "--checks", "tc,qc,weakly-modular,sd",
     ],
     "check_require_octahedron": [
         "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
