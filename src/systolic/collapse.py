@@ -28,11 +28,18 @@ _SIMPLEX_CAP = 500_000
 
 
 def all_simplices(x: FlagComplex) -> list[frozenset[int]] | None:
-    """Every non-empty clique, or None when the count exceeds ``_SIMPLEX_CAP``."""
+    """Every non-empty clique, or None when the count exceeds ``_SIMPLEX_CAP``.
+
+    A clique of k vertices has 2^k - 1 non-empty faces, so the walk stops at
+    the first clique of ``big`` vertices, the least k with 2^k - 1 above the
+    cap: the count would exceed it.  The walk goes depth first, so on a
+    complete graph it stops after ``big`` cliques, not after the cap.
+    """
+    big = (_SIMPLEX_CAP + 1).bit_length()
     out: list[frozenset[int]] = []
     for c in x.cliques():
         out.append(frozenset(c))
-        if len(out) > _SIMPLEX_CAP:
+        if len(out) > _SIMPLEX_CAP or len(c) >= big:
             return None
     return out
 

@@ -35,15 +35,21 @@ def once(f):
 
     The result is kept on x itself, so it lives exactly as long as its
     target; a call that raises keeps nothing and raises again next time.
+    ``known(x, *args, **kwargs)`` returns the kept result, or None, and
+    never computes; ``functools.wraps`` copies it onto any wrapper.
     """
+
+    def key(args, kwargs):
+        return (f, args, tuple(sorted(kwargs.items())))
 
     @functools.wraps(f)
     def cached(x, *args, **kwargs):
-        key = (f, args, tuple(sorted(kwargs.items())))
-        if key not in x._memo:
-            x._memo[key] = f(x, *args, **kwargs)
-        return x._memo[key]
+        k = key(args, kwargs)
+        if k not in x._memo:
+            x._memo[k] = f(x, *args, **kwargs)
+        return x._memo[k]
 
+    cached.known = lambda x, *args, **kwargs: x._memo.get(key(args, kwargs))
     return cached
 
 

@@ -13,7 +13,8 @@ A finite complex trusts every vertex and every distance.
 
 The scans that several checks share (TC, QC, SD, the 5-wheel condition and
 local k-largeness for each k) are computed once per complex
-(``complexes.once``).
+(``complexes.once``).  TC and QC read sphere domination's verdict where it
+is already known and scan only the sources it leaves open.
 """
 
 from __future__ import annotations
@@ -191,13 +192,28 @@ def triangle_condition(x: FlagComplex) -> Verdict:
 
     Each source reads only its ball of the trust radius: the edges (v, w)
     with v < w are visited in sorted order of v inside the ball, then of w.
+
+    Where sphere domination's verdict is known, the scan starts at the first
+    source it has not settled (:func:`_first_unsettled`).  SD at a source u
+    scans the spheres 2..margin of ``ball(u, margin)``, untrusted vertices
+    included, and TC reads distances 2..margin.  TC's premise is an edge vw
+    inside sphere d; SD requires that edge's inner set, its common neighbors
+    in sphere d - 1, to be non-empty, which is exactly TC's conclusion.  So
+    TC holds at every source where SD holds: everywhere after SD's Yes, and
+    at every source before the witness source of SD's No, since both scan
+    the sorted trusted sources.  The first violation, and so the verdict,
+    is the same.  Only the source loop is shorter: the edge lists still
+    cover the whole trusted region.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the triangle condition")
     adj = x._adj
     verts = sorted(region)
+    start = _first_unsettled(x, verts)
+    if start == len(verts):
+        return yes()
     higher = {v: sorted(w for w in adj[v] if w > v and w in region) for v in verts}
-    for u in verts:
+    for u in verts[start:]:
         dist = x.oracle.ball(u, bound)
         get = dist.get
         for v in sorted(dist):
@@ -217,6 +233,17 @@ def triangle_condition(x: FlagComplex) -> Verdict:
                         reason="no common neighbor descends toward u",
                     )
     return yes()
+
+
+def _first_unsettled(x: FlagComplex, verts: list[int]) -> int:
+    """The index in the sorted trusted ``verts`` of the first source where
+    TC or QC may still fail, given what is known of sphere domination on x:
+    len(verts) after its Yes, its witness source after its No, 0 when it
+    has not been computed.  Never computes it."""
+    sd = sphere_domination_everywhere.known(x)
+    if sd is None:
+        return 0
+    return len(verts) if sd.is_yes else verts.index(sd.witness.v)
 
 
 def _require_connected(g: FlagComplex, what: str) -> None:
@@ -243,13 +270,28 @@ def quadrangle_condition(x: FlagComplex) -> Verdict:
 
     Each source reads only its ball of the trust radius: z runs over it in
     sorted order, then the pairs v < w of neighbors of z one layer closer.
+
+    Where sphere domination's verdict is known, the scan starts at the first
+    source it has not settled (:func:`_first_unsettled`).  SD at a source u
+    scans the spheres 2..margin of ``ball(u, margin)``, untrusted vertices
+    included, and QC reads distances 3..margin.  QC's premise puts two
+    non-adjacent vertices v, w in the inner set of a vertex z, its neighbors
+    one sphere closer; SD requires that inner set to be a simplex, so where
+    SD holds the premise never arises.  So QC holds at every source where SD
+    holds: everywhere after SD's Yes, and at every source before the witness
+    source of SD's No, since both scan the sorted trusted sources.  The
+    first violation, and so the verdict, is the same.  Only the source loop
+    is shorter: the neighbor lists still cover the whole trusted region.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the quadrangle condition")
     adj = x._adj
     verts = sorted(region)
+    start = _first_unsettled(x, verts)
+    if start == len(verts):
+        return yes()
     around = {z: sorted(n for n in adj[z] if n in region) for z in verts}
-    for u in verts:
+    for u in verts[start:]:
         dist = x.oracle.ball(u, bound)
         get = dist.get
         for z in sorted(dist):
@@ -509,8 +551,9 @@ def is_weakly_systolic(
         return _weakly_systolic_graph(x)
     if mode == "sd":
         return sphere_domination_everywhere(x)
-    graph_v = _weakly_systolic_graph(x)
+    # SD first: the graph route's TC and QC then read its verdict
     sd_v = sphere_domination_everywhere(x)
+    graph_v = _weakly_systolic_graph(x)
     local_v = _weakly_systolic_local_to_global(x, oracle_budget)
     detail = {"graph": graph_v, "sd": sd_v, "local_to_global": local_v}
     for sub in (graph_v, sd_v, local_v):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -265,6 +266,89 @@ class TestDisconnectedInput:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestSphereDominationFirst:
+    """check computes SD before the other tokens when the run computes it
+    anyway, so TC and QC read its verdict; records, errors and exit codes
+    keep the given order."""
+
+    @pytest.fixture
+    def sd_calls(self, monkeypatch):
+        """"sd" for each computation of SD and "tc" for each TC call, in
+        order; each SD computation sleeps 50 ms."""
+        calls = []
+        original = systolic.conditions.sphere_domination_everywhere
+
+        def counted(x):
+            if original.known(x) is None:
+                calls.append("sd")
+                time.sleep(0.05)
+            return original(x)
+
+        counted.known = original.known
+        monkeypatch.setattr(systolic.conditions, "sphere_domination_everywhere", counted)
+        tc = systolic.conditions.triangle_condition
+        monkeypatch.setattr(
+            systolic.conditions, "triangle_condition", lambda x: calls.append("tc") or tc(x)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "checks, mode, first",
+        [("tc,sd", "graph", 1), ("tc,weakly-systolic", "composite", 1),
+         ("tc,weakly-systolic,sd", "sd", 1), ("tc,sd,weakly-systolic", "composite", 1),
+         ("tc,qc,sd", "graph", 2)],
+    )
+    def test_sd_runs_first_and_counts_to_its_token(self, capsys, sd_calls, checks, mode, first):
+        code, out, err = run(
+            capsys, "check", "--gen", "octahedron", "--checks", checks, "--mode", mode,
+            "--format", "json",
+        )
+        records = json.loads(out)["records"]
+        assert code == 0 and [r["check"] for r in records] == checks.split(",")
+        assert sd_calls[:2] == ["sd", "tc"] and sd_calls.count("sd") == 1
+        walls = [r["wall_ms"] for r in records]
+        assert walls[first] >= 50 and all(w < 50 for i, w in enumerate(walls) if i != first)
+
+    @pytest.mark.parametrize(
+        "checks", ["tc", "qc", "weakly-modular", "tc,qc,weakly-modular", "weakly-systolic"]
+    )
+    @pytest.mark.parametrize("spec", ["octahedron", "lattice:radius=6,margin=3"])
+    def test_tc_and_qc_alone_never_compute_sd(self, capsys, monkeypatch, checks, spec):
+        original = systolic.conditions.sphere_domination_everywhere
+
+        def refuse(x):
+            raise AssertionError("sphere domination was computed")
+
+        refuse.known = original.known
+        monkeypatch.setattr(systolic.conditions, "sphere_domination_everywhere", refuse)
+        code, out, err = run(capsys, "check", "--gen", spec, "--checks", checks)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "checks, mode, what",
+        [
+            ("tc,sd", "graph", "the triangle condition"),
+            ("sd,tc", "graph", "sphere domination"),
+            ("qc,sd", "graph", "the quadrangle condition"),
+            ("weakly-modular,sd", "graph", "the triangle condition"),
+            ("weakly-systolic,sd", "composite", "weak systolicity"),
+            ("sd,weakly-systolic", "composite", "sphere domination"),
+            ("tc,weakly-systolic", "sd", "the triangle condition"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["disconnected", "empty"])
+    def test_first_token_reports_its_own_error(self, capsys, tmp_path, checks, mode, what, source):
+        if source == "empty":
+            f = tmp_path / "empty.txt"
+            f.write_text("complex empty\nmode flag\nvertices 0\n")
+            argv, message = ["--input", str(f)], "empty complex"
+        else:
+            argv, message = ["--gen", "random:n=10,p=0.1,seed=1"], f"{what} is about connected complexes"
+        code, out, err = run(capsys, "check", *argv, "--checks", checks, "--mode", mode)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestRefusedBeforeBuild:
@@ -930,6 +1014,12 @@ class TestDeadlines:
     def test_links_of_a_40_clique(self):
         got = self.verdicts("check", "--gen", "complete:n=40", "--checks", "k-large,locally-k-large")
         assert got == ["yes", "yes"]
+
+    def test_systolic_on_a_40_clique(self):
+        # the collapse pass refuses to list 2^40 - 1 simplices at the first
+        # 19-clique, not after walking 500,001 of them
+        got = self.verdicts("check", "--gen", "complete:n=40", "--checks", "systolic")
+        assert got == ["unknown"]
 
     def test_one_facet_on_24_vertices(self, tmp_path):
         f = tmp_path / "simplex24.txt"

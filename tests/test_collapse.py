@@ -88,6 +88,28 @@ class TestAllSimplices:
         monkeypatch.setattr(systolic.collapse, "_SIMPLEX_CAP", 10)
         assert all_simplices(octa) is None
 
+    def test_a_large_simplex_stops_the_walk(self, monkeypatch):
+        # a 19-clique has 2^19 - 1 faces, more than the cap of 500,000, so
+        # the walk stops at the first one: (0, ..., 18) on K_40
+        walked = []
+        original = FlagComplex.cliques
+
+        def counted(x, max_size=None):
+            for c in original(x, max_size):
+                walked.append(c)
+                yield c
+
+        monkeypatch.setattr(FlagComplex, "cliques", counted)
+        assert all_simplices(S.complete(40)) is None
+        assert walked[-1] == tuple(range(19)) and len(walked) == 19
+
+    def test_a_simplex_under_the_cap_is_walked_whole(self, monkeypatch):
+        # a 5-clique has 31 faces: the cap of 31 keeps them, 30 does not
+        monkeypatch.setattr(systolic.collapse, "_SIMPLEX_CAP", 31)
+        assert len(all_simplices(S.complete(5))) == 31
+        monkeypatch.setattr(systolic.collapse, "_SIMPLEX_CAP", 30)
+        assert all_simplices(S.complete(5)) is None
+
 
 class TestCollapse:
     def test_single_simplex(self):

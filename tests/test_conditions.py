@@ -611,6 +611,123 @@ class TestAgainstReferences:
             assert _verdict_key(got) == _verdict_key(first_short_link_cycle(g, k))
 
 
+def _relabel(g, order):
+    """g with vertex order[i] renamed i."""
+    new = {v: i for i, v in enumerate(order)}
+    return FlagComplex(range(len(order)), [(new[a], new[b]) for a, b in g.edges()])
+
+
+def _same_after_sd(make):
+    """TC and QC computed after SD on make() equal them on a fresh make(),
+    which never computes SD; returns SD's verdict."""
+    x, fresh = make(), make()
+    sd = S.sphere_domination_everywhere(x)
+    assert S.sphere_domination_everywhere.known(x) is sd
+    assert S.triangle_condition(x) == S.triangle_condition(fresh)
+    assert S.quadrangle_condition(x) == S.quadrangle_condition(fresh)
+    assert S.is_weakly_modular(x) == S.is_weakly_modular(fresh)
+    assert S.sphere_domination_everywhere.known(fresh) is None
+    return sd
+
+
+class TestAfterSphereDomination:
+    """Where SD holds at a source, so do TC and QC, so after SD they scan
+    only the sources from its witness on.  Their verdicts equal those of a
+    fresh copy that scans every source."""
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.floats(min_value=0.15, max_value=0.8),
+        st.integers(min_value=0, max_value=5_000),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tc_and_qc_after_sd_equal_a_fresh_copy(self, n, p, seed, rng, window, margin, extra):
+        g = _random_connected(n, p, seed)
+        if g is None:
+            return
+        order = list(g.vertices)
+        rng.shuffle(order)
+        # each round gives SD's witness source the largest id, so SD fails
+        # further on, or holds, in the next
+        for _ in range(4):
+            g = _relabel(g, order)
+            if window:
+                sd = _same_after_sd(lambda: WindowView(g.vertices, g.edges(), 0, margin + extra, margin))
+            else:
+                sd = _same_after_sd(lambda: FlagComplex(g.vertices, g.edges()))
+            if sd.is_yes or sd.witness.v == g.vertices[-1]:
+                break
+            order = [v for v in g.vertices if v != sd.witness.v] + [sd.witness.v]
+
+    @given(
+        st.integers(min_value=4, max_value=7),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_windows_with_defects(self, radius, margin, n_cut, n_dropped, rng):
+        # a few vertices and edges removed, the ids shuffled: SD fails near
+        # the defects, past sources where all three hold, and TC and QC can
+        # fail on vertices below SD's witness source
+        margin = min(margin, radius)
+        w = S.triangular_lattice_window(radius, margin)
+        cut = set(rng.sample([v for v in w.vertices if v != w.basepoint], n_cut))
+        edges = [e for e in w.edges() if cut.isdisjoint(e)]
+        for e in rng.sample(edges, n_dropped):
+            edges.remove(e)
+        order = [v for v in w.vertices if v not in cut]
+        rng.shuffle(order)
+        new = {v: i for i, v in enumerate(order)}
+        relabelled = [(new[a], new[b]) for a, b in edges]
+
+        def make():
+            return WindowView(range(len(order)), relabelled, new[w.basepoint], radius, margin)
+
+        if len(make().connected_components()) == 1:
+            _same_after_sd(make)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, sources",
+        [
+            # SD fails at 0, TC and QC later: their scans run on past SD's
+            # witness source
+            (8, 0.3, 4, (0, 4, 3)),
+            # all three fail at source 2, SD's witness source; QC's witness
+            # has z = 1, which only its whole neighbor table holds
+            (12, 0.35, 49, (2, 2, 2)),
+        ],
+    )
+    def test_named_sources(self, n, p, seed, sources):
+        g = S.random_flag_complex(n, p, seed)
+        sd = _same_after_sd(lambda: FlagComplex(g.vertices, g.edges()))
+        tc, qc = S.triangle_condition(g), S.quadrangle_condition(g)
+        assert (sd.witness.v, tc.witness.u, qc.witness.u) == sources
+
+    @pytest.mark.parametrize("radius, margin", [(8, 3), (10, 4)])
+    def test_window_with_a_hole_beside_the_basepoint(self, radius, margin):
+        # the lattice window passes all three; without a neighbor of the
+        # basepoint SD fails past the least trusted source, TC at SD's own
+        # witness source and QC after it
+        w = S.triangular_lattice_window(radius, margin)
+        gone = min(w.neighbors(w.basepoint))
+        vertices = [v for v in w.vertices if v != gone]
+        edges = [e for e in w.edges() if gone not in e]
+
+        def make():
+            return WindowView(vertices, edges, w.basepoint, radius, margin)
+
+        sd = _same_after_sd(make)
+        x = make()
+        tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
+        assert min(x.trusted_vertices) < sd.witness.v == tc.witness.u < qc.witness.u
+
+
 def _link_cycle_holds(x, w) -> bool:
     if not w.simplex:
         return S.is_full_cycle(x, w.cycle.vertices)
@@ -724,6 +841,21 @@ class TestWeaklySystolic:
         assert v.is_no
         assert set(v.detail) == {"graph", "sd", "local_to_global"}
         assert v.detail["graph"].is_no and v.detail["sd"].is_no
+
+    def test_composite_computes_sd_before_the_graph_route(self, monkeypatch):
+        # TC and QC of the graph route then read SD's verdict; the detail
+        # keeps its order
+        seen = []
+        tc = S.conditions.triangle_condition
+
+        def traced(x):
+            seen.append(S.sphere_domination_everywhere.known(x))
+            return tc(x)
+
+        monkeypatch.setattr(S.conditions, "triangle_condition", traced)
+        v = S.is_weakly_systolic(S.wheel(6), "composite")
+        assert v.is_yes and list(v.detail) == ["graph", "sd", "local_to_global"]
+        assert seen == [v.detail["sd"]]
 
     def test_dominated_wheel_yes_all_modes(self):
         g = S.extended_wheel5(True)
