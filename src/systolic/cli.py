@@ -89,11 +89,6 @@ class _LatticeMaps(dict):
         return lambda w: generators.lattice_translation(w, steps)
 
 
-def _cone_rotation(n: int) -> Automorphism:
-    """The cycle's rotation, the apex n fixed."""
-    return Automorphism({**generators.cycle_rotation(n).mapping, n: n}, "rotate")
-
-
 # generator name -> (parameters, build, maps).  A parameter maps to its
 # default, or to its type (int, float or bool) when the spec must give it.
 # build(**params) returns (target, name); maps(**params) builds nothing and
@@ -122,7 +117,7 @@ GENERATORS = {
     "complete": ({"n": int}, lambda n: (generators.complete(n), f"complete_{n}"), lambda **_: {}),
     "cone_over_cycle": ({"n": int}, lambda n: (
         generators.cone(generators.cycle(n)), f"cone_over_cycle_{n}"
-    ), lambda n: {"rotate": lambda x: _cone_rotation(n)}),
+    ), lambda n: {"rotate": lambda x: x.symmetries[0](x)}),
     "random": ({"n": int, "p": float, "seed": int}, lambda n, p, seed: (
         generators.random_flag_complex(n, p, seed), f"random_n{n}_p{p}_s{seed}"
     ), lambda **_: {}),

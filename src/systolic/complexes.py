@@ -10,7 +10,9 @@ complex trusts every vertex and every distance.  A :class:`WindowView` is
 the flag complex of a finite ball cut out of an infinite periodic complex,
 and trusts only what lies far enough from its boundary.  A complex owns its
 adjacency; the oracle only reads it and holds no reference back, so a
-complex and its cached tables are freed as soon as it is dropped.
+complex and its cached tables are freed as soon as it is dropped.  A
+builder may declare maps it knows to be symmetries (``symmetries``); the
+scans verify them before they use one (``conditions``).
 """
 
 from __future__ import annotations
@@ -81,13 +83,20 @@ class FlagComplex:
     Scans quantify over ``trusted_vertices`` and over distance values at
     most ``margin``; a finite complex trusts all of its vertices and every
     distance.
+
+    ``symmetries`` holds functions f(target) -> Automorphism that the
+    builder declares; one is called only when a scan first needs a map.
+    None may close over the target, or the complex would no longer be freed
+    by reference counting alone.  Subcomplexes declare none.
     """
 
-    __slots__ = ("_adj", "_vertices", "trusted_vertices", "oracle", "_memo")
+    __slots__ = ("_adj", "_vertices", "trusted_vertices", "oracle", "_memo", "symmetries")
 
     margin: float = INF
 
-    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+    def __init__(
+        self, vertices: Iterable[int], edges: Iterable[tuple[int, int]], symmetries: tuple = ()
+    ):
         vs = _vertex_ids(vertices)
         vset = frozenset(vs)
         adj: dict[int, set[int]] = {v: set() for v in vs}
@@ -107,6 +116,7 @@ class FlagComplex:
         self.trusted_vertices = vset
         self.oracle = DistanceOracle(self._adj)
         self._memo: dict = {}
+        self.symmetries = tuple(symmetries)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -250,8 +260,10 @@ class DistanceOracle:
     """Horizon-bounded BFS distances over an adjacency it only reads, with
     one cache per complex.
 
-    :meth:`ball` is the only place a BFS runs; every other query reads a
-    ball, connected components and the geodesic enumerator included.  The
+    :meth:`_bfs` is the only BFS loop.  :meth:`ball` runs it from one
+    source, and every other distance query reads a ball, connected
+    components and the geodesic enumerator included; the symmetry transport
+    of the scans runs it uncached from several sources at once.  The
     cache keeps one table per source together with how far it reaches: a
     table cut off after some layer is always kept (it is as small as its
     radius makes it), a complete table only on complexes of at most
@@ -275,7 +287,7 @@ class DistanceOracle:
         hit = self._cache.get(source)
         if hit is not None and hit[1] >= radius:
             return hit[0]
-        table = self._bfs(source, radius)
+        table = self._bfs([source], radius)
         n = len(self._adj)
         # the last entry is the deepest layer; short of the radius, BFS ran dry
         if len(table) == n or next(reversed(table.values())) < radius:
@@ -289,12 +301,15 @@ class DistanceOracle:
         """BFS distance table from ``source`` to every reachable vertex."""
         return self.ball(source, INF)
 
-    def _bfs(self, source: int, radius: float) -> dict[int, int]:
+    def _bfs(self, sources: list[int], radius: float) -> dict[int, int]:
+        """Distance from the nearest of ``sources`` to every vertex within
+        ``radius`` of one, in order of discovery; empty without sources."""
         adj = self._adj
-        if source not in adj:
-            raise ComplexError(f"unknown vertex {source}")
-        dist = {source: 0}
-        frontier = [source]
+        for source in sources:
+            if source not in adj:
+                raise ComplexError(f"unknown vertex {source}")
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
         depth = 0
         while frontier and depth < radius:
             depth += 1
@@ -454,6 +469,7 @@ class WindowView(FlagComplex):
 
     ``coord_of`` optionally maps vertex ids to parent coordinates, which lets
     tests compare windows of different radii vertex by vertex.
+    ``symmetries`` are declared maps, as for :class:`FlagComplex`.
     """
 
     __slots__ = ("basepoint", "radius", "margin", "coord_of", "id_of")
@@ -466,10 +482,11 @@ class WindowView(FlagComplex):
         radius: int,
         margin: int,
         coord_of: dict[int, tuple] | None = None,
+        symmetries: tuple = (),
     ):
         if margin < 1 or margin > radius:
             raise ComplexError("margin must satisfy 1 <= margin <= radius")
-        super().__init__(vertices, edges)
+        super().__init__(vertices, edges, symmetries)
         if basepoint not in self:
             raise ComplexError(f"basepoint {basepoint} is not a window vertex")
         self.basepoint = basepoint

@@ -14,13 +14,16 @@ A finite complex trusts every vertex and every distance.
 The scans that several checks share (TC, QC, SD, the 5-wheel condition and
 local k-largeness for each k) are computed once per complex
 (``complexes.once``).  TC and QC read sphere domination's verdict where it
-is already known and scan only the sources it leaves open.
+is already known and scan only the sources it leaves open.  SD and the
+vertex-link scan skip every source that a verified declared symmetry
+carries from a source that already passed (:func:`_scanned_sources`).
 """
 
 from __future__ import annotations
 
 from .collapse import DEFAULT_BUDGET, disconnection, simple_connectivity_oracle
 from .complexes import INF, ComplexError, FlagComplex, once
+from .isometries import validate_automorphism
 from .verdict import (
     CycleInLink,
     ExtendedWheel5,
@@ -172,8 +175,15 @@ def first_link_cycle(g: FlagComplex, max_len: int, min_len: int = 4) -> CycleInL
     neighbours, so a full cycle in link(s) is one in link(v) for every
     vertex v of s, and (v,) comes before every other clique that starts at
     v.  No link is built.
+
+    The answer at v depends only on ``ball(v, 1)``: the cycles are those of
+    the full subcomplex on v's neighbours (the closability prune reads
+    ambient distances, but it only drops paths that cannot close).  So the
+    scan skips each source that a declared symmetry carries from a source
+    that passed, with radius 1 (:func:`_scanned_sources`); the first source
+    with a cycle is scanned in full.
     """
-    for v in sorted(g.trusted_vertices):
+    for v in _scanned_sources(g, 1):
         cycles = _induced_cycles(g, g._adj[v], max_len, min_len)
         cycle = min(cycles, key=_cycle_order, default=None)
         if cycle is not None:
@@ -580,14 +590,93 @@ def _weakly_systolic_graph(x: FlagComplex) -> Verdict:
 def sphere_domination_everywhere(x: FlagComplex) -> Verdict:
     """Sphere simplex domination at every (trusted) vertex, to the deepest
     radius the input supports: margin - 1, which is INF on a finite complex,
-    where the scan stops at the last sphere the ball reaches."""
-    region, bound = x.trusted_vertices, x.margin
+    where the scan stops at the last sphere the ball reaches.
+
+    The answer at v depends only on ``ball(v, margin)``, the ball
+    :func:`sphere_domination` reads (the whole component when the margin is
+    INF).  So the scan skips each source that a declared symmetry carries
+    from a source that passed, with radius ``margin``
+    (:func:`_scanned_sources`); the first failing source is scanned in full,
+    so the witness is the one a full scan finds.
+    """
+    bound = x.margin
     _require_connected(x, "sphere domination")
-    for v in sorted(region):
+    for v in _scanned_sources(x, bound):
         sub = sphere_domination(x, v, bound - 1)
         if sub.is_no:
             return sub
     return yes()
+
+
+def _scanned_sources(x: FlagComplex, radius: float):
+    """The sorted trusted sources of x that a scan must visit when its
+    answer at a source u depends only on the rooted ball(u, radius); the
+    scan stops at its first failing source, so every source before the one
+    it asks for next has passed.
+
+    A source u is passed without a scan when, for some row of
+    :func:`_transport_table` with map g (a declared map or its inverse):
+    u = g(p), p is an earlier source (so it passed), no vertex outside
+    dom(g) lies within radius of p, and no vertex outside im(g) lies within
+    radius of u.  Proof: g is a partial automorphism, so it maps every
+    geodesic inside ball(p, radius), which lies in dom(g), to a path of the
+    same length, and g^-1 maps every geodesic inside ball(u, radius), which
+    lies in im(g), back.  So g is a bijection of ball(p, radius) onto
+    ball(u, radius) that keeps the distance from the centre and adjacency
+    both ways, and the scan answers at u as at p.  Only passed sources are
+    copied, so the first failing source is always scanned in full.  The
+    table is built when the second source is reached, so a scan that fails
+    at its first source, or a complex that declares no map, pays nothing.
+    """
+    rows = None
+    passed: set[int] = set()
+    for u in sorted(x.trusted_vertices):
+        if passed and x.symmetries:
+            if rows is None:
+                rows = _transport_table(x)
+            if any(_carries(row, u, passed, radius) for row in rows):
+                passed.add(u)
+                continue
+        yield u
+        passed.add(u)
+
+
+def _carries(row, u: int, passed: set[int], radius: float) -> bool:
+    """Whether the row's map g carries u from a passed source p = g^-1(u)
+    whose ball(p, radius) it maps onto ball(u, radius)."""
+    back, off_dom, off_im = row
+    p = back.get(u)
+    return p in passed and not _within(off_dom, p, radius) and not _within(off_im, u, radius)
+
+
+def _within(near: dict[int, int], v: int, radius: float) -> bool:
+    """Whether a vertex that ``near`` measures from lies within radius of v;
+    a vertex missing from ``near`` has none within the reach of the table,
+    which is at least every radius a scan asks for."""
+    return v in near and near[v] <= radius
+
+
+@once
+def _transport_table(x: FlagComplex) -> list[tuple[dict[int, int], dict[int, int], dict[int, int]]]:
+    """One row (back, off_dom, off_im) for each declared map h of x that
+    :func:`~systolic.isometries.validate_automorphism` accepts, and one for
+    its inverse: for the row's map g, back sends g(p) to p, and off_dom and
+    off_im give each vertex's distance from the vertices outside dom(g) and
+    outside im(g).  Each is one multi-source BFS, to ``margin`` on a window
+    (no scan asks for a larger radius) and to any depth on a finite complex.
+    A map that fails its check is dropped: the rows only spare scans, so no
+    verdict depends on them."""
+    rows = []
+    for f in x.symmetries:
+        h = f(x)
+        if not validate_automorphism(x, h).is_yes:
+            continue
+        m, inv = h.mapping, h.inverse_mapping
+        off_dom = x.oracle._bfs([v for v in x.vertices if v not in m], x.margin)
+        off_im = x.oracle._bfs([v for v in x.vertices if v not in inv], x.margin)
+        rows.append((inv, off_dom, off_im))
+        rows.append((m, off_im, off_dom))
+    return rows
 
 
 def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verdict:

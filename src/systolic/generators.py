@@ -5,6 +5,12 @@ directions (1,0), (-1,0), (0,1), (0,-1), (1,-1), (-1,1); the hex distance of
 a difference vector is max(|q|, |r|, |q+r|).  Vertex ids in every generator
 are dense 0..n-1 and row-major where a grid is involved, so outputs are
 stable across runs and platforms.
+
+A builder declares the symmetries it knows as ``symmetries``: the lattice
+window its unit translation t1, the hex torus its translation, the cycle
+its rotation and the cone its base's maps with the apex fixed.  A scan
+verifies a declared map before it uses one.  The finite thick line declares
+none: there a partial map carries nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
 
     Vertices are the axial coordinates at hex distance <= radius, numbered
     row-major (sorted by (r, q)); edges join coordinates differing by a unit
-    direction.  Vertex count is 1 + 3 * radius * (radius + 1).
+    direction.  Vertex count is 1 + 3 * radius * (radius + 1).  It declares
+    the unit translation t1, which carries each trusted source to the next
+    one of its row; the glide would spare a few more scans than its own
+    check costs.
     """
     if radius < 1:
         raise ComplexError("lattice window radius must be at least 1")
@@ -53,6 +62,7 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
         radius,
         margin,
         coord_of={i: c for c, i in id_of.items()},
+        symmetries=(_unit_translation,),
     )
 
 
@@ -70,6 +80,10 @@ def lattice_translation(window: WindowView, steps: int = 1) -> Automorphism:
     if steps == 0:
         raise ComplexError("translation by zero is the identity; use Automorphism.identity")
     return _coord_map(window, lambda c: (c[0] + steps, c[1]), f"t{steps}")
+
+
+def _unit_translation(window: WindowView) -> Automorphism:
+    return lattice_translation(window, 1)
 
 
 def lattice_glide(window: WindowView) -> Automorphism:
@@ -119,7 +133,9 @@ def hex_torus(p: int, q: int) -> FlagComplex:
             for da, db in AXIAL_DIRECTIONS:
                 j = vid(a + da, b + db)
                 edges.add((min(i, j), max(i, j)))
-    return FlagComplex(range(p * q), sorted(edges))
+    return FlagComplex(
+        range(p * q), sorted(edges), symmetries=(lambda x: torus_translation(x, p, q),)
+    )
 
 
 def torus_translation(x: FlagComplex, p: int, q: int) -> Automorphism:
@@ -162,7 +178,9 @@ def icosahedron() -> FlagComplex:
 def cycle(n: int) -> FlagComplex:
     if n < 3:
         raise ComplexError("a cycle needs at least 3 vertices")
-    return FlagComplex(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return FlagComplex(
+        range(n), [(i, (i + 1) % n) for i in range(n)], symmetries=(lambda x: cycle_rotation(n),)
+    )
 
 
 def cycle_rotation(n: int) -> Automorphism:
@@ -197,11 +215,24 @@ def extended_wheel5(dominated: bool = False) -> FlagComplex:
 
 
 def cone(x: FlagComplex) -> FlagComplex:
-    """Join a fresh apex, one more than the largest vertex, to every vertex."""
+    """Join a fresh apex, one more than the largest vertex, to every vertex.
+
+    Each map declared on x is declared on the cone with the apex fixed.
+    """
     a = max(x.vertices) + 1 if x.n_vertices else 0
     verts = list(x.vertices) + [a]
     edges = list(x.edges()) + [(v, a) for v in x.vertices]
-    return FlagComplex(verts, edges)
+    return FlagComplex(verts, edges, symmetries=tuple(_apex_fixed(f, x, a) for f in x.symmetries))
+
+
+def _apex_fixed(f, base: FlagComplex, apex: int):
+    """f(target) -> f(base) on the cone of base, the apex fixed."""
+
+    def on_cone(_cone: FlagComplex) -> Automorphism:
+        h = f(base)
+        return Automorphism({**h.mapping, apex: apex}, h.name)
+
+    return on_cone
 
 
 def random_flag_complex(n: int, p: float, seed: int) -> FlagComplex:

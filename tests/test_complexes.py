@@ -417,7 +417,24 @@ def _min_set_check():
     S.min_set_idempotence(w, S.lattice_glide(w))
 
 
-@pytest.mark.parametrize("use", [_torus_scans, _window_scan, _min_set_check])
+def _scans_with_maps(x):
+    # the transport table holds the declared maps' tables, never the target
+    assert x.symmetries
+    S.sphere_domination_everywhere(x)
+    S.is_locally_k_large(x, 6)
+    S.is_systolic(x)
+
+
+def _window_scans_with_maps():
+    _scans_with_maps(S.triangular_lattice_window(6, 3))
+
+
+def _torus_scans_with_maps():
+    _scans_with_maps(S.hex_torus(6, 6))
+
+
+@pytest.mark.parametrize("use", [_torus_scans, _window_scan, _min_set_check,
+                                 _window_scans_with_maps, _torus_scans_with_maps])
 def test_no_reference_cycles(use):
     """A complex, a window or a Min set, with its oracle tables and memo, is
     freed by reference counting alone once the last reference goes."""

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import systolic as S
 from systolic import ComplexError, FlagComplex, WindowView
-from systolic.conditions import _induced_cycles
+from systolic.conditions import _induced_cycles, _scanned_sources, _transport_table
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
@@ -726,6 +726,213 @@ class TestAfterSphereDomination:
         x = make()
         tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
         assert min(x.trusted_vertices) < sd.witness.v == tc.witness.u < qc.witness.u
+
+
+def _t1(w):
+    return S.lattice_translation(w, 1)
+
+
+def _t_minus_2(w):
+    return S.lattice_translation(w, -2)
+
+
+def _undeclared(x):
+    """x built again with no declared map, so its scans visit every source."""
+    if isinstance(x, WindowView):
+        return WindowView(x.vertices, x.edges(), x.basepoint, x.radius, x.margin, x.coord_of)
+    return FlagComplex(x.vertices, x.edges())
+
+
+def _scan_answers(x):
+    """SD, TC and QC read through SD, and local k-largeness for k = 4..7."""
+    sd = S.sphere_domination_everywhere(x)
+    tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
+    return (sd, tc, qc, *(S.is_locally_k_large(x, k) for k in range(4, 8)))
+
+
+def _same_as_full_scans(x):
+    """The answers on x, whose declared maps spare scans, equal those of a
+    copy that scans every source; returns SD's verdict."""
+    got = _scan_answers(x)
+    assert got == _scan_answers(_undeclared(x))
+    return got[0]
+
+
+def _carried(x, radius, until=None):
+    """The trusted sources a scan of x reading ``ball(u, radius)`` passes
+    without a scan, before its witness source ``until`` (all when None)."""
+    scanned = set()
+    for u in _scanned_sources(x, radius):
+        scanned.add(u)
+        if u == until:
+            break
+    return [u for u in sorted(x.trusted_vertices)
+            if u not in scanned and (until is None or u < until)]
+
+
+def _repaired(w, h):
+    """h with the first vertex of each violation dropped until
+    ``validate_automorphism`` accepts what is left."""
+    mapping = dict(h.mapping)
+    while (v := S.validate_automorphism(w, S.Automorphism(mapping, h.name))).is_no:
+        del mapping[v.witness.u]
+    return S.Automorphism(mapping, h.name)
+
+
+def _repaired_t1(w):
+    return _repaired(w, S.lattice_translation(w, 1))
+
+
+def _repaired_t7(w):
+    return _repaired(w, S.lattice_translation(w, 7))
+
+
+def _defect_window(radius, margin, drops, symmetries):
+    """The lattice window without the edges between the given coordinate
+    pairs, declaring ``symmetries``."""
+    w = S.triangular_lattice_window(radius, margin)
+    cut = [{w.id_of[a], w.id_of[b]} for a, b in drops]
+    edges = [e for e in w.edges() if set(e) not in cut]
+    return WindowView(w.vertices, edges, w.basepoint, radius, margin, w.coord_of, symmetries)
+
+
+def _torus_up(p, q):
+    def up(x):
+        return S.Automorphism({a * q + b: a * q + (b + 1) % q for a in range(p) for b in range(q)})
+
+    return up
+
+
+def _relabelled_window(radius, margin, seed):
+    """The lattice window with shuffled ids, declaring t1 and the glide."""
+    w = S.triangular_lattice_window(radius, margin)
+    order = list(w.vertices)
+    random.Random(seed).shuffle(order)
+    new = {v: i for i, v in enumerate(order)}
+    return WindowView(
+        range(len(order)), [(new[a], new[b]) for a, b in w.edges()], new[w.basepoint],
+        radius, margin, {new[v]: c for v, c in w.coord_of.items()}, (_t1, S.lattice_glide),
+    )
+
+
+def _relabelled_torus(p, q, seed):
+    """hex_torus(p, q) with shuffled ids, declaring its translation."""
+    t = S.hex_torus(p, q)
+    order = list(t.vertices)
+    random.Random(seed).shuffle(order)
+    new = {v: i for i, v in enumerate(order)}
+    shift = {new[u]: new[v] for u, v in S.torus_translation(t, p, q).mapping.items()}
+    return FlagComplex(range(len(order)), [(new[a], new[b]) for a, b in t.edges()],
+                       (lambda x: S.Automorphism(shift),))
+
+
+def _chorded_cycle(n):
+    """The n-cycle with the chord 0-2, declaring the rotation, which breaks it."""
+    c = S.cycle(n)
+    return FlagComplex(c.vertices, [*c.edges(), (0, 2)], c.symmetries)
+
+
+# one defect: SD fails at (5, -5), after three sources of its row were carried
+ONE_DEFECT = (8, 3, [((7, -7), (7, -6))])
+# the same defect seven steps apart: SD fails at (-1, -8), where t7 carries
+# the later source (6, -8) onto it
+TWO_DEFECTS = (12, 3, [((-3, -6), (-2, -6)), ((4, -6), (5, -6))])
+
+
+class TestSymmetryTransport:
+    """SD and the vertex-link scan skip each source that a verified
+    declared map carries from a source that passed.  Verdicts and
+    witnesses equal those of full scans."""
+
+    @pytest.mark.parametrize(
+        "radius, margin", [(r, m) for r in range(3, 13) for m in range(1, 5) if m <= r])
+    def test_lattice_windows(self, radius, margin):
+        w = S.triangular_lattice_window(radius, margin)
+        x = WindowView(w.vertices, w.edges(), w.basepoint, radius, margin, w.coord_of,
+                       (_t1, _t_minus_2, S.lattice_glide))
+        assert _same_as_full_scans(x).is_yes
+        assert len(_transport_table(x)) == 6
+        # past the first row every trusted source is carried at both radii
+        rows = {w.coord_of[v][1] for v in w.trusted_vertices}
+        assert len(_carried(x, margin)) >= len(w.trusted_vertices) - 2 * len(rows)
+        assert len(_carried(x, 1)) >= len(w.trusted_vertices) - 2 * len(rows)
+
+    @pytest.mark.parametrize("p, q", [(4, 4), (4, 6), (5, 7), (6, 6), (7, 5)])
+    def test_hex_tori(self, p, q):
+        x = S.hex_torus(p, q)
+        _same_as_full_scans(x)
+        # the translation carries every source past the first column
+        assert len(_carried(x, INF)) == p * q - q
+        both = FlagComplex(x.vertices, x.edges(), (*x.symmetries, _torus_up(p, q)))
+        _same_as_full_scans(both)
+        assert len(_carried(both, INF)) == p * q - 1
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_cycles_and_cones(self, n):
+        for x in (S.cycle(n), S.cone(S.cycle(n))):
+            _same_as_full_scans(x)
+            assert _carried(x, 1) == list(range(1, n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_copies(self, seed):
+        for x in (_relabelled_window(7, 3, seed), _relabelled_torus(5, 7, seed)):
+            _same_as_full_scans(x)
+            assert _carried(x, x.margin)
+
+    def test_sd_fails_after_carried_sources(self):
+        # the repaired t1 leaves out the defect's ends, so near it nothing
+        # is carried
+        radius, margin, drops = ONE_DEFECT
+        x = _defect_window(radius, margin, drops, (_repaired_t1,))
+        sd = _same_as_full_scans(x)
+        assert sd.is_no and x.coord_of[sd.witness.v] == (5, -5)
+        assert len(_transport_table(x)) == 2
+        carried = _carried(x, margin, until=sd.witness.v)
+        # (0, -5) opens the row and (4, -5) lies within the margin of the
+        # defect's ends, so both are scanned
+        assert [x.coord_of[v] for v in carried if x.coord_of[v][1] == -5] == [
+            (1, -5), (2, -5), (3, -5)]
+
+    def test_a_map_that_breaks_an_edge_is_dropped(self):
+        radius, margin, drops = ONE_DEFECT
+        x = _defect_window(radius, margin, drops, (_t1,))
+        assert _same_as_full_scans(x).is_no
+        assert _transport_table(x) == []
+        for n in (5, 6, 7):
+            x = _chorded_cycle(n)
+            _same_as_full_scans(x)
+            assert _transport_table(x) == []
+
+    def test_only_passed_sources_are_copied(self):
+        radius, margin, drops = TWO_DEFECTS
+        x = _defect_window(radius, margin, drops, (_repaired_t7,))
+        sd = _same_as_full_scans(x)
+        assert sd.is_no and x.coord_of[sd.witness.v] == (-1, -8)
+        assert _carried(x, margin, until=sd.witness.v)
+
+    @pytest.mark.parametrize("make", [
+        lambda: S.triangular_lattice_window(6, 3),
+        lambda: _relabelled_window(6, 2, 1),
+        lambda: S.hex_torus(5, 7),
+        lambda: S.cone(S.cycle(7)),
+        lambda: _defect_window(*ONE_DEFECT[:2], ONE_DEFECT[2], (_repaired_t1,)),
+    ])
+    def test_carried_sources_pass_the_references(self, make):
+        x = make()
+        sd = S.sphere_domination_everywhere(x)
+        n = x.margin - 1 if x.margin < INF else x.n_vertices
+        carried = _carried(x, x.margin, None if sd.is_yes else sd.witness.v)
+        for v in carried:
+            assert first_sphere_violation(x, v, n).is_yes
+        for k in (4, 5, 6, 7):
+            local = S.is_locally_k_large(x, k)
+            at = _carried(x, 1, None if local.is_yes else local.witness.simplex[0])
+            carried += at
+            for v in at:
+                alone = FlagComplex(x.vertices, x.edges())
+                alone.trusted_vertices = frozenset({v})
+                assert first_short_link_cycle(alone, k).is_yes
+        assert carried
 
 
 def _link_cycle_holds(x, w) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,30 @@ class TestValidate:
             assert v.is_yes
         else:
             assert v.is_no and v.witness == MapViolation(*want)
+
+    def test_perturbed_translations_match_all_pairs_scan(self):
+        # torus translations with a few images dropped and a few swapped:
+        # swaps break edges and create them, and the witness must be the
+        # first pair that the scan of every pair finds
+        kinds = set()
+        for seed in range(60):
+            rnd = random.Random(seed)
+            p, q = rnd.choice([(4, 4), (4, 6), (5, 5)])
+            g = S.hex_torus(p, q)
+            mapping = dict(S.torus_translation(g, p, q).mapping)
+            for u in rnd.sample(sorted(mapping), rnd.randint(0, 3)):
+                del mapping[u]
+            for _ in range(rnd.randint(0, 2)):
+                a, b = rnd.sample(sorted(mapping), 2)
+                mapping[a], mapping[b] = mapping[b], mapping[a]
+            v = S.validate_automorphism(g, Automorphism(mapping))
+            want = first_map_violation(g, mapping)
+            if want is None:
+                assert v.is_yes
+            else:
+                assert v.is_no and v.witness == MapViolation(*want)
+            kinds.add(None if want is None else want[0])
+        assert kinds == {None, "edge_broken", "edge_created"}
 
     def test_unknown_image_detected(self, octa):
         v = S.validate_automorphism(octa, Automorphism({0: 77}))
