@@ -1,17 +1,20 @@
 """Semi-decision oracle for simple connectivity of finite flag complexes.
 
-The oracle looks for a negative certificate first: non-vanishing first
-integral homology.  It is computed exactly, on disconnected complexes too.
-The rank of d1 is V minus the number of components, so d1 needs no matrix;
-torsion comes from d2 alone.  The boundary matrix d2 is held sparse and
-reduced by pivots on entries of +-1, each an invariant factor of 1; only the
-residual goes through a dense Smith normal form.  Only when first homology
-vanishes does the oracle look for a positive certificate: one greedy pass of
-elementary collapses, the least free face first, that ends in a single
-vertex (collapsible implies contractible implies simply connected).  A
-complex that collapses has trivial homology, so the pass could not have
-answered Yes where homology answers No.  When the pass stalls or its budget
-runs out the oracle reports unknown; it never guesses.
+The oracle runs four steps in order.  Disconnection first: a complex with
+two components is No.  Then the strong-collapse core: dominated vertices
+are removed one at a time, and a core of one vertex means the complex is
+contractible, so Yes.  Otherwise the negative certificate: non-vanishing
+first integral homology, computed exactly on the whole complex.  The rank
+of d1 is V minus the number of components, so d1 needs no matrix; torsion
+comes from d2 alone.  The boundary matrix d2 is held sparse and reduced by
+pivots on entries of +-1, each an invariant factor of 1; only the residual
+goes through a dense Smith normal form.  Only when first homology vanishes
+does the oracle look for the last positive certificate: one greedy pass of
+elementary collapses on the whole complex, the least free face first, that
+ends in a single vertex (collapsible implies contractible implies simply
+connected).  A complex that collapses has trivial homology, so neither Yes
+could have contradicted a No from homology.  When the pass stalls or its
+budget runs out the oracle reports unknown; it never guesses.
 """
 
 from __future__ import annotations
@@ -233,18 +236,58 @@ def disconnection(x: FlagComplex) -> Verdict | None:
     return no(witness=tuple(sorted(min(c) for c in comps)[:2]), reason="disconnected")
 
 
+def strong_core(x: FlagComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(core, removed): the sorted vertices left after removing dominated
+    vertices while any is left, and the removed ones in removal order.
+
+    A vertex v is dominated when N[v] ⊆ N[u] for a neighbour u; removing it
+    is a strong collapse, so the full subcomplex on what is left is a
+    deformation retract of x, and a core of one vertex means x is
+    contractible (Barmak–Minian, "Strong homotopy types, nerves and
+    collapses", 2012).  Removing a vertex changes only the neighbourhoods
+    of its neighbours, so only they can become dominated: a worklist of
+    them suffices.
+    """
+    adj = {v: set(ns) for v, ns in x._adj.items()}
+    removed: list[int] = []
+    work = list(x.vertices)
+    queued = set(work)
+    while work:
+        v = work.pop()
+        queued.discard(v)
+        nv = adj[v]
+        # N[v] ⊆ N[u] for a neighbour u means N(v) - N(u) = {u}
+        if not any(len(adj[u]) >= len(nv) and len(nv - adj[u]) == 1 for u in nv):
+            continue
+        del adj[v]
+        removed.append(v)
+        for w in nv:
+            adj[w].discard(v)
+            if w not in queued:
+                queued.add(w)
+                work.append(w)
+    return tuple(sorted(adj)), tuple(removed)
+
+
 @once
 def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Yes / No / Unknown for simple connectivity.
 
-    No comes from disconnectedness or non-trivial first homology, checked
-    first; Yes from a collapse certificate, searched for only when first
-    homology vanishes; Unknown otherwise, with the reason the collapse pass
-    gave, or that a budget <= 0 skipped it.
+    No comes from disconnectedness or non-trivial first homology; Yes from
+    a one-vertex strong-collapse core, tried after disconnection, or from
+    the collapse pass, tried only when first homology vanishes; Unknown
+    otherwise, with the reason the collapse pass gave, or that a budget
+    <= 0 skipped both positive certificates.  Homology and the collapse
+    pass run on the whole complex, so every No and every Unknown is the
+    same as without the core, which can only turn an Unknown into Yes.
     """
     split = disconnection(x)
     if split is not None:
         return split
+    if budget > 0:
+        core, removed = strong_core(x)
+        if len(core) == 1:
+            return yes(reason="collapsed to a point", strong_collapses=len(removed))
     betti1, torsion = first_homology(x)
     if betti1 > 0 or torsion:
         return no(

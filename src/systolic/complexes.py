@@ -262,13 +262,15 @@ class DistanceOracle:
 
     :meth:`_bfs` is the only BFS loop.  :meth:`ball` runs it from one
     source, and every other distance query reads a ball, connected
-    components and the geodesic enumerator included; the symmetry transport
-    of the scans runs it uncached from several sources at once.  The
-    cache keeps one table per source together with how far it reaches: a
-    table cut off after some layer is always kept (it is as small as its
-    radius makes it), a complete table only on complexes of at most
-    ``ALL_PAIRS_THRESHOLD`` vertices, which there amounts to an all-pairs
-    table built on demand.
+    components and the geodesic enumerator included, except two that run
+    it uncached: a capped point-to-point query that no cached table
+    answers meets in the middle of two half-balls
+    (:meth:`distance_capped`), and the symmetry transport of the scans
+    runs it from several sources at once.  The cache keeps one table per
+    source together with how far it reaches: a table cut off after some
+    layer is always kept (it is as small as its radius makes it), a
+    complete table only on complexes of at most ``ALL_PAIRS_THRESHOLD``
+    vertices, which there amounts to an all-pairs table built on demand.
     """
 
     ALL_PAIRS_THRESHOLD = 2000
@@ -301,9 +303,10 @@ class DistanceOracle:
         """BFS distance table from ``source`` to every reachable vertex."""
         return self.ball(source, INF)
 
-    def _bfs(self, sources: list[int], radius: float) -> dict[int, int]:
+    def _bfs(self, sources: list[int], radius: float, target: int | None = None) -> dict[int, int]:
         """Distance from the nearest of ``sources`` to every vertex within
-        ``radius`` of one, in order of discovery; empty without sources."""
+        ``radius`` of one, in order of discovery; empty without sources.
+        With a ``target``, the walk stops after the layer that reaches it."""
         adj = self._adj
         for source in sources:
             if source not in adj:
@@ -311,7 +314,8 @@ class DistanceOracle:
         dist = dict.fromkeys(sources, 0)
         frontier = list(dist)
         depth = 0
-        while frontier and depth < radius:
+        # vertex ids are integers, so a target of None is never reached
+        while frontier and depth < radius and target not in dist:
             depth += 1
             layer = []
             for u in frontier:
@@ -333,9 +337,33 @@ class DistanceOracle:
         return INF if d is None else d
 
     def distance_capped(self, u: int, v: int, cap: float) -> float:
-        """Distance if it is <= cap, else INF; explores only ball(u, cap)."""
-        d = self.ball(u, cap).get(v, INF)
-        return d if d <= cap else INF
+        """Distance if it is <= cap, else INF.
+
+        An infinite cap reads the cached table of u, and so does a finite
+        one when a cached table of u reaches the cap.  Otherwise the query
+        meets in the middle and caches nothing: ball(u, ceil(cap/2)),
+        stopped after the layer that reaches v, then, if v is not in it,
+        ball(v, floor(cap/2)), and the answer is the least d_u(w) + d_v(w)
+        over the vertices w in both, or INF when they share none.
+
+        Exact: every w in both gives d_u(w) + d_v(w) >= d(u, v) by the
+        triangle inequality.  If d = d(u, v) <= cap, a geodesic from u to
+        v has a vertex w at ceil(d/2) <= ceil(cap/2) from u and floor(d/2)
+        <= floor(cap/2) from v, so w is in both tables and attains d.  If
+        d > cap, a w in both would give d <= ceil(cap/2) + floor(cap/2) =
+        cap, so the tables share none.
+        """
+        if v not in self._adj:
+            raise ComplexError(f"unknown vertex {v}")
+        hit = self._cache.get(u)
+        if cap == INF or (hit is not None and hit[1] >= cap):
+            d = self.ball(u, cap).get(v, INF)
+            return d if d <= cap else INF
+        near = self._bfs([u], cap - cap // 2, v)
+        if v in near:
+            return near[v]
+        far = self._bfs([v], cap // 2)
+        return min((d + far[w] for w, d in near.items() if w in far), default=INF)
 
     def geodesics(self, u: int, v: int) -> Iterator[tuple[int, ...]]:
         """Every geodesic from u to v, in lexicographic order as vertex

@@ -122,6 +122,19 @@ def floyd_warshall(g: FlagComplex) -> dict[tuple[int, int], float]:
     return dist
 
 
+def bfs_distance(g: FlagComplex, u: int, v: int) -> float:
+    """d(u, v) by a plain layer-by-layer search over ``neighbors``, INF when
+    v is unreachable; the reference for ``DistanceOracle.distance_capped``."""
+    seen, layer, d = {u}, {u}, 0
+    while layer:
+        if v in layer:
+            return d
+        layer = {w for x in layer for w in g.neighbors(x)} - seen
+        seen |= layer
+        d += 1
+    return INF
+
+
 def all_cliques(g: FlagComplex) -> list[tuple[int, ...]]:
     """Every non-empty clique, by subset filtering on small complexes."""
     verts = list(g.vertices)
@@ -449,6 +462,25 @@ def naive_greedy_collapse(x: FlagComplex, budget: int) -> tuple[str, int]:
         present -= set(pair)
         steps += 1
     return "point", steps
+
+
+def replay_strong_collapses(x: FlagComplex, removed: tuple[int, ...]) -> set[int]:
+    """Delete the vertices of ``removed`` from x in order, checking from the
+    edge list that each is dominated when it goes: some other vertex u
+    left has N[v] ⊆ N[u] among the vertices left.  Returns the vertices
+    left; raises AssertionError at the first removal that is not a strong
+    collapse.  The reference for ``collapse.strong_core``."""
+    left = set(x.vertices)
+    edges = {frozenset(e) for e in x.edges()}
+
+    def closed(v: int) -> set[int]:
+        return {v} | {w for w in left if frozenset((v, w)) in edges}
+
+    for v in removed:
+        assert v in left, f"{v} removed twice"
+        assert any(closed(v) <= closed(u) for u in left - {v}), f"{v} is not dominated"
+        left.remove(v)
+    return left
 
 
 def collapse_first_oracle(x: FlagComplex, budget: int) -> Verdict:

@@ -1016,10 +1016,10 @@ class TestDeadlines:
         assert got == ["yes", "yes"]
 
     def test_systolic_on_a_40_clique(self):
-        # the collapse pass refuses to list 2^40 - 1 simplices at the first
-        # 19-clique, not after walking 500,001 of them
+        # every vertex of a clique is dominated, so the strong-collapse core
+        # is one vertex before the collapse pass would list 2^40 - 1 simplices
         got = self.verdicts("check", "--gen", "complete:n=40", "--checks", "systolic")
-        assert got == ["unknown"]
+        assert got == ["yes"]
 
     def test_one_facet_on_24_vertices(self, tmp_path):
         f = tmp_path / "simplex24.txt"

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 import systolic as S
 import systolic.collapse
 from systolic import FlagComplex
-from systolic.collapse import DEFAULT_BUDGET, _smith_diagonal, all_simplices, collapse_to_point
+from systolic.collapse import (
+    DEFAULT_BUDGET,
+    _smith_diagonal,
+    all_simplices,
+    collapse_to_point,
+    strong_core,
+)
 from systolic.io import parse_complex_file
 
 from _oracles import (
@@ -16,6 +22,7 @@ from _oracles import (
     dense_first_homology,
     invariant_factors,
     naive_greedy_collapse,
+    replay_strong_collapses,
     smith_diagonal,
 )
 
@@ -292,9 +299,16 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     def test_matches_collapse_first_order(self, params):
         # collapse_first_oracle runs the same greedy pass; a small budget
-        # also exercises its budget exit
+        # also exercises its budget exit.  A Yes of the strong-collapse core
+        # has its own detail, and stands where the reference is not No
         g = random_union(*params)
-        assert S.simple_connectivity_oracle(g, 200) == collapse_first_oracle(g, 200)
+        got, want = S.simple_connectivity_oracle(g, 200), collapse_first_oracle(g, 200)
+        if "strong_collapses" in got.detail:
+            assert got == S.Verdict("yes", None, "collapsed to a point",
+                                    {"strong_collapses": g.n_vertices - 1})
+            assert not want.is_no
+        else:
+            assert got == want
 
 
 class TestOracleOrder:
@@ -319,3 +333,77 @@ class TestOracleOrder:
         v = S.simple_connectivity_oracle(octa, budget=0)
         assert v.is_unknown
         assert v.reason == "budget 0 skips the collapse pass; first homology vanishes"
+
+
+# (n, p, seed, budget): random flag complexes of at most 16 vertices
+core_params = st.tuples(
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([0, 1, 5, 200, DEFAULT_BUDGET]),
+)
+
+
+def _window_min_sets():
+    """Min sets of lattice windows R = 4-8 at margin 2 under t1, t2 and the
+    glide: the margin trusts the displacement of t2, and the inner radius
+    holds a trusted image."""
+    out = []
+    for radius in range(4, 9):
+        w = S.triangular_lattice_window(radius, 2)
+        for h in (S.lattice_translation(w, 1), S.lattice_translation(w, 2), S.lattice_glide(w)):
+            out.append(S.min_set(w, h))
+    return out
+
+
+class TestStrongCore:
+    """The strong-collapse core, replayed from the edge list, and the
+    oracle's answers with it against the collapse-first reference."""
+
+    def check(self, g, budget):
+        core, removed = strong_core(g)
+        left = replay_strong_collapses(g, removed)
+        assert left == set(core) and len(removed) + len(core) == g.n_vertices
+        if len(core) > 1:  # the core is final: removing any vertex left fails
+            for v in core:
+                with pytest.raises(AssertionError, match="not dominated"):
+                    replay_strong_collapses(g, removed + (v,))
+        got, want = S.simple_connectivity_oracle(g, budget), collapse_first_oracle(g, budget)
+        if "strong_collapses" in got.detail:
+            # the core's Yes stands only where the replay ends at one vertex,
+            # and never where the reference says No
+            assert got.is_yes and budget > 0 and len(left) == 1
+            assert got.detail == {"strong_collapses": len(removed)}
+            assert not want.is_no
+        else:
+            assert got == want
+
+    def test_named_cores(self, octa, icosa, torus44):
+        core, removed = strong_core(S.complete(40))
+        assert len(core) == 1 and sorted(core + removed) == list(range(40))
+        for g in (octa, icosa, torus44, S.cycle(5)):
+            assert strong_core(g) == (g.vertices, ())
+        # the apex dominates every vertex of the cycle it cones
+        core, removed = strong_core(S.cone(S.cycle(6)))
+        assert len(core) == 1 and len(removed) == 6
+
+    @given(core_params)
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes(self, params):
+        n, p, seed, budget = params
+        self.check(S.random_flag_complex(n, p, seed), budget)
+
+    @pytest.mark.parametrize("budget", [0, 1, DEFAULT_BUDGET])
+    def test_window_min_sets(self, budget):
+        for m in _window_min_sets():
+            self.check(m, budget)
+
+    def test_an_unknown_turns_yes(self):
+        # the collapse pass refuses K_40's 2^40 - 1 simplices, and a budget
+        # of one step stops it on a cone; both cores are one vertex
+        k40 = S.complete(40)
+        assert collapse_to_point(k40).reason == "too many simplices to materialize"
+        assert S.simple_connectivity_oracle(k40).detail == {"strong_collapses": 39}
+        cone = S.cone(S.cycle(6))
+        assert collapse_first_oracle(cone, 1).reason.startswith("collapse budget exhausted")
+        assert S.simple_connectivity_oracle(cone, 1).detail == {"strong_collapses": 6}

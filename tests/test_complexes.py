@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import systolic as S
 from systolic import ComplexError, FacetComplex, FlagComplex
 
-from _oracles import all_cliques, first_nested_facets, floyd_warshall
+from _oracles import all_cliques, bfs_distance, first_nested_facets, floyd_warshall
 
 INF = math.inf
 
@@ -158,6 +158,19 @@ class TestOnce:
         assert g._memo == {}
 
 
+CAPS = tuple(range(8))
+
+# random flag complexes, disconnected ones included, and lattice windows
+capped_targets = st.one_of(
+    graph_params.map(lambda t: random_graph(min(t[0], 25), *t[1:])),
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda r: st.integers(min_value=1, max_value=r).map(
+            lambda m: S.triangular_lattice_window(r, m)
+        )
+    ),
+)
+
+
 class TestDistances:
     @given(graph_params)
     @settings(max_examples=30, deadline=None)
@@ -226,6 +239,35 @@ class TestDistances:
         assert o.distance_capped(0, 11, 3) == 3
         assert o.distance_capped(0, 11, 2) == INF  # beyond the cap
         assert o.distance_capped(0, 1, 5) == 1
+
+    @given(capped_targets, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_distance_capped_matches_bfs(self, g, data):
+        # finite caps first, on an oracle whose only table is a window's
+        # basepoint ball: they meet in the middle and cache nothing; then
+        # INF, which caches complete tables, and the finite caps again,
+        # now served from those tables
+        o = g.oracle
+        vertex = st.sampled_from(g.vertices)
+        pairs = [(u, u) for u in data.draw(st.lists(vertex, max_size=2))]
+        pairs += data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+
+        def check(caps):
+            for u, v in pairs:
+                d = bfs_distance(g, u, v)
+                for cap in caps:
+                    assert o.distance_capped(u, v, cap) == (d if d <= cap else INF)
+
+        tables = len(o._cache)
+        check(CAPS)
+        assert len(o._cache) == tables
+        check((INF,))
+        check(CAPS)
+        stranger = max(g.vertices) + 1
+        for cap in (*CAPS, INF):
+            for u, v in ((stranger, g.vertices[0]), (g.vertices[0], stranger)):
+                with pytest.raises(ComplexError, match="unknown vertex"):
+                    o.distance_capped(u, v, cap)
 
     def test_geodesic_is_lex_least(self, octa):
         # 0 -> 1 has four geodesics; the lex-least goes through 2
