@@ -494,7 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only check and theorems reach the simple-connectivity oracle
     for p in (p_check, p_thm):
-        p.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget")
+        p.add_argument(
+            "--oracle-budget", type=int, default=DEFAULT_BUDGET, dest="oracle_budget",
+            help="collapse steps the simple-connectivity oracle may take; "
+            "0 or less skips both the strong-collapse core and the collapse pass",
+        )
 
     p_gen = sub.add_parser("generate", help="emit a complex in the text format")
     _add_common(p_gen, report=False)

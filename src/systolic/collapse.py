@@ -274,17 +274,18 @@ def simple_connectivity_oracle(x: FlagComplex, budget: int = DEFAULT_BUDGET) -> 
     """Yes / No / Unknown for simple connectivity.
 
     No comes from disconnectedness or non-trivial first homology; Yes from
-    a one-vertex strong-collapse core, tried after disconnection, or from
-    the collapse pass, tried only when first homology vanishes; Unknown
-    otherwise, with the reason the collapse pass gave, or that a budget
-    <= 0 skipped both positive certificates.  Homology and the collapse
+    a one-vertex strong-collapse core, tried after disconnection on more
+    than one vertex, or from the collapse pass, tried only when first
+    homology vanishes; Unknown otherwise, with the reason the collapse pass
+    gave, or that a budget <= 0 skipped both positive certificates.  Homology and the collapse
     pass run on the whole complex, so every No and every Unknown is the
     same as without the core, which can only turn an Unknown into Yes.
     """
     split = disconnection(x)
     if split is not None:
         return split
-    if budget > 0:
+    # a single vertex keeps the collapse pass's "already a single vertex"
+    if budget > 0 and x.n_vertices > 1:
         core, removed = strong_core(x)
         if len(core) == 1:
             return yes(reason="collapsed to a point", strong_collapses=len(removed))

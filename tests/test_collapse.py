@@ -329,6 +329,20 @@ class TestOracleOrder:
         v = S.simple_connectivity_oracle(parse_complex_file(BACKTRACK).complex)
         assert v.is_no and v.witness == {"betti1": 1, "torsion": []}
 
+    def test_collapse_pass_yes_without_the_core(self, monkeypatch):
+        # with a core that removes nothing, the collapse pass answers Yes
+        # with its own reason and step count
+        monkeypatch.setattr(systolic.collapse, "strong_core", lambda x: (x.vertices, ()))
+        cone = S.cone(S.cycle(6))
+        v = S.simple_connectivity_oracle(cone)
+        want = collapse_to_point(cone)
+        assert want.is_yes and "steps" in want.detail
+        assert v == S.Verdict("yes", None, want.reason, want.detail)
+
+    def test_single_vertex_is_not_a_strong_collapse(self):
+        v = S.simple_connectivity_oracle(FlagComplex([0], []))
+        assert v == S.Verdict("yes", None, "already a single vertex", {"steps": 0})
+
     def test_zero_budget_sphere_is_unknown(self, octa):
         v = S.simple_connectivity_oracle(octa, budget=0)
         assert v.is_unknown
