@@ -57,6 +57,12 @@ lost its ``"oracle_budget": 100000`` config line, and no other byte changed.
 ``check_tc_qc_sd_random_n8_p03_s4`` was captured while TC, QC and SD each
 scanned every source on their own: SD fails at source 0, QC at source 3 and
 TC at source 4, so it pins scans that run on past SD's witness source.
+``check_hex_torus_8x8_all`` and ``check_lattice_r22_all`` were captured
+while ``systole``, ``w5hat``, ``k-large`` and the square check of
+``weakly-systolic`` still proved the absence of short full cycles by a
+canonical path walk from every trusted vertex: both complexes declare maps,
+and ``--checks all`` takes them through ``full-cycles``, ``k-large``,
+``systole`` and ``w5hat``.
 """
 
 import os
@@ -121,6 +127,8 @@ CASES = {
     "check_tc_qc_sd_random_n8_p03_s4": [
         "check", "--gen", "random:n=8,p=0.3,seed=4", "--checks", "tc,qc,weakly-modular,sd",
     ],
+    "check_hex_torus_8x8_all": ["check", "--gen", "hex_torus:p=8,q=8", "--checks", "all"],
+    "check_lattice_r22_all": ["check", "--gen", "lattice:radius=22,margin=4", "--checks", "all"],
     "check_require_octahedron": [
         "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
     ],
