@@ -14,9 +14,15 @@ A finite complex trusts every vertex and every distance.
 The scans that several checks share (TC, QC, SD, the 5-wheel condition and
 local k-largeness for each k) are computed once per complex
 (``complexes.once``).  TC and QC read sphere domination's verdict where it
-is already known and scan only the sources it leaves open.  SD and the
-vertex-link scan skip every source that a verified declared symmetry
-carries from a source that already passed (:func:`_scanned_sources`).
+is already known and scan only the sources it leaves open.  SD, the
+vertex-link scan and the full-cycle certificate :func:`_cycle_free` skip
+every source that a verified declared symmetry carries from a source that
+already passed (:func:`_scanned_sources`).  The certificate spares the
+path walks of ``systole`` and of ``enumerate_full_cycles``, and through it
+those of k-largeness, the 5-wheel scan and the full-square check, for each
+length it proves free.  One path walker, :func:`_cycles_at`, finds every
+full cycle: the canonical ones of a region, those through a source, and
+those of a vertex link.
 """
 
 from __future__ import annotations
@@ -53,8 +59,11 @@ def enumerate_full_cycles(
     direction), sorted by length then lexicographically.  On a window only
     cycles whose vertices are all trusted are reported; such cycles are
     induced in the unbounded parent complex as well, since chords could only
-    join trusted vertices.
+    join trusted vertices.  When :func:`_cycle_free` proves every length of
+    the range free, the list is empty without a walk.
     """
+    if all(_cycle_free(x, length) for length in range(max(min_len, 4), max_len + 1)):
+        return []
     return sorted(_induced_cycles(x, x.trusted_vertices, max_len, min_len), key=_cycle_order)
 
 
@@ -62,42 +71,91 @@ def _cycle_order(c: FullCycle) -> tuple[int, tuple[int, ...]]:
     return len(c.vertices), c.vertices
 
 
-def _induced_cycles(g: FlagComplex, pool: frozenset[int], max_len: int, min_len: int = 4):
+def _induced_cycles(g: FlagComplex, pool, max_len: int, min_len: int = 4):
     """Canonical induced cycles of g with min_len..max_len vertices, all in
-    ``pool``, each once, in no fixed order: from the smallest vertex v and its
-    cycle neighbors u < w, a chordless path grows from u through vertices
-    above v and off N(v) until it meets N(w)."""
+    ``pool``, each once, in no fixed order: those whose smallest vertex is
+    v, for each v of the pool (:func:`_cycles_at`)."""
     if max_len < max(min_len, 4):
         return
-    nbrs = {v: g.neighbors(v) & pool for v in pool}
     for v in sorted(pool):
-        nv = nbrs[v]
-        higher = sorted(n for n in nv if n > v)
-        for i, u in enumerate(higher):
-            for w in higher[i + 1 :]:
-                if w in nbrs[u]:
+        yield from _cycles_at(g, v, pool, max_len, min_len)
+
+
+def _cycles_at(
+    g: FlagComplex, v: int, pool, max_len: int, min_len: int = 4, canonical: bool = True
+):
+    """Induced cycles of g through v with min_len..max_len vertices, all in
+    ``pool`` (a set of vertices), each once in canonical form, in no fixed
+    order.  Canonical: only those whose other vertices lie above v, that is
+    whose smallest vertex is v.  Otherwise every one through v.
+
+    From v's cycle neighbours u < w, a chordless path grows from u off the
+    closed neighbourhood N[v] until it meets N(w).  The path leaves N[v]
+    right after u and re-enters it right before w, so only neighbours of v
+    with a neighbour off N[v] can be u or w; a hub whose neighbours have
+    none (a cone's apex) costs one pass over its neighbours.  A step onto
+    an earlier path vertex would be a chord, or a step back onto u, which
+    lies in N[v], so the path needs no visited set."""
+    adj = g._adj
+    nv = adj[v] & pool
+    closed = nv | {v}
+    floor = v if canonical else -1
+    ends = [n for n in nv if n > floor and not adj[n] <= closed]
+    ends.sort()
+    for i, u in enumerate(ends):
+        for w in ends[i + 1 :]:
+            if w in adj[u]:
+                continue
+            # closability prune: c must reach w within the budget left.
+            # Ambient distances never exceed distances inside the pool.
+            dist_w = g.oracle.ball(w, max_len - 3)
+            stack = [(u,)]
+            while stack:
+                path = stack.pop()
+                last = path[-1]
+                length = len(path) + 2
+                if w in adj[last]:
+                    # every longer path would carry the chord last-w
+                    if length >= min_len:
+                        yield FullCycle.canonical((v,) + path + (w,))
                     continue
-                # closability prune: c must reach w within the budget left.
-                # Ambient distances never exceed distances inside the pool.
-                dist_w = g.oracle.ball(w, max_len - 3)
-                stack: list[tuple[tuple[int, ...], frozenset[int]]] = [((u,), nv | {v, u})]
-                while stack:
-                    path, blocked = stack.pop()
-                    last = path[-1]
-                    length = len(path) + 2
-                    if w in nbrs[last]:
-                        # every longer path would carry the chord last-w
-                        if length >= min_len:
-                            yield FullCycle.canonical((v,) + path + (w,))
+                # no open path reaches max_len: one short of it the prune
+                # admits only neighbours of w, and they close the cycle
+                for c in adj[last]:
+                    if (c <= floor or c in closed or c not in pool
+                            or dist_w.get(c, INF) > max_len - length):
                         continue
-                    # no open path reaches max_len: one short of it the prune
-                    # admits only neighbours of w, and they close the cycle
-                    for c in nbrs[last]:
-                        if c <= v or c in blocked or dist_w.get(c, INF) > max_len - length:
-                            continue
-                        if any(c in nbrs[p] for p in path[:-1]):
-                            continue
-                        stack.append((path + (c,), blocked | {c}))
+                    if any(c in adj[p] for p in path[:-1]):
+                        continue
+                    stack.append(path + (c,))
+
+
+@once
+def _cycle_free(x: FlagComplex, length: int) -> bool:
+    """Whether no trusted source u has an induced cycle of ``length``
+    vertices through it anywhere in x.  A True proves that no full cycle of
+    that length has all its vertices trusted; a False proves nothing.
+
+    Every vertex of such a cycle lies within length // 2 of u along it, so
+    the question at u depends only on the rooted ``ball(u, length // 2)``,
+    the pool of the walk from u.  So the scan skips each source that a
+    declared symmetry carries from a source that passed
+    (:func:`_scanned_sources`).  The question is not narrowed to trusted
+    cycles: trust is not a property of the ball, and a map may carry a
+    source whose only cycle leaves the trusted region onto one whose image
+    stays inside it.  Two guards answer False at once: a complex that
+    declares no map, where a walk from every source costs more than the
+    canonical walk, and ``length // 2 > margin``, beyond the reach of
+    :func:`_transport_table`.
+    """
+    radius = length // 2
+    if not x.symmetries or radius > x.margin:
+        return False
+    for u in _scanned_sources(x, radius):
+        ball = x.oracle.ball(u, radius).keys()
+        if next(_cycles_at(x, u, ball, length, length, canonical=False), None) is not None:
+            return False
+    return True
 
 
 def is_full_cycle(x: FlagComplex, vertices: tuple[int, ...]) -> bool:
@@ -119,12 +177,15 @@ def systole(x: FlagComplex, max_len: int | None = None) -> float:
     """Length of the shortest full cycle, INF if none up to the bound.
 
     The default bound is the vertex count, which is exhaustive: an induced
-    cycle cannot repeat vertices.
+    cycle cannot repeat vertices.  Each length that :func:`_cycle_free`
+    proves free is skipped without a walk.
     """
     region = x.trusted_vertices
     n = len(region)
     bound = n if max_len is None else min(max_len, n)
     for length in range(4, bound + 1):
+        if _cycle_free(x, length):
+            continue
         if next(_induced_cycles(x, region, length, length), None) is not None:
             return length
     return INF
@@ -612,7 +673,9 @@ def _scanned_sources(x: FlagComplex, radius: float):
     """The sorted trusted sources of x that a scan must visit when its
     answer at a source u depends only on the rooted ball(u, radius); the
     scan stops at its first failing source, so every source before the one
-    it asks for next has passed.
+    it asks for next has passed.  Its scans: sphere domination (radius
+    ``margin``), the vertex-link scan (radius 1) and the full-cycle
+    certificate :func:`_cycle_free` (radius length // 2).
 
     A source u is passed without a scan when, for some row of
     :func:`_transport_table` with map g (a declared map or its inverse):

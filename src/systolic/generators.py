@@ -7,8 +7,11 @@ are dense 0..n-1 and row-major where a grid is involved, so outputs are
 stable across runs and platforms.
 
 A builder declares the symmetries it knows as ``symmetries``: the lattice
-window its unit translation t1, the hex torus its translation, the cycle
-its rotation and the cone its base's maps with the apex fixed.  A scan
+window its unit translation t1 and the translation (q, r) -> (q - 1, r + 1)
+that steps from row to row, the hex torus its translation, the cycle its
+rotation and the cone its base's maps with the apex fixed.  The scans that
+skip sources a map carries (sphere domination, the vertex-link scan and the
+full-cycle certificate of ``conditions``) then scan one lattice source.  A scan
 verifies a declared map before it uses one.  The finite thick line declares
 none: there a partial map carries nothing.
 """
@@ -33,9 +36,11 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
     Vertices are the axial coordinates at hex distance <= radius, numbered
     row-major (sorted by (r, q)); edges join coordinates differing by a unit
     direction.  Vertex count is 1 + 3 * radius * (radius + 1).  It declares
-    the unit translation t1, which carries each trusted source to the next
-    one of its row; the glide would spare a few more scans than its own
-    check costs.
+    two translations: t1, which carries each trusted source to the next one
+    of its row, and (q, r) -> (q - 1, r + 1), which carries the first
+    (r < 0) or the second (r >= 0) trusted source of row r onto the first
+    one of row r + 1.  Together they carry every trusted source but the
+    first from an earlier one, so the glide would spare no further scan.
     """
     if radius < 1:
         raise ComplexError("lattice window radius must be at least 1")
@@ -62,7 +67,7 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
         radius,
         margin,
         coord_of={i: c for c, i in id_of.items()},
-        symmetries=(_unit_translation,),
+        symmetries=(_unit_translation, _row_translation),
     )
 
 
@@ -84,6 +89,10 @@ def lattice_translation(window: WindowView, steps: int = 1) -> Automorphism:
 
 def _unit_translation(window: WindowView) -> Automorphism:
     return lattice_translation(window, 1)
+
+
+def _row_translation(window: WindowView) -> Automorphism:
+    return _coord_map(window, lambda c: (c[0] - 1, c[1] + 1), "shift(-1,1)")
 
 
 def lattice_glide(window: WindowView) -> Automorphism:

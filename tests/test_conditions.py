@@ -7,13 +7,20 @@ from hypothesis import example, given, settings, strategies as st
 
 import systolic as S
 from systolic import ComplexError, FlagComplex, WindowView
-from systolic.conditions import _induced_cycles, _scanned_sources, _transport_table
+from systolic.conditions import (
+    _cycle_free,
+    _full_square,
+    _induced_cycles,
+    _scanned_sources,
+    _transport_table,
+)
 from systolic.verdict import (
     CycleInLink,
     FullCycle,
     QuadrangleViolation,
     SphereSimplexViolation,
     TriangleViolation,
+    no,
     yes,
 )
 
@@ -910,6 +917,15 @@ class TestSymmetryTransport:
         assert sd.is_no and x.coord_of[sd.witness.v] == (-1, -8)
         assert _carried(x, margin, until=sd.witness.v)
 
+    @pytest.mark.parametrize("radius", [10, 16, 22, 40])
+    def test_lattice_windows_scan_one_source(self, radius):
+        # t1 carries along each row and (q, r) -> (q - 1, r + 1) onto the
+        # first source of the next, so only the first source is scanned
+        x = S.triangular_lattice_window(radius, 4)
+        assert len(_transport_table(x)) == 4
+        for r in range(1, 5):
+            assert list(_scanned_sources(x, r)) == [min(x.trusted_vertices)]
+
     @pytest.mark.parametrize("make", [
         lambda: S.triangular_lattice_window(6, 3),
         lambda: _relabelled_window(6, 2, 1),
@@ -933,6 +949,225 @@ class TestSymmetryTransport:
                 alone.trusted_vertices = frozenset({v})
                 assert first_short_link_cycle(alone, k).is_yes
         assert carried
+
+
+def _ladder(n, radius, margin):
+    """The ladder with rails a_i = i + n and b_i = 3n + 1 + i, i = -n..n, and
+    rungs a_i b_i: a window around a_0 declaring the shift i -> i + 1 and
+    the swap of the rails.  Its full cycles are the squares between rungs,
+    and every a comes before every b."""
+    a = {i: i + n for i in range(-n, n + 1)}
+    b = {i: 3 * n + 1 + i for i in range(-n, n + 1)}
+    edges = [(a[i], b[i]) for i in a] + [(r[i], r[i + 1]) for r in (a, b) for i in range(-n, n)]
+    shift = {r[i]: r[i + 1] for r in (a, b) for i in range(-n, n)}
+    swap = {**{a[i]: b[i] for i in a}, **{b[i]: a[i] for i in a}}
+    return WindowView(range(4 * n + 2), edges, a[0], radius, margin, None,
+                      (lambda x: S.Automorphism(shift), lambda x: S.Automorphism(swap)))
+
+
+def _ribs(n, s, radius):
+    """A path a_i, i = -n..n, with two ribs b_i, c_i on each a_i, and for
+    i >= s a vertex o_i on both ribs, closing the square a_i b_i o_i c_i: a
+    window around a_0 with margin 1 declaring the shift i -> i + 1.  The
+    ids run through a_i, b_i, c_i, o_i for each i in turn."""
+    ids = {}
+    for i in range(-n, n + 1):
+        for part in "abco" if i >= s else "abc":
+            ids[part, i] = len(ids)
+    edges = [(ids["a", i], ids["a", i + 1]) for i in range(-n, n)]
+    edges += [(ids["a", i], ids[part, i]) for i in range(-n, n + 1) for part in "bc"]
+    edges += [(ids["o", i], ids[part, i]) for i in range(s, n + 1) for part in "bc"]
+    shift = {v: ids[part, i + 1] for (part, i), v in ids.items() if (part, i + 1) in ids}
+    return WindowView(range(len(ids)), edges, ids["a", 0], radius, 1, None,
+                      (lambda x: S.Automorphism(shift),))
+
+
+def _cyclic_cover(m, k, p, seed, shuffle=False):
+    """Vertices (i, j), i in Z_m, j < k, and for each drawn (j, j2, d) the
+    edges (i, j) -- (i + d, j2): a random flag complex whose rotation
+    i -> i + 1 is declared and is an automorphism.  The id of (i, j) is
+    i * k + j, or a shuffled one, so that the rotation keeps no order."""
+    rng = random.Random(seed)
+    ids = list(range(m * k))
+    if shuffle:
+        rng.shuffle(ids)
+    edges = set()
+    for j in range(k):
+        for j2 in range(k):
+            for d in range(m):
+                if (j, d) != (j2, 0) and rng.random() < p:
+                    for i in range(m):
+                        a, b = ids[i * k + j], ids[(i + d) % m * k + j2]
+                        if a != b:
+                            edges.add((min(a, b), max(a, b)))
+    rotate = {ids[i * k + j]: ids[(i + 1) % m * k + j] for i in range(m) for j in range(k)}
+    return FlagComplex(range(m * k), sorted(edges), (lambda x: S.Automorphism(rotate),))
+
+
+def _as_window(g, radius, margin):
+    """g as a window around vertex 0, declaring g's maps."""
+    return WindowView(g.vertices, g.edges(), 0, radius, margin, None, g.symmetries)
+
+
+def _trusted_pool_only(real):
+    """A broken ``_cycles_at``: the walk through u keeps to the trusted
+    vertices, so the question at u no longer depends on its ball alone."""
+
+    def walk(g, v, pool, max_len, min_len=4, canonical=True):
+        if not canonical:
+            pool = set(pool) & g.trusted_vertices
+        return real(g, v, pool, max_len, min_len, canonical)
+
+    return walk
+
+
+def _unguarded(x):
+    """x with the guard ``length // 2 <= margin`` of ``_cycle_free`` made
+    void: the transport table is built to the true margin, then the margin
+    is raised past every length."""
+    _transport_table(x)
+    x.margin = INF
+    return x
+
+
+def _trusted_cycles(x, max_len, min_len=4):
+    """The reference's full cycles of the trusted region of x."""
+    return reference_full_cycles(x.span(x.trusted_vertices), max_len, min_len)
+
+
+def _certificate_holds(x, length):
+    """Whether ``_cycle_free(x, length)`` keeps its word: a True only where
+    no trusted vertex lies on an induced cycle of that length in x."""
+    if not _cycle_free(x, length):
+        return True
+    trusted = x.trusted_vertices
+    return not any(trusted.intersection(c.vertices) for c in reference_full_cycles(x, length, length))
+
+
+def _assert_cycle_scans_match(x, wheels=True):
+    """Every reader of the cycle certificate against the references on x."""
+    for length in range(4, 9):
+        assert _certificate_holds(x, length), length
+    for lo, hi in ((4, 4), (4, 5), (5, 5), (4, 7), (6, 8), (5, 4)):
+        assert S.enumerate_full_cycles(x, hi, lo) == _trusted_cycles(x, hi, lo), (lo, hi)
+    want = _trusted_cycles(x, 8)
+    assert S.systole(x, 8) == (len(want[0]) if want else INF)
+    squares = [c for c in want if len(c) == 4]
+    square = _full_square(x)
+    assert square == (no(witness=squares[0], reason="full 4-cycle") if squares else None)
+    if wheels:
+        assert S.find_extended_5_wheels(x) == brute_force_extended_wheels(x)
+    for k in (5, 6, 7):
+        short = [c for c in want if len(c) < k]
+        got = S.is_k_large(x, k)
+        if short:
+            assert got.is_no and got.witness == CycleInLink((), short[0])
+        else:
+            assert got.answer == first_short_link_cycle(x, k).answer
+
+
+class TestCycleCertificate:
+    """``_cycle_free`` spares the path walks of ``systole``,
+    ``enumerate_full_cycles`` and its readers on complexes with declared
+    maps; every answer equals the references', and the certificate is True
+    only where no trusted vertex lies on a cycle of its length."""
+
+    @pytest.mark.parametrize("radius, margin", [(3, 1), (4, 2), (5, 3), (6, 4), (6, 3), (7, 1)])
+    def test_lattice_windows(self, radius, margin):
+        x = S.triangular_lattice_window(radius, margin)
+        _assert_cycle_scans_match(x, wheels=radius - margin <= 2)
+        assert [_cycle_free(x, n) for n in (4, 5)] == [margin >= 2] * 2
+        assert S.systole(x) == 6
+
+    @pytest.mark.parametrize("p, q", [(4, 4), (4, 6), (5, 5), (6, 4)])
+    def test_hex_tori(self, p, q):
+        _assert_cycle_scans_match(S.hex_torus(p, q), wheels=p * q <= 25)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_cycles_and_cones(self, n):
+        for x in (S.cycle(n), S.cone(S.cycle(n))):
+            _assert_cycle_scans_match(x)
+            assert [_cycle_free(x, m) for m in range(4, n + 1)] == [True] * (n - 4) + [False]
+            assert S.systole(x) == n
+
+    def test_ladders_and_ribs(self):
+        for x in (_ladder(5, 5, 2), _ladder(4, 4, 1), _ribs(6, 3, 4), _ribs(6, -1, 5)):
+            _assert_cycle_scans_match(x)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_copies(self, seed):
+        # the maps keep no order of the ids, so a source's cycles need not
+        # start at it
+        for x in (_relabelled_window(5, 2, seed), _relabelled_window(6, 3, seed),
+                  _relabelled_torus(4, 5, seed)):
+            _assert_cycle_scans_match(x, wheels=False)
+
+    @given(
+        st.integers(min_value=3, max_value=6),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=0.05, max_value=0.4),
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_covers(self, m, k, p, seed, margin, extra, shuffle):
+        g = _cyclic_cover(m, k, p, seed, shuffle)
+        _assert_cycle_scans_match(g, wheels=g.n_vertices <= 12)
+        _assert_cycle_scans_match(_as_window(g, margin + extra, margin), wheels=g.n_vertices <= 12)
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.1, max_value=0.7),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_complexes_declare_nothing(self, n, p, seed):
+        g = S.random_flag_complex(n, p, seed)
+        _assert_cycle_scans_match(g, wheels=n <= 10)
+        assert not any(_cycle_free(g, length) for length in range(4, 9))
+
+    def test_a_hub_with_no_way_out_tries_no_pair(self, monkeypatch):
+        # every neighbour of the apex of a cone, and of the hub of a wheel,
+        # has all its neighbours in the hub's closed neighbourhood, so no
+        # pair of them is walked from.  The cone's certificate reads the
+        # balls of its two sources, 0 and the apex, and of 299, the far end
+        # of the one pair at 0; the wheel's canonical walk reads that of
+        # 300, the far end of the one pair at 1.
+        ends = []
+        real = S.DistanceOracle.ball
+        monkeypatch.setattr(S.DistanceOracle, "ball", lambda o, v, r: ends.append(v) or real(o, v, r))
+        cone = S.cone(S.cycle(300))
+        assert S.systole(cone, 8) == INF
+        assert sorted(set(ends)) == [0, 299, 300]
+        ends.clear()
+        assert S.systole(S.wheel(300), 8) == INF
+        assert sorted(set(ends)) == [300]
+
+    def test_a_trusted_pool_carries_a_cycle_off_its_source(self, monkeypatch):
+        # a_-3 is the first source: its squares need b_-3, which is not
+        # trusted.  Asked only for trusted cycles, it passes; the shift then
+        # carries every a, and the swap every b, past the trusted squares.
+        x = _ladder(5, 5, 2)
+        squares = _trusted_cycles(x, 4)
+        assert squares and S.enumerate_full_cycles(x, 4) == squares
+        broken = _ladder(5, 5, 2)
+        monkeypatch.setattr(S.conditions, "_cycles_at", _trusted_pool_only(S.conditions._cycles_at))
+        assert list(_scanned_sources(broken, 2)) == [min(broken.trusted_vertices)]
+        assert S.enumerate_full_cycles(broken, 4) == []
+        assert S.systole(broken, 4) == INF
+        assert not _certificate_holds(broken, 4)
+
+    def test_a_radius_past_the_margin_is_refused(self):
+        # a_3 is trusted and lies on the square a_3 b_3 o_3 c_3; o_3 has no
+        # preimage and lies 2 from a_3, past the margin 1 that the transport
+        # table reaches, so without the guard the shift carries a_3 from a_2
+        x = _ribs(6, 3, 4)
+        assert not _cycle_free(x, 4) and _certificate_holds(x, 4)
+        broken = _unguarded(_ribs(6, 3, 4))
+        assert _cycle_free(broken, 4)
+        assert not _certificate_holds(broken, 4)
 
 
 def _link_cycle_holds(x, w) -> bool:
