@@ -63,6 +63,13 @@ while ``systole``, ``w5hat``, ``k-large`` and the square check of
 canonical path walk from every trusted vertex: both complexes declare maps,
 and ``--checks all`` takes them through ``full-cycles``, ``k-large``,
 ``systole`` and ``w5hat``.
+``theorems_lattice_r22_t1_all``, ``isometry_lattice_r22_glide`` and
+``theorems_hex_torus_8x8_translate_all`` were captured while the Min-set
+layer still carried nothing along the declared maps: one capped
+displacement query per trusted vertex, a new span of the Min set for each
+theorem, and two BFS per Min vertex in the embedding check
+(``pairs_checked`` 26,475 at R = 22).  The torus's translation is total, so
+there a map carries at any radius.
 """
 
 import os
@@ -129,6 +136,15 @@ CASES = {
     ],
     "check_hex_torus_8x8_all": ["check", "--gen", "hex_torus:p=8,q=8", "--checks", "all"],
     "check_lattice_r22_all": ["check", "--gen", "lattice:radius=22,margin=4", "--checks", "all"],
+    "theorems_lattice_r22_t1_all": [
+        "theorems", "--gen", "lattice:radius=22,margin=4", "--auto", "t1", "--do", "all",
+    ],
+    "isometry_lattice_r22_glide": [
+        "isometry", "--gen", "lattice:radius=22,margin=4", "--auto", "glide", "--do", ISOMETRY,
+    ],
+    "theorems_hex_torus_8x8_translate_all": [
+        "theorems", "--gen", "hex_torus:p=8,q=8", "--auto", "translate", "--do", "all",
+    ],
     "check_require_octahedron": [
         "check", "--gen", "octahedron", "--checks", "all", "--require", "flag,weakly-systolic",
     ],
