@@ -87,7 +87,9 @@ class FlagComplex:
     ``symmetries`` holds functions f(target) -> Automorphism that the
     builder declares; one is called only when a scan first needs a map.
     None may close over the target, or the complex would no longer be freed
-    by reference counting alone.  Subcomplexes declare none.
+    by reference counting alone.  A subcomplex built by :meth:`span`
+    declares none; the Min complex of ``isometries.min_set`` declares the
+    restrictions of the target's maps that commute with h.
     """
 
     __slots__ = ("_adj", "_vertices", "trusted_vertices", "oracle", "_memo", "symmetries")

@@ -706,7 +706,9 @@ def _scanned_sources(x: FlagComplex, radius: float):
 
 def _carries(row, u: int, passed: set[int], radius: float) -> bool:
     """Whether the row's map g carries u from a passed source p = g^-1(u)
-    whose ball(p, radius) it maps onto ball(u, radius)."""
+    whose ball(p, radius) it maps onto ball(u, radius).  The Min-set layer
+    copies along the same rule (``isometries.displacement_profile`` and
+    ``mindisp.isometric_embedding_check``)."""
     back, off_dom, off_im = row
     p = back.get(u)
     return p in passed and not _within(off_dom, p, radius) and not _within(off_im, u, radius)
@@ -722,8 +724,8 @@ def _within(near: dict[int, int], v: int, radius: float) -> bool:
 @once
 def _transport_table(x: FlagComplex) -> list[tuple[dict[int, int], dict[int, int], dict[int, int]]]:
     """One row (back, off_dom, off_im) for each declared map h of x that
-    :func:`~systolic.isometries.validate_automorphism` accepts, and one for
-    its inverse: for the row's map g, back sends g(p) to p, and off_dom and
+    :func:`~systolic.isometries.validate_automorphism` accepts, and then one
+    for its inverse: for the row's map g, back sends g(p) to p, and off_dom and
     off_im give each vertex's distance from the vertices outside dom(g) and
     outside im(g).  Each is one multi-source BFS, to ``margin`` on a window
     (no scan asks for a larger radius) and to any depth on a finite complex.

@@ -11,7 +11,10 @@ window its unit translation t1 and the translation (q, r) -> (q - 1, r + 1)
 that steps from row to row, the hex torus its translation, the cycle its
 rotation and the cone its base's maps with the apex fixed.  The scans that
 skip sources a map carries (sphere domination, the vertex-link scan and the
-full-cycle certificate of ``conditions``) then scan one lattice source.  A scan
+full-cycle certificate of ``conditions``) then scan one lattice source.  The
+Min-set layer skips them too: the displacement profile and the Min complex
+of ``isometries`` ride the maps that commute with h, and the embedding check
+of ``mindisp`` rides every map, guarded by the membership flips.  A scan
 verifies a declared map before it uses one.  The finite thick line declares
 none: there a partial map carries nothing.
 """

@@ -12,7 +12,15 @@ Checks return :class:`~systolic.verdict.Verdict` records; ``classify`` is
 always a yes whose detail names the kind of map.  An orbit chain is built
 from h's displacement profile by one walk that translates a minimal
 geodesic by h^-1 and by h.  The profile is computed once per complex and
-map, however many checks read it.
+map, however many checks read it, and so is the Min complex.
+
+The Min-set layer rides the target's verified declared maps (the rows of
+``conditions._transport_table``), but only those that commute with h
+wherever both composites are defined: such a map g keeps displacement,
+d(gv, hgv) = d(v, hv), so it carries Min(h) onto itself.  The profile
+copies the displacement of a vertex p to the vertex g(p) that the carry
+rule ``conditions._carries`` carries from it, and the Min complex declares
+the restrictions of those maps, which its link and cycle scans then ride.
 """
 
 from __future__ import annotations
@@ -154,15 +162,41 @@ class DisplacementProfile:
 
 @once
 def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
+    """The profile of h on x, by one capped query per trusted vertex whose
+    image is trusted, except where a declared map carries the answer.
+
+    A vertex u whose image h(u) is trusted takes the answer of a vertex p
+    that was answered before it (p's image was trusted too) when a row of
+    :func:`_commuting_rows` with map g has u = g(p) and carries u from p at
+    radius ``margin`` (``conditions._carries``).  Trust is not g-invariant,
+    so h(u) is tested directly.  Proof: g maps ball(p, margin), which lies
+    in dom(g), onto ball(u, margin), keeping the distance from the centre.
+    If d(p, hp) <= margin, then hp lies in that ball and g(hp) = h(u), since
+    g commutes with h at p; so d(u, hu) = d(p, hp).  If d(u, hu) <= margin,
+    then hu lies in ball(u, margin), which lies in im(g), and g^-1(hu) =
+    h(p), since g^-1 commutes with h at u; so d(p, hp) = d(u, hu).  Hence
+    either both displacements are the same value within the cap or both lie
+    beyond it.
+    """
+    from .conditions import _carries
+
     region, bound = x.trusted_vertices, x.margin
     values: dict[int, int] = {}
+    answered: set[int] = set()
+    rows = None
     skipped = 0
     for v in sorted(region):
         hv = h.mapping.get(v)
         if hv not in region:
             skipped += 1
             continue
-        d = x.oracle.distance_capped(v, hv, bound)
+        p = None
+        if answered and x.symmetries:
+            if rows is None:
+                rows = _commuting_rows(x, h)
+            p = next((row[0][v] for row in rows if _carries(row, v, answered, bound)), None)
+        d = x.oracle.distance_capped(v, hv, bound) if p is None else values.get(p, INF)
+        answered.add(v)
         if d == INF:
             if bound == INF:
                 raise ComplexError(f"vertex {v} and its image {hv} lie in different components")
@@ -172,6 +206,27 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
     length = min(values.values()) if values else INF
     mins = tuple(v for v in sorted(values) if values[v] == length)
     return DisplacementProfile(values, skipped, length, mins)
+
+
+def _commuting_rows(x: FlagComplex, h: Automorphism) -> list:
+    """The rows of ``conditions._transport_table(x)`` whose map g commutes
+    with h wherever both composites are defined, for g and for g^-1: for
+    every p in dom(g) ∩ dom(h) with g(p) in dom(h), g(h(p)) = h(g(p)) when
+    h(p) lies in dom(g) or h(g(p)) lies in im(g).  The table lists each
+    map's row and then its inverse's, and a map is kept with both."""
+    from .conditions import _transport_table
+
+    rows = _transport_table(x)
+    hm = h.mapping
+    out = []
+    for to_row, from_row in zip(rows[::2], rows[1::2]):
+        g, g_inv = from_row[0], to_row[0]
+        if all(g.get(hp) == hu
+               for p, u in g.items()
+               if (hp := hm.get(p)) is not None and (hu := hm.get(u)) is not None
+               and (hp in g or hu in g_inv)):
+            out += [to_row, from_row]
+    return out
 
 
 def moving_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
@@ -252,10 +307,34 @@ def classify(x: FlagComplex, h: Automorphism) -> Verdict:
     )
 
 
+@once
 def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
     """Full subcomplex on the vertices of minimal displacement; refused as
-    by :func:`moving_profile`."""
-    return x.span(moving_profile(x, h).min_vertices)
+    by :func:`moving_profile`.  One complex per x and h serves every check.
+
+    It declares the restriction v -> g(v), where v and g(v) both lie in
+    Min(h), of each map g of x that commutes with h (:func:`_commuting_rows`);
+    a restriction of a partial automorphism to a full subcomplex is one, so
+    it passes the check of ``conditions._transport_table``.  Each declared
+    function holds only its mapping.
+    """
+    mins = moving_profile(x, h).min_vertices
+    sub = x.span(mins)
+    members = set(mins)
+    restricted = []
+    if x.symmetries:
+        for row in _commuting_rows(x, h)[1::2]:
+            g = row[0]
+            mapping = {v: g[v] for v in mins if g.get(v) in members}
+            if mapping:
+                restricted.append(_declared(mapping))
+    sub.symmetries = tuple(restricted)
+    return sub
+
+
+def _declared(mapping: dict[int, int]):
+    """A declared symmetry that holds nothing but its mapping."""
+    return lambda _target: Automorphism(mapping, "restriction")
 
 
 def min_set_idempotence(x: FlagComplex, h: Automorphism) -> Verdict:

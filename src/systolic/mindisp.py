@@ -12,6 +12,12 @@ Each check returns a Verdict, except the embedding check, which returns an
 dichotomy build every candidate chain from the map's displacement profile,
 which is computed once per complex and map; candidate geodesics come in
 lexicographic order from ``DistanceOracle.geodesics``.
+
+The embedding check rides the target's verified declared maps, needing no
+h: a member that a map carries from a member that passed, with no member
+entering or leaving the set under the map near it, passes without a scan.
+The Min complex's own declared maps (``isometries.min_set``) carry the link
+and cycle scans of the 5-wheel check.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ComplexError, FlagComplex
-from .conditions import find_extended_5_wheels, first_link_cycle
+from .conditions import (
+    _carries,
+    _transport_table,
+    _within,
+    find_extended_5_wheels,
+    first_link_cycle,
+)
 from .isometries import (
     Automorphism,
     PathChain,
@@ -80,15 +92,72 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
 
     ``sub`` must be a full subcomplex with ambient vertex ids.  Only pairs
     with both endpoints trusted and ambient distance within the trust bound
-    contribute, so each u is paired only with the vertices v > u of its
-    ambient ball of that radius.  On a finite complex that is every pair in
-    one component; a pair in two components has no distance to compare.  The
+    contribute, so each u is paired only with the members of its ambient
+    ball of that radius.  On a finite complex that is every pair in one
+    component; a pair in two components has no distance to compare.  The
     deviation of a pair is never negative: ``_require_full_subcomplex``
     makes every inner edge, so every inner path, an ambient one.
+
+    A member u passes when every member v of its ambient ball has d_sub(u, v)
+    = d_x(u, v), and it keeps the count of those v; each pair is counted at
+    both ends, so ``pairs_checked`` is half the sum.  A member is passed
+    without a scan, with the count of p, when a row of x's verified declared
+    maps carries it from a passed member p at radius ``margin``
+    (``conditions._carries``) and the row's map g has no membership flip
+    within ``margin`` of p: no v in dom(g) whose membership in ``sub`` or
+    among the members differs from g(v)'s.  Proof: g maps ball(p, margin)
+    onto ball(u, margin) keeping the distance from the centre, and by the
+    flip guard it maps the members and the sub vertices of one ball onto
+    those of the other.  A geodesic of ``sub`` from p to a member v lies in
+    ball(p, d_x(p, v)), so g maps it to a path of ``sub`` of the same length
+    from u to g(v): d_sub = d_x holds at u as at p.  On the first member
+    that deviates, the check starts over with :func:`_pair_loop`, so the
+    witness and ``max_deviation`` are those of the full pair loop.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_full_subcomplex(x, sub)
     members = region.intersection(sub.vertices)
+    counts: dict[int, int] = {}
+    guarded = None
+    for u in sorted(members):
+        if counts and x.symmetries:
+            if guarded is None:
+                guarded = _flip_guarded_rows(x, sub, members)
+            p = next((row[0][u] for row, flips in guarded
+                      if _carries(row, u, counts, bound) and not _within(flips, u, bound)), None)
+            if p is not None:
+                counts[u] = counts[p]
+                continue
+        amb = x.oracle.ball(u, bound)
+        inner = sub.oracle.ball(u, bound)
+        near = [v for v, d in amb.items() if d <= bound and v in members and v != u]
+        if any(inner.get(v) != amb[v] for v in near):
+            return _pair_loop(x, sub, members)
+        counts[u] = len(near)
+    return EmbeddingReport(sum(counts.values()) // 2, 0.0, None)
+
+
+def _flip_guarded_rows(x: FlagComplex, sub: FlagComplex, members: set[int]) -> list:
+    """Each row of ``conditions._transport_table(x)`` with the distance of
+    every vertex from the images g(v) of the membership flips v of its map
+    g, by one multi-source BFS to ``margin``.  No flip lies within margin of
+    p exactly when no image of one lies within margin of u = g(p), for a row
+    that carries u from p: g maps ball(p, margin) onto ball(u, margin), and
+    g^-1 maps it back."""
+    # 2 for a member, 1 for an untrusted vertex of sub, none elsewhere
+    side = dict.fromkeys(sub.vertices, 1)
+    side.update(dict.fromkeys(members, 2))
+    out = []
+    for row in _transport_table(x):
+        flipped = [u for u, p in row[0].items() if side.get(u) != side.get(p)]
+        out.append((row, x.oracle._bfs(flipped, x.margin)))
+    return out
+
+
+def _pair_loop(x: FlagComplex, sub: FlagComplex, members: set[int]) -> EmbeddingReport:
+    """Every pair of members u < v within the trust bound, in sorted order:
+    the first deviating pair is the witness."""
+    bound = x.margin
     pairs = 0
     max_dev = 0.0
     witness: DistancePair | None = None

@@ -13,8 +13,11 @@ import math
 from systolic import Automorphism, FlagComplex, PathChain, displacement_profile, is_extended_wheel5
 from systolic.collapse import collapse_to_point
 from systolic.complexes import ComplexError
+from systolic.isometries import DisplacementProfile
+from systolic.mindisp import EmbeddingReport
 from systolic.verdict import (
     CycleInLink,
+    DistancePair,
     ExtendedWheel5,
     FullCycle,
     SphereSimplexViolation,
@@ -133,6 +136,65 @@ def bfs_distance(g: FlagComplex, u: int, v: int) -> float:
         seen |= layer
         d += 1
     return INF
+
+
+def bfs_table(g: FlagComplex, u: int) -> dict[int, int]:
+    """Distance from u to every vertex it reaches, by a plain layer-by-layer
+    search over ``neighbors``."""
+    dist, layer, d = {u: 0}, [u], 0
+    while layer:
+        d += 1
+        layer = {w for x in layer for w in g.neighbors(x) if w not in dist}
+        for w in layer:
+            dist[w] = d
+    return dist
+
+
+def reference_displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
+    """The displacement profile by one plain search per trusted vertex whose
+    image is trusted (``bfs_distance``), with no map carrying anything; a
+    value past the margin is skipped.  The reference for
+    ``isometries.displacement_profile``."""
+    region, bound = x.trusted_vertices, x.margin
+    values: dict[int, int] = {}
+    skipped = 0
+    for v in sorted(region):
+        hv = h.mapping.get(v)
+        if hv not in region:
+            skipped += 1
+            continue
+        d = bfs_distance(x, v, hv)
+        if d == INF and bound == INF:
+            raise ComplexError(f"vertex {v} and its image {hv} lie in different components")
+        if d > bound:
+            skipped += 1
+            continue
+        values[v] = d
+    length = min(values.values(), default=INF)
+    mins = tuple(v for v in sorted(values) if values[v] == length)
+    return DisplacementProfile(values, skipped, length, mins)
+
+
+def reference_embedding(x: FlagComplex, sub: FlagComplex) -> EmbeddingReport:
+    """Every pair of trusted vertices u < v of ``sub`` with d_x(u, v) at
+    most the margin, in sorted order, compared by plain searches of x and of
+    ``sub``: the pair loop the embedding check ran before it rode the
+    declared maps.  The reference for ``mindisp.isometric_embedding_check``."""
+    region, bound = x.trusted_vertices, x.margin
+    members = region.intersection(sub.vertices)
+    pairs = 0
+    max_dev = 0.0
+    witness = None
+    for u in sorted(members):
+        amb, inner = bfs_table(x, u), bfs_table(sub, u)
+        for v in sorted(v for v in members if v > u and v in amb and amb[v] <= bound):
+            d_sub, d_amb = inner.get(v, INF), amb[v]
+            pairs += 1
+            dev = d_sub - d_amb
+            if dev > 0 and witness is None:
+                witness = DistancePair(u, v, d_sub, d_amb)
+            max_dev = max(max_dev, dev)
+    return EmbeddingReport(pairs, max_dev, witness)
 
 
 def all_cliques(g: FlagComplex) -> list[tuple[int, ...]]:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import systolic as S
-from systolic import Automorphism, ComplexError
+from systolic import Automorphism, ComplexError, FlagComplex, WindowView
+from systolic.conditions import _transport_table
+from systolic.generators import _row_translation
+from systolic.isometries import _commuting_rows
 from systolic.verdict import MapViolation
 
 from _oracles import (
@@ -13,6 +16,7 @@ from _oracles import (
     brute_force_invariant_simplices,
     first_map_violation,
     loop_power,
+    reference_displacement_profile,
     reference_orbit_path,
 )
 
@@ -197,6 +201,104 @@ class TestDisplacement:
         assert prof.skipped == len(window10.trusted_vertices)
 
 
+# maps a lattice window may declare, by name
+DECLARABLE = {
+    "t1": lambda w: S.lattice_translation(w, 1),
+    "t-2": lambda w: S.lattice_translation(w, -2),
+    "row": _row_translation,
+    "glide": S.lattice_glide,
+}
+# the maps whose profile is compared
+LATTICE_MAPS = {
+    "t1": lambda w: S.lattice_translation(w, 1),
+    "glide": S.lattice_glide,
+    "glide2": lambda w: S.lattice_glide(w).power(2),
+}
+
+
+def _declaring(w, names):
+    """The window w declaring the named maps of ``DECLARABLE`` instead of
+    its own."""
+    maps = tuple(DECLARABLE[n] for n in names)
+    return WindowView(w.vertices, w.edges(), w.basepoint, w.radius, w.margin, w.coord_of, maps)
+
+
+def _counting_capped_queries(x):
+    """A list that grows by one at each capped distance query on x."""
+    calls = []
+    capped = x.oracle.distance_capped
+
+    def counted(u, v, cap):
+        calls.append(u)
+        return capped(u, v, cap)
+
+    x.oracle.distance_capped = counted
+    return calls
+
+
+class TestCarriedProfile:
+    """The profile copies a displacement along each verified declared map
+    that commutes with h, and equals one plain search per vertex."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_windows(self, data):
+        radius = data.draw(st.integers(min_value=2, max_value=9), label="radius")
+        margin = data.draw(st.integers(min_value=1, max_value=radius), label="margin")
+        x = S.triangular_lattice_window(radius, margin)
+        names = data.draw(st.none() | st.lists(st.sampled_from(sorted(DECLARABLE)), unique=True,
+                                               max_size=3), label="declared")
+        if names is not None:
+            x = _declaring(x, names)
+        h = LATTICE_MAPS[data.draw(st.sampled_from(sorted(LATTICE_MAPS)), label="map")](x)
+        assert S.displacement_profile(x, h) == reference_displacement_profile(x, h)
+
+    @given(st.integers(min_value=4, max_value=9), st.integers(min_value=4, max_value=9),
+           st.integers(min_value=1, max_value=3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_hex_tori(self, p, q, power, both):
+        x = S.hex_torus(p, q)
+        if both:
+            up = Automorphism({a * q + b: a * q + (b + 1) % q for a in range(p) for b in range(q)})
+            x = FlagComplex(x.vertices, x.edges(), (*x.symmetries, lambda _x: up))
+        h = S.torus_translation(x, p, q).power(power)
+        assert S.displacement_profile(x, h) == reference_displacement_profile(x, h)
+
+    @pytest.mark.parametrize("which, queries, values", [("t1", 1, 114), ("glide", 12, 46)])
+    def test_few_queries_on_a_window(self, which, queries, values):
+        x = S.triangular_lattice_window(10, 4)
+        calls = _counting_capped_queries(x)
+        prof = S.displacement_profile(x, LATTICE_MAPS[which](x))
+        assert len(prof.values) == values
+        # t1 and the row translation carry every answer of t1 from the first
+        # one; the glide commutes with t1 only, so each row of the trusted
+        # region with a trusted image opens with a query
+        assert len(calls) == queries
+
+    def test_only_maps_that_commute_with_h_carry(self):
+        x = S.triangular_lattice_window(10, 4)
+        glide = S.lattice_glide(x)
+        # t1 commutes with the glide; the row translation does not
+        table = _transport_table(x)
+        assert len(table) == 4
+        assert _commuting_rows(x, glide) == table[:2]
+        assert _commuting_rows(x, S.lattice_translation(x, 1)) == table
+        assert len(S.min_set(x, glide).vertices) == 24
+        assert S.displacement_profile(x, glide) == reference_displacement_profile(x, glide)
+
+    def test_a_map_that_fails_its_check_carries_nothing(self):
+        # the path 0-1-2-3 declaring the cyclic shift 0 -> 1 -> 2 -> 3 -> 0,
+        # which breaks the edge 2-3 and commutes with itself; carried, it
+        # would copy the displacement 1 of vertex 2 onto vertex 3
+        shift = Automorphism({0: 1, 1: 2, 2: 3, 3: 0}, "shift")
+        x = FlagComplex(range(4), [(0, 1), (1, 2), (2, 3)], (lambda _x: shift,))
+        assert S.validate_automorphism(x, shift).is_no
+        assert _transport_table(x) == []
+        prof = S.displacement_profile(x, shift)
+        assert prof == reference_displacement_profile(x, shift)
+        assert prof.values == {0: 1, 1: 1, 2: 1, 3: 3}
+
+
 class TestInvariantSimplex:
     def test_total_no_is_decisive(self, octa):
         v = S.find_invariant_simplex(octa, S.octahedron_antipodal())
@@ -268,6 +370,31 @@ class TestMinSet:
     def test_rejects_fixed_vertex(self, octa):
         with pytest.raises(ComplexError):
             S.min_set(octa, Automorphism.identity(octa))
+
+    def test_one_min_complex_per_map(self, window10):
+        glide = S.lattice_glide(window10)
+        assert S.min_set(window10, glide) is S.min_set(window10, glide)
+
+    def test_the_min_complex_declares_the_commuting_restrictions(self):
+        x = S.triangular_lattice_window(10, 4)
+        m = S.min_set(x, S.lattice_translation(x, 1))
+        # both declared translations commute with t1, so both keep Min(t1)
+        assert len(m.symmetries) == 2
+        for f in m.symmetries:
+            # the declared function holds its mapping and nothing else
+            assert [type(c.cell_contents) for c in f.__closure__] == [dict]
+            g = f(m)
+            assert S.validate_automorphism(m, g).is_yes
+            assert set(g.mapping) | set(g.inverse_mapping) <= set(m.vertices)
+        assert len(_transport_table(m)) == 4
+        # the glide keeps only t1, restricted to its two-row strip
+        strip = S.min_set(x, S.lattice_glide(x))
+        (f,) = strip.symmetries
+        t1 = S.lattice_translation(x, 1).mapping
+        assert f(strip).mapping == {v: t1[v] for v in strip.vertices if t1.get(v) in strip}
+
+    def test_a_complex_without_maps_gives_a_min_complex_without_maps(self, octa):
+        assert S.min_set(octa, S.octahedron_antipodal()).symmetries == ()
 
     def test_idempotence_on_corpus(self, hyperbolic_corpus):
         for name, g, h in hyperbolic_corpus:

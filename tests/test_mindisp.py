@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import systolic as S
-from systolic import ComplexError, mindisp
+from systolic import Automorphism, ComplexError, FlagComplex, WindowView, mindisp
+from systolic.conditions import (
+    _transport_table,
+    enumerate_full_cycles,
+    find_extended_5_wheels,
+    first_link_cycle,
+    is_locally_k_large,
+)
 from systolic.mindisp import fit_thickness
 from systolic.verdict import DistancePair
 
-from _oracles import first_short_link_cycle, thick_line_distance
+from _oracles import first_short_link_cycle, reference_embedding, thick_line_distance
+from test_isometries import DECLARABLE, LATTICE_MAPS, _declaring
 
 INF = math.inf
 
@@ -69,6 +77,161 @@ class TestEmbedding:
         rep = S.isometric_embedding_check(line, m)
         assert rep.max_deviation == 0
         assert rep.pairs_checked == 276
+
+
+def _same_report(got, want):
+    """Equal reports, ``max_deviation`` of the same type: a Yes carries 0.0."""
+    return got == want and type(got.max_deviation) is type(want.max_deviation)
+
+
+def _lattice_target(data):
+    """A drawn lattice window, declaring its own maps or a drawn set, and a
+    drawn map of it."""
+    radius = data.draw(st.integers(min_value=2, max_value=9), label="radius")
+    margin = data.draw(st.integers(min_value=1, max_value=radius), label="margin")
+    x = S.triangular_lattice_window(radius, margin)
+    names = data.draw(st.none() | st.lists(st.sampled_from(sorted(DECLARABLE)), unique=True,
+                                           max_size=3), label="declared")
+    if names is not None:
+        x = _declaring(x, names)
+    return x, LATTICE_MAPS[data.draw(st.sampled_from(sorted(LATTICE_MAPS)), label="map")](x)
+
+
+def _min_or_none(x, h):
+    """The Min complex, or None where no displacement is trusted."""
+    try:
+        return S.min_set(x, h)
+    except ComplexError:
+        return None
+
+
+def _torus_target(p, q, power):
+    x = S.hex_torus(p, q)
+    return x, S.torus_translation(x, p, q).power(power)
+
+
+def _swap(a, b):
+    """The identity but for a and b, which trade places: no automorphism
+    when they have different neighbours."""
+    def declared(x):
+        return Automorphism({**{v: v for v in x.vertices}, a: b, b: a}, "swap")
+
+    return declared
+
+
+class TestCarriedEmbedding:
+    """The embedding check scans only the members that no verified declared
+    map carries from a passed member with no membership flip near it, and
+    reports what the full pair loop reports."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_min_sets(self, data):
+        x, h = _lattice_target(data)
+        sub = _min_or_none(x, h)
+        if sub is None:
+            return
+        assert _same_report(S.isometric_embedding_check(x, sub), reference_embedding(x, sub))
+
+    @given(st.integers(min_value=4, max_value=9), st.integers(min_value=4, max_value=9),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_hex_torus_min_sets(self, p, q, power):
+        x, h = _torus_target(p, q, power)
+        sub = S.min_set(x, h)
+        assert _same_report(S.isometric_embedding_check(x, sub), reference_embedding(x, sub))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_with_holes(self, data):
+        # a band of rows, some of them cut short and with holes: its members
+        # flip under t1 and the row translation at the cuts, the holes and
+        # the band's edges, and a hole makes a detour only where it lies
+        x, _ = _lattice_target(data)
+        rows = sorted({r for _, r in x.coord_of.values()})
+        low = data.draw(st.sampled_from(rows), label="low")
+        high = data.draw(st.sampled_from([r for r in rows if r >= low]), label="high")
+        band = [v for v, (q, r) in x.coord_of.items() if low <= r <= high]
+        holes = data.draw(st.sets(st.sampled_from(band), max_size=3), label="holes")
+        keep = [v for v in band if v not in holes]
+        if data.draw(st.booleans(), label="trusted only"):
+            keep = [v for v in keep if v in x.trusted_vertices]
+        if not keep:
+            return
+        sub = x.span(keep)
+        assert _same_report(S.isometric_embedding_check(x, sub), reference_embedding(x, sub))
+
+    @pytest.mark.parametrize("radius, pairs", [(10, 2_355), (22, 26_475)])
+    def test_translation_pair_counts(self, radius, pairs):
+        # without the flip guard t1 would copy the counts of inner members
+        # onto the members at the edge of Min(t1)
+        x = S.triangular_lattice_window(radius, 4)
+        rep = S.isometric_embedding_check(x, S.min_set(x, S.lattice_translation(x, 1)))
+        assert (rep.pairs_checked, rep.max_deviation, rep.witness) == (pairs, 0.0, None)
+        assert type(rep.max_deviation) is float
+
+    def test_a_deviation_reports_the_first_pair(self, monkeypatch):
+        # the glide's strip of a radius-16 window with a hole at (4, 0): t1
+        # carries (-7, 0) .. (-1, 0), and at (1, 0), the first member that
+        # detours round the hole, the check starts over with the pair loop
+        x = S.triangular_lattice_window(16, 4)
+        hole = x.id_of[(4, 0)]
+        sub = x.span(v for v in S.min_set(x, S.lattice_glide(x)).vertices if v != hole)
+        balls = []
+        ball = sub.oracle.ball
+        monkeypatch.setattr(
+            sub.oracle, "ball", lambda u, r: balls.append(x.coord_of[u]) or ball(u, r))
+        rep = S.isometric_embedding_check(x, sub)
+        assert balls[:8] == [
+            (-12, 0), (-11, 0), (-10, 0), (-9, 0), (-8, 0), (0, 0), (1, 0), (-12, 0)]
+        assert _same_report(rep, reference_embedding(x, sub))
+        assert rep.max_deviation == 1
+        assert (x.coord_of[rep.witness.u], x.coord_of[rep.witness.v]) == ((1, 0), (5, 0))
+
+    def test_a_map_that_fails_its_check_carries_nothing(self):
+        # the window's basepoint and the last trusted vertex of its middle
+        # column trade places; carried, the swap would give the second the
+        # pair count of the first
+        w = S.triangular_lattice_window(8, 3)
+        a, b = w.id_of[(0, 0)], w.id_of[(0, 5)]
+        x = WindowView(w.vertices, w.edges(), w.basepoint, 8, 3, w.coord_of, (_swap(a, b),))
+        assert _transport_table(x) == []
+        sub = x.span(x.trusted_vertices)
+        rep = S.isometric_embedding_check(x, sub)
+        assert _same_report(rep, reference_embedding(x, sub))
+        assert rep.pairs_checked == 1_191
+
+
+class TestMinComplexScans:
+    """The Min complex's link and cycle scans ride the restrictions it
+    declares, and answer as the same complex declaring no map."""
+
+    @staticmethod
+    def _same_as_bare(m):
+        bare = FlagComplex(m.vertices, m.edges())
+        assert is_locally_k_large(m, 6) == is_locally_k_large(bare, 6)
+        assert enumerate_full_cycles(m, 5) == enumerate_full_cycles(bare, 5)
+        assert first_link_cycle(m, 5, 5) == first_link_cycle(bare, 5, 5)
+        assert find_extended_5_wheels(m) == find_extended_5_wheels(bare)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_windows(self, data):
+        x, h = _lattice_target(data)
+        m = _min_or_none(x, h)
+        if m is not None:
+            self._same_as_bare(m)
+
+    @given(st.integers(min_value=4, max_value=9), st.integers(min_value=4, max_value=9),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_hex_tori(self, p, q, power):
+        x, h = _torus_target(p, q, power)
+        m = S.min_set(x, h)
+        # the translation keeps every vertex at the same displacement, so
+        # Min is the whole torus and declares the translation itself
+        assert m.vertices == x.vertices and len(m.symmetries) == 1
+        self._same_as_bare(m)
 
 
 class TestMinSystolic:
