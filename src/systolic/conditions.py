@@ -27,9 +27,11 @@ those of a vertex link.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .collapse import DEFAULT_BUDGET, disconnection, simple_connectivity_oracle
 from .complexes import INF, ComplexError, FlagComplex, once
-from .isometries import validate_automorphism
+from .isometries import Automorphism, validate_automorphism
 from .verdict import (
     CycleInLink,
     ExtendedWheel5,
@@ -697,21 +699,35 @@ def _scanned_sources(x: FlagComplex, radius: float):
         if passed and x.symmetries:
             if rows is None:
                 rows = _transport_table(x)
-            if any(_carries(row, u, passed, radius) for row in rows):
+            if _carried_from(rows, u, passed, radius) is not None:
                 passed.add(u)
                 continue
         yield u
         passed.add(u)
 
 
-def _carries(row, u: int, passed: set[int], radius: float) -> bool:
-    """Whether the row's map g carries u from a passed source p = g^-1(u)
-    whose ball(p, radius) it maps onto ball(u, radius).  The Min-set layer
-    copies along the same rule (``isometries.displacement_profile`` and
+class _Row(NamedTuple):
+    """How one verified map g of x, a declared map or its inverse, carries
+    sources: ``back`` sends g(p) to p, and ``off_dom`` and ``off_im`` give
+    each vertex's distance from the vertices outside dom(g) and outside
+    im(g)."""
+
+    back: dict[int, int]
+    off_dom: dict[int, int]
+    off_im: dict[int, int]
+
+
+def _carried_from(rows: list[_Row], u: int, passed: set[int], radius: float) -> int | None:
+    """The passed source p = g^-1(u) of the first row whose map g maps
+    ball(p, radius) onto ball(u, radius), or None when no row carries u.
+    The Min-set layer copies along the same rule
+    (``isometries.displacement_profile`` and
     ``mindisp.isometric_embedding_check``)."""
-    back, off_dom, off_im = row
-    p = back.get(u)
-    return p in passed and not _within(off_dom, p, radius) and not _within(off_im, u, radius)
+    for back, off_dom, off_im in rows:
+        p = back.get(u)
+        if p in passed and not _within(off_dom, p, radius) and not _within(off_im, u, radius):
+            return p
+    return None
 
 
 def _within(near: dict[int, int], v: int, radius: float) -> bool:
@@ -722,16 +738,15 @@ def _within(near: dict[int, int], v: int, radius: float) -> bool:
 
 
 @once
-def _transport_table(x: FlagComplex) -> list[tuple[dict[int, int], dict[int, int], dict[int, int]]]:
-    """One row (back, off_dom, off_im) for each declared map h of x that
-    :func:`~systolic.isometries.validate_automorphism` accepts, and then one
-    for its inverse: for the row's map g, back sends g(p) to p, and off_dom and
-    off_im give each vertex's distance from the vertices outside dom(g) and
-    outside im(g).  Each is one multi-source BFS, to ``margin`` on a window
-    (no scan asks for a larger radius) and to any depth on a finite complex.
-    A map that fails its check is dropped: the rows only spare scans, so no
-    verdict depends on them."""
-    rows = []
+def _verified_maps(x: FlagComplex) -> list[tuple[Automorphism, tuple[_Row, _Row]]]:
+    """Each declared map h of x that
+    :func:`~systolic.isometries.validate_automorphism` accepts, with the
+    :class:`_Row` of h and that of its inverse.  The distances of a row are
+    each one multi-source BFS, to ``margin`` on a window (no scan asks for
+    a larger radius) and to any depth on a finite complex.  A map that
+    fails its check is dropped: the rows only spare scans, so no verdict
+    depends on them."""
+    out = []
     for f in x.symmetries:
         h = f(x)
         if not validate_automorphism(x, h).is_yes:
@@ -739,9 +754,14 @@ def _transport_table(x: FlagComplex) -> list[tuple[dict[int, int], dict[int, int
         m, inv = h.mapping, h.inverse_mapping
         off_dom = x.oracle._bfs([v for v in x.vertices if v not in m], x.margin)
         off_im = x.oracle._bfs([v for v in x.vertices if v not in inv], x.margin)
-        rows.append((inv, off_dom, off_im))
-        rows.append((m, off_im, off_dom))
-    return rows
+        out.append((h, (_Row(inv, off_dom, off_im), _Row(m, off_im, off_dom))))
+    return out
+
+
+def _transport_table(x: FlagComplex) -> list[_Row]:
+    """The rows of every verified declared map of x and of its inverse
+    (:func:`_verified_maps`)."""
+    return [row for _, rows in _verified_maps(x) for row in rows]
 
 
 def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verdict:

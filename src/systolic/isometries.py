@@ -14,13 +14,14 @@ from h's displacement profile by one walk that translates a minimal
 geodesic by h^-1 and by h.  The profile is computed once per complex and
 map, however many checks read it, and so is the Min complex.
 
-The Min-set layer rides the target's verified declared maps (the rows of
-``conditions._transport_table``), but only those that commute with h
+The Min-set layer rides the target's verified declared maps
+(``conditions._verified_maps``), but only those that commute with h
 wherever both composites are defined: such a map g keeps displacement,
 d(gv, hgv) = d(v, hv), so it carries Min(h) onto itself.  The profile
 copies the displacement of a vertex p to the vertex g(p) that the carry
-rule ``conditions._carries`` carries from it, and the Min complex declares
-the restrictions of those maps, which its link and cycle scans then ride.
+rule ``conditions._carried_from`` carries from it, and the Min complex
+declares the restrictions of those maps, which its link and cycle scans
+then ride.
 """
 
 from __future__ import annotations
@@ -166,19 +167,19 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
     image is trusted, except where a declared map carries the answer.
 
     A vertex u whose image h(u) is trusted takes the answer of a vertex p
-    that was answered before it (p's image was trusted too) when a row of
-    :func:`_commuting_rows` with map g has u = g(p) and carries u from p at
-    radius ``margin`` (``conditions._carries``).  Trust is not g-invariant,
-    so h(u) is tested directly.  Proof: g maps ball(p, margin), which lies
-    in dom(g), onto ball(u, margin), keeping the distance from the centre.
-    If d(p, hp) <= margin, then hp lies in that ball and g(hp) = h(u), since
-    g commutes with h at p; so d(u, hu) = d(p, hp).  If d(u, hu) <= margin,
-    then hu lies in ball(u, margin), which lies in im(g), and g^-1(hu) =
-    h(p), since g^-1 commutes with h at u; so d(p, hp) = d(u, hu).  Hence
-    either both displacements are the same value within the cap or both lie
-    beyond it.
+    that was answered before it (p's image was trusted too) when g, one of
+    the maps of :func:`_commuting_maps` or its inverse, has u = g(p) and
+    carries u from p at radius ``margin`` (``conditions._carried_from``).
+    Trust is not g-invariant, so h(u) is tested directly.  Proof: g maps
+    ball(p, margin), which lies in dom(g), onto ball(u, margin), keeping
+    the distance from the centre.  If d(p, hp) <= margin, then hp lies in
+    that ball and g(hp) = h(u), since g commutes with h at p; so d(u, hu) =
+    d(p, hp).  If d(u, hu) <= margin, then hu lies in ball(u, margin), which
+    lies in im(g), and g^-1(hu) = h(p), since g^-1 commutes with h at u; so
+    d(p, hp) = d(u, hu).  Hence either both displacements are the same value
+    within the cap or both lie beyond it.
     """
-    from .conditions import _carries
+    from .conditions import _carried_from
 
     region, bound = x.trusted_vertices, x.margin
     values: dict[int, int] = {}
@@ -193,8 +194,8 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
         p = None
         if answered and x.symmetries:
             if rows is None:
-                rows = _commuting_rows(x, h)
-            p = next((row[0][v] for row in rows if _carries(row, v, answered, bound)), None)
+                rows = [row for _, pair in _commuting_maps(x, h) for row in pair]
+            p = _carried_from(rows, v, answered, bound)
         d = x.oracle.distance_capped(v, hv, bound) if p is None else values.get(p, INF)
         answered.add(v)
         if d == INF:
@@ -208,25 +209,24 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
     return DisplacementProfile(values, skipped, length, mins)
 
 
-def _commuting_rows(x: FlagComplex, h: Automorphism) -> list:
-    """The rows of ``conditions._transport_table(x)`` whose map g commutes
-    with h wherever both composites are defined, for g and for g^-1: for
-    every p in dom(g) ∩ dom(h) with g(p) in dom(h), g(h(p)) = h(g(p)) when
-    h(p) lies in dom(g) or h(g(p)) lies in im(g).  The table lists each
-    map's row and then its inverse's, and a map is kept with both."""
-    from .conditions import _transport_table
+@once
+def _commuting_maps(x: FlagComplex, h: Automorphism) -> list:
+    """The verified declared maps g of x, with their rows
+    (``conditions._verified_maps``), that commute with h wherever both
+    composites are defined, for g and for g^-1: for every p in dom(g) ∩
+    dom(h) with g(p) in dom(h), g(h(p)) = h(g(p)) when h(p) lies in dom(g)
+    or h(g(p)) lies in im(g)."""
+    from .conditions import _verified_maps
 
-    rows = _transport_table(x)
     hm = h.mapping
-    out = []
-    for to_row, from_row in zip(rows[::2], rows[1::2]):
-        g, g_inv = from_row[0], to_row[0]
-        if all(g.get(hp) == hu
-               for p, u in g.items()
+    return [
+        (g, rows)
+        for g, rows in _verified_maps(x)
+        if all(g.mapping.get(hp) == hu
+               for p, u in g.mapping.items()
                if (hp := hm.get(p)) is not None and (hu := hm.get(u)) is not None
-               and (hp in g or hu in g_inv)):
-            out += [to_row, from_row]
-    return out
+               and (hp in g.mapping or hu in g.inverse_mapping))
+    ]
 
 
 def moving_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile:
@@ -313,9 +313,9 @@ def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
     by :func:`moving_profile`.  One complex per x and h serves every check.
 
     It declares the restriction v -> g(v), where v and g(v) both lie in
-    Min(h), of each map g of x that commutes with h (:func:`_commuting_rows`);
+    Min(h), of each map g of x that commutes with h (:func:`_commuting_maps`);
     a restriction of a partial automorphism to a full subcomplex is one, so
-    it passes the check of ``conditions._transport_table``.  Each declared
+    it passes the check of ``conditions._verified_maps``.  Each declared
     function holds only its mapping.
     """
     mins = moving_profile(x, h).min_vertices
@@ -323,9 +323,8 @@ def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
     members = set(mins)
     restricted = []
     if x.symmetries:
-        for row in _commuting_rows(x, h)[1::2]:
-            g = row[0]
-            mapping = {v: g[v] for v in mins if g.get(v) in members}
+        for g, _ in _commuting_maps(x, h):
+            mapping = {v: gv for v in mins if (gv := g.mapping.get(v)) in members}
             if mapping:
                 restricted.append(_declared(mapping))
     sub.symmetries = tuple(restricted)

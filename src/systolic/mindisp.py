@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 from .complexes import ComplexError, FlagComplex
 from .conditions import (
-    _carries,
+    _carried_from,
     _transport_table,
-    _within,
     find_extended_5_wheels,
     first_link_cycle,
 )
@@ -103,77 +102,74 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
     both ends, so ``pairs_checked`` is half the sum.  A member is passed
     without a scan, with the count of p, when a row of x's verified declared
     maps carries it from a passed member p at radius ``margin``
-    (``conditions._carries``) and the row's map g has no membership flip
-    within ``margin`` of p: no v in dom(g) whose membership in ``sub`` or
-    among the members differs from g(v)'s.  Proof: g maps ball(p, margin)
+    (``conditions._carried_from``) and the row's map g has no membership
+    flip within ``margin`` of p: no v in dom(g) whose membership in ``sub``
+    or among the members differs from g(v)'s.  Proof: g maps ball(p, margin)
     onto ball(u, margin) keeping the distance from the centre, and by the
     flip guard it maps the members and the sub vertices of one ball onto
     those of the other.  A geodesic of ``sub`` from p to a member v lies in
     ball(p, d_x(p, v)), so g maps it to a path of ``sub`` of the same length
-    from u to g(v): d_sub = d_x holds at u as at p.  On the first member
-    that deviates, the check starts over with :func:`_pair_loop`, so the
-    witness and ``max_deviation`` are those of the full pair loop.
+    from u to g(v): d_sub = d_x holds at u as at p.
+
+    So a carried member deviates from no member, and a deviating pair u < v
+    has both ends scanned: the scan at u, in sorted order, finds every
+    deviating partner v > u, and the witness and ``max_deviation`` are
+    those of the full pair loop.  A member that deviates does not pass, so
+    nothing is carried from it.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_full_subcomplex(x, sub)
     members = region.intersection(sub.vertices)
     counts: dict[int, int] = {}
-    guarded = None
+    passed: set[int] = set()
+    max_dev = 0.0
+    witness: DistancePair | None = None
+    rows = None
     for u in sorted(members):
-        if counts and x.symmetries:
-            if guarded is None:
-                guarded = _flip_guarded_rows(x, sub, members)
-            p = next((row[0][u] for row, flips in guarded
-                      if _carries(row, u, counts, bound) and not _within(flips, u, bound)), None)
+        if passed and x.symmetries:
+            if rows is None:
+                rows = _flip_guarded_rows(x, sub, members)
+            p = _carried_from(rows, u, passed, bound)
             if p is not None:
                 counts[u] = counts[p]
+                passed.add(u)
                 continue
         amb = x.oracle.ball(u, bound)
         inner = sub.oracle.ball(u, bound)
         near = [v for v, d in amb.items() if d <= bound and v in members and v != u]
-        if any(inner.get(v) != amb[v] for v in near):
-            return _pair_loop(x, sub, members)
         counts[u] = len(near)
-    return EmbeddingReport(sum(counts.values()) // 2, 0.0, None)
+        deviating = sorted(v for v in near if inner.get(v) != amb[v])
+        if not deviating:
+            passed.add(u)
+        for v in deviating:
+            if v < u:
+                continue
+            d_sub = sub.oracle.distance(u, v, bound)
+            dev = d_sub - amb[v]
+            if witness is None:
+                witness = DistancePair(u, v, d_sub, amb[v])
+            if dev > max_dev:
+                max_dev = dev
+    return EmbeddingReport(sum(counts.values()) // 2, max_dev, witness)
 
 
 def _flip_guarded_rows(x: FlagComplex, sub: FlagComplex, members: set[int]) -> list:
-    """Each row of ``conditions._transport_table(x)`` with the distance of
-    every vertex from the images g(v) of the membership flips v of its map
-    g, by one multi-source BFS to ``margin``.  No flip lies within margin of
-    p exactly when no image of one lies within margin of u = g(p), for a row
-    that carries u from p: g maps ball(p, margin) onto ball(u, margin), and
-    g^-1 maps it back."""
+    """The rows of ``conditions._transport_table(x)`` with each row's
+    ``off_im`` measured from the images g(v) of the membership flips v of
+    its map g as well as from the vertices outside im(g), by one
+    multi-source BFS to ``margin``.  The carry rule then also asks that no
+    image of a flip lie within margin of u = g(p), which holds exactly when
+    no flip lies within margin of p: g maps ball(p, margin) onto
+    ball(u, margin), and g^-1 maps it back."""
     # 2 for a member, 1 for an untrusted vertex of sub, none elsewhere
     side = dict.fromkeys(sub.vertices, 1)
     side.update(dict.fromkeys(members, 2))
     out = []
     for row in _transport_table(x):
-        flipped = [u for u, p in row[0].items() if side.get(u) != side.get(p)]
-        out.append((row, x.oracle._bfs(flipped, x.margin)))
+        back = row.back
+        fenced = [u for u in x.vertices if u not in back or side.get(u) != side.get(back[u])]
+        out.append(row._replace(off_im=x.oracle._bfs(fenced, x.margin)))
     return out
-
-
-def _pair_loop(x: FlagComplex, sub: FlagComplex, members: set[int]) -> EmbeddingReport:
-    """Every pair of members u < v within the trust bound, in sorted order:
-    the first deviating pair is the witness."""
-    bound = x.margin
-    pairs = 0
-    max_dev = 0.0
-    witness: DistancePair | None = None
-    for u in sorted(members):
-        amb = x.oracle.ball(u, bound)
-        for v in sorted(v for v, d in amb.items() if v > u and v in members and d <= bound):
-            d_amb = amb[v]
-            # an isometric pair lies inside the inner ball of the same radius
-            d_sub = sub.oracle.distance(u, v, bound)
-            pairs += 1
-            dev = d_sub - d_amb
-            if dev > 0 and witness is None:
-                witness = DistancePair(u, v, d_sub, d_amb)
-            if dev > max_dev:
-                max_dev = dev
-    return EmbeddingReport(pairs, max_dev, witness)
 
 
 def wheel_domination_in_min(x: FlagComplex, min_complex: FlagComplex) -> Verdict:

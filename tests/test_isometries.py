@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import Automorphism, ComplexError, FlagComplex, WindowView
-from systolic.conditions import _transport_table
+from systolic.conditions import _transport_table, _verified_maps
 from systolic.generators import _row_translation
-from systolic.isometries import _commuting_rows
+from systolic.isometries import _commuting_maps
 from systolic.verdict import MapViolation
 
 from _oracles import (
@@ -279,10 +279,10 @@ class TestCarriedProfile:
         x = S.triangular_lattice_window(10, 4)
         glide = S.lattice_glide(x)
         # t1 commutes with the glide; the row translation does not
-        table = _transport_table(x)
-        assert len(table) == 4
-        assert _commuting_rows(x, glide) == table[:2]
-        assert _commuting_rows(x, S.lattice_translation(x, 1)) == table
+        maps = _verified_maps(x)
+        assert len(maps) == 2
+        assert _commuting_maps(x, glide) == maps[:1]
+        assert _commuting_maps(x, S.lattice_translation(x, 1)) == maps
         assert len(S.min_set(x, glide).vertices) == 24
         assert S.displacement_profile(x, glide) == reference_displacement_profile(x, glide)
 

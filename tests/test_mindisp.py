@@ -172,8 +172,9 @@ class TestCarriedEmbedding:
 
     def test_a_deviation_reports_the_first_pair(self, monkeypatch):
         # the glide's strip of a radius-16 window with a hole at (4, 0): t1
-        # carries (-7, 0) .. (-1, 0), and at (1, 0), the first member that
-        # detours round the hole, the check starts over with the pair loop
+        # carries (-7, 0) .. (-1, 0); (1, 0), the first member that detours
+        # round the hole, names the witness, and the check goes on without
+        # starting over
         x = S.triangular_lattice_window(16, 4)
         hole = x.id_of[(4, 0)]
         sub = x.span(v for v in S.min_set(x, S.lattice_glide(x)).vertices if v != hole)
@@ -182,11 +183,24 @@ class TestCarriedEmbedding:
         monkeypatch.setattr(
             sub.oracle, "ball", lambda u, r: balls.append(x.coord_of[u]) or ball(u, r))
         rep = S.isometric_embedding_check(x, sub)
-        assert balls[:8] == [
-            (-12, 0), (-11, 0), (-10, 0), (-9, 0), (-8, 0), (0, 0), (1, 0), (-12, 0)]
+        assert balls[:7] == [(-12, 0), (-11, 0), (-10, 0), (-9, 0), (-8, 0), (0, 0), (1, 0)]
+        assert balls.count((-12, 0)) == 1
+        assert not {(q, 0) for q in range(-7, 0)} & set(balls)
         assert _same_report(rep, reference_embedding(x, sub))
         assert rep.max_deviation == 1
         assert (x.coord_of[rep.witness.u], x.coord_of[rep.witness.v]) == ((1, 0), (5, 0))
+
+    def test_a_member_that_deviates_carries_nothing(self):
+        # rows 0 and 2 of a radius-16 window, joined by row 1 only at
+        # |q| >= 8: a pair (q, 0), (q, 2) detours to the nearer bridge, so
+        # the deviation peaks at q = 0, where t1 would carry every member
+        # from one that deviates, with less
+        x = S.triangular_lattice_window(16, 4)
+        sub = x.span(v for v, (q, r) in x.coord_of.items() if r in (0, 2) or r == 1 and abs(q) >= 8)
+        rep = S.isometric_embedding_check(x, sub)
+        assert _same_report(rep, reference_embedding(x, sub))
+        assert (rep.pairs_checked, rep.max_deviation) == (455, 15)
+        assert (x.coord_of[rep.witness.u], x.coord_of[rep.witness.v]) == ((-7, 0), (-7, 2))
 
     def test_a_map_that_fails_its_check_carries_nothing(self):
         # the window's basepoint and the last trusted vertex of its middle
