@@ -12,7 +12,7 @@ and trusts only what lies far enough from its boundary.  A complex owns its
 adjacency; the oracle only reads it and holds no reference back, so a
 complex and its cached tables are freed as soon as it is dropped.  A
 builder may declare maps it knows to be symmetries (``symmetries``); the
-scans verify them before they use one (``conditions``).
+scans verify them before one carries a source (``isometries._carry``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ local k-largeness for each k) are computed once per complex
 is already known and scan only the sources it leaves open.  SD, the
 vertex-link scan and the full-cycle certificate :func:`_cycle_free` skip
 every source that a verified declared symmetry carries from a source that
-already passed (:func:`_scanned_sources`).  The certificate spares the
+already passed (``isometries._carry``).  The certificate spares the
 path walks of ``systole`` and of ``enumerate_full_cycles``, and through it
 those of k-largeness, the 5-wheel scan and the full-square check, for each
 length it proves free.  One path walker, :func:`_cycles_at`, finds every
@@ -27,11 +27,9 @@ those of a vertex link.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .collapse import DEFAULT_BUDGET, disconnection, simple_connectivity_oracle
 from .complexes import INF, ComplexError, FlagComplex, once
-from .isometries import Automorphism, validate_automorphism
+from .isometries import _carry, _transport_table
 from .verdict import (
     CycleInLink,
     ExtendedWheel5,
@@ -147,8 +145,8 @@ def _cycle_free(x: FlagComplex, length: int) -> bool:
     source whose only cycle leaves the trusted region onto one whose image
     stays inside it.  Two guards answer False at once: a complex that
     declares no map, where a walk from every source costs more than the
-    canonical walk, and ``length // 2 > margin``, beyond the reach of
-    :func:`_transport_table`.
+    canonical walk, and ``length // 2 > margin``, beyond the reach of the
+    transport table (``isometries._verified_maps``).
     """
     radius = length // 2
     if not x.symmetries or radius > x.margin:
@@ -322,7 +320,9 @@ def _first_unsettled(x: FlagComplex, verts: list[int]) -> int:
 def _require_connected(g: FlagComplex, what: str) -> None:
     # Distance conditions quantify over finite distances; across components
     # they would compare infinities.  disconnection refuses the empty complex.
-    if disconnection(g) is not None:
+    # Sphere domination requires connectivity before it keeps a verdict, so
+    # a kept verdict proves g connected.
+    if sphere_domination_everywhere.known(g) is None and disconnection(g) is not None:
         raise ComplexError(f"{what} is about connected complexes")
 
 
@@ -677,91 +677,14 @@ def _scanned_sources(x: FlagComplex, radius: float):
     scan stops at its first failing source, so every source before the one
     it asks for next has passed.  Its scans: sphere domination (radius
     ``margin``), the vertex-link scan (radius 1) and the full-cycle
-    certificate :func:`_cycle_free` (radius length // 2).
-
-    A source u is passed without a scan when, for some row of
-    :func:`_transport_table` with map g (a declared map or its inverse):
-    u = g(p), p is an earlier source (so it passed), no vertex outside
-    dom(g) lies within radius of p, and no vertex outside im(g) lies within
-    radius of u.  Proof: g is a partial automorphism, so it maps every
-    geodesic inside ball(p, radius), which lies in dom(g), to a path of the
-    same length, and g^-1 maps every geodesic inside ball(u, radius), which
-    lies in im(g), back.  So g is a bijection of ball(p, radius) onto
-    ball(u, radius) that keeps the distance from the centre and adjacency
-    both ways, and the scan answers at u as at p.  Only passed sources are
-    copied, so the first failing source is always scanned in full.  The
-    table is built when the second source is reached, so a scan that fails
-    at its first source, or a complex that declares no map, pays nothing.
-    """
-    rows = None
+    certificate :func:`_cycle_free` (radius length // 2).  Each source that
+    a declared map carries from a passed one is skipped
+    (``isometries._carry``, which holds the proof)."""
     passed: set[int] = set()
-    for u in sorted(x.trusted_vertices):
-        if passed and x.symmetries:
-            if rows is None:
-                rows = _transport_table(x)
-            if _carried_from(rows, u, passed, radius) is not None:
-                passed.add(u)
-                continue
-        yield u
+    for u, p in _carry(x, sorted(x.trusted_vertices), radius, lambda: _transport_table(x), passed):
+        if p is None:
+            yield u
         passed.add(u)
-
-
-class _Row(NamedTuple):
-    """How one verified map g of x, a declared map or its inverse, carries
-    sources: ``back`` sends g(p) to p, and ``off_dom`` and ``off_im`` give
-    each vertex's distance from the vertices outside dom(g) and outside
-    im(g)."""
-
-    back: dict[int, int]
-    off_dom: dict[int, int]
-    off_im: dict[int, int]
-
-
-def _carried_from(rows: list[_Row], u: int, passed: set[int], radius: float) -> int | None:
-    """The passed source p = g^-1(u) of the first row whose map g maps
-    ball(p, radius) onto ball(u, radius), or None when no row carries u.
-    The Min-set layer copies along the same rule
-    (``isometries.displacement_profile`` and
-    ``mindisp.isometric_embedding_check``)."""
-    for back, off_dom, off_im in rows:
-        p = back.get(u)
-        if p in passed and not _within(off_dom, p, radius) and not _within(off_im, u, radius):
-            return p
-    return None
-
-
-def _within(near: dict[int, int], v: int, radius: float) -> bool:
-    """Whether a vertex that ``near`` measures from lies within radius of v;
-    a vertex missing from ``near`` has none within the reach of the table,
-    which is at least every radius a scan asks for."""
-    return v in near and near[v] <= radius
-
-
-@once
-def _verified_maps(x: FlagComplex) -> list[tuple[Automorphism, tuple[_Row, _Row]]]:
-    """Each declared map h of x that
-    :func:`~systolic.isometries.validate_automorphism` accepts, with the
-    :class:`_Row` of h and that of its inverse.  The distances of a row are
-    each one multi-source BFS, to ``margin`` on a window (no scan asks for
-    a larger radius) and to any depth on a finite complex.  A map that
-    fails its check is dropped: the rows only spare scans, so no verdict
-    depends on them."""
-    out = []
-    for f in x.symmetries:
-        h = f(x)
-        if not validate_automorphism(x, h).is_yes:
-            continue
-        m, inv = h.mapping, h.inverse_mapping
-        off_dom = x.oracle._bfs([v for v in x.vertices if v not in m], x.margin)
-        off_im = x.oracle._bfs([v for v in x.vertices if v not in inv], x.margin)
-        out.append((h, (_Row(inv, off_dom, off_im), _Row(m, off_im, off_dom))))
-    return out
-
-
-def _transport_table(x: FlagComplex) -> list[_Row]:
-    """The rows of every verified declared map of x and of its inverse
-    (:func:`_verified_maps`)."""
-    return [row for _, rows in _verified_maps(x) for row in rows]
 
 
 def _weakly_systolic_local_to_global(x: FlagComplex, oracle_budget: int) -> Verdict:

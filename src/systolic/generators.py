@@ -14,9 +14,10 @@ skip sources a map carries (sphere domination, the vertex-link scan and the
 full-cycle certificate of ``conditions``) then scan one lattice source.  The
 Min-set layer skips them too: the displacement profile and the Min complex
 of ``isometries`` ride the maps that commute with h, and the embedding check
-of ``mindisp`` rides every map, guarded by the membership flips.  A scan
-verifies a declared map before it uses one.  The finite thick line declares
-none: there a partial map carries nothing.
+of ``mindisp`` rides every map, guarded by the membership flips.  All of
+them carry through one loop, ``isometries._carry``, and only along the
+declared maps that pass ``validate_automorphism``.  The finite thick line
+declares none: there a partial map carries nothing.
 """
 
 from __future__ import annotations

@@ -14,19 +14,23 @@ from h's displacement profile by one walk that translates a minimal
 geodesic by h^-1 and by h.  The profile is computed once per complex and
 map, however many checks read it, and so is the Min complex.
 
-The Min-set layer rides the target's verified declared maps
-(``conditions._verified_maps``), but only those that commute with h
-wherever both composites are defined: such a map g keeps displacement,
-d(gv, hgv) = d(v, hv), so it carries Min(h) onto itself.  The profile
-copies the displacement of a vertex p to the vertex g(p) that the carry
-rule ``conditions._carried_from`` carries from it, and the Min complex
-declares the restrictions of those maps, which its link and cycle scans
-then ride.
+Declared maps carry scans.  A scan whose answer at a source u depends only
+on the rooted ``ball(u, radius)`` copies the answer of a source p that
+passed when a verified declared map carries u from p: :func:`_carry` is the
+one loop that applies this rule, and its docstring holds the proof.  It
+serves sphere domination, the vertex-link scan and the full-cycle
+certificate of ``conditions``, the displacement profile here and the
+embedding check of ``mindisp``.  The Min-set layer uses only the maps that
+commute with h wherever both composites are defined: such a map g keeps
+displacement, d(gv, hgv) = d(v, hv), so it carries Min(h) onto itself, and
+the Min complex declares their restrictions, which its link and cycle
+scans then ride.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import INF, ComplexError, FlagComplex, as_simplex, once
 from .verdict import (
@@ -142,6 +146,85 @@ def validate_automorphism(x: FlagComplex, h: Automorphism) -> Verdict:
     return yes(total=h.is_total_on(x))
 
 
+class _Row(NamedTuple):
+    """How one verified map g of x, a declared map or its inverse, carries
+    sources: ``back`` sends g(p) to p, and ``off_dom`` and ``off_im`` give
+    each vertex's distance from the vertices outside dom(g) and outside
+    im(g)."""
+
+    back: dict[int, int]
+    off_dom: dict[int, int]
+    off_im: dict[int, int]
+
+
+def _carry(x: FlagComplex, sources, radius: float, table, passed: set[int]):
+    """For each of the sorted ``sources`` of x in order, ``(u, p)``: p is
+    the passed source that a row carries u from, or None when u must be
+    computed.  The caller scans sources whose answer at u depends only on
+    the rooted ball(u, radius), and adds u to ``passed`` when u passes.
+
+    A row of ``table()`` with map g (a declared map or its inverse, see
+    :class:`_Row`) carries u from p when u = g(p), p has passed, no vertex
+    outside dom(g) lies within radius of p, and no vertex outside im(g)
+    lies within radius of u.  Proof: g is a partial automorphism, so it
+    maps every geodesic inside ball(p, radius), which lies in dom(g), to a
+    path of the same length, and g^-1 maps every geodesic inside
+    ball(u, radius), which lies in im(g), back.  So g is a bijection of
+    ball(p, radius) onto ball(u, radius) that keeps the distance from the
+    centre and adjacency both ways, and the scan answers at u as at p.
+    Only passed sources are copied, so the first failing source is always
+    computed in full.  ``table()`` is called at the first source asked
+    about while something has passed, and only when x declares a map, so a
+    scan that stops at its first source, or a complex without maps, pays
+    nothing for it.
+    """
+    rows = None
+    for u in sources:
+        p = None
+        if passed and x.symmetries:
+            if rows is None:
+                rows = table()
+            for back, off_dom, off_im in rows:
+                q = back.get(u)
+                if q in passed and not _within(off_dom, q, radius) and not _within(off_im, u, radius):
+                    p = q
+                    break
+        yield u, p
+
+
+def _within(near: dict[int, int], v: int, radius: float) -> bool:
+    """Whether a vertex that ``near`` measures from lies within radius of v;
+    a vertex missing from ``near`` has none within the reach of the table,
+    which is at least every radius a scan asks for."""
+    return v in near and near[v] <= radius
+
+
+@once
+def _verified_maps(x: FlagComplex) -> list[tuple[Automorphism, tuple[_Row, _Row]]]:
+    """Each declared map h of x that :func:`validate_automorphism` accepts,
+    with the :class:`_Row` of h and that of its inverse.  The distances of
+    a row are each one multi-source BFS, to ``margin`` on a window (no scan
+    asks for a larger radius) and to any depth on a finite complex.  A map
+    that fails its check is dropped: the rows only spare scans, so no
+    verdict depends on them."""
+    out = []
+    for f in x.symmetries:
+        h = f(x)
+        if not validate_automorphism(x, h).is_yes:
+            continue
+        m, inv = h.mapping, h.inverse_mapping
+        off_dom = x.oracle._bfs([v for v in x.vertices if v not in m], x.margin)
+        off_im = x.oracle._bfs([v for v in x.vertices if v not in inv], x.margin)
+        out.append((h, (_Row(inv, off_dom, off_im), _Row(m, off_im, off_dom))))
+    return out
+
+
+def _transport_table(x: FlagComplex) -> list[_Row]:
+    """The rows of every verified declared map of x and of its inverse
+    (:func:`_verified_maps`)."""
+    return [row for _, rows in _verified_maps(x) for row in rows]
+
+
 @dataclass(frozen=True)
 class DisplacementProfile:
     """Exact displacement per vertex, restricted to where it can be trusted.
@@ -167,35 +250,25 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
     image is trusted, except where a declared map carries the answer.
 
     A vertex u whose image h(u) is trusted takes the answer of a vertex p
-    that was answered before it (p's image was trusted too) when g, one of
-    the maps of :func:`_commuting_maps` or its inverse, has u = g(p) and
-    carries u from p at radius ``margin`` (``conditions._carried_from``).
-    Trust is not g-invariant, so h(u) is tested directly.  Proof: g maps
-    ball(p, margin), which lies in dom(g), onto ball(u, margin), keeping
-    the distance from the centre.  If d(p, hp) <= margin, then hp lies in
-    that ball and g(hp) = h(u), since g commutes with h at p; so d(u, hu) =
-    d(p, hp).  If d(u, hu) <= margin, then hu lies in ball(u, margin), which
-    lies in im(g), and g^-1(hu) = h(p), since g^-1 commutes with h at u; so
-    d(p, hp) = d(u, hu).  Hence either both displacements are the same value
-    within the cap or both lie beyond it.
+    that was answered before it (p's image was trusted too) when the row of
+    g, one of the maps of :func:`_commuting_maps` or its inverse, carries u
+    from p at radius ``margin`` (:func:`_carry`).  Trust is not g-invariant,
+    so h(u) is tested directly.  Proof: g maps ball(p, margin) onto
+    ball(u, margin), keeping the distance from the centre.  If d(p, hp) <=
+    margin, then hp lies in that ball and g(hp) = h(u), since g commutes
+    with h at p; so d(u, hu) = d(p, hp).  If d(u, hu) <= margin, then hu
+    lies in ball(u, margin), which lies in im(g), and g^-1(hu) = h(p), since
+    g^-1 commutes with h at u; so d(p, hp) = d(u, hu).  Hence either both
+    displacements are the same value within the cap or both lie beyond it.
     """
-    from .conditions import _carried_from
-
     region, bound = x.trusted_vertices, x.margin
     values: dict[int, int] = {}
     answered: set[int] = set()
-    rows = None
-    skipped = 0
-    for v in sorted(region):
-        hv = h.mapping.get(v)
-        if hv not in region:
-            skipped += 1
-            continue
-        p = None
-        if answered and x.symmetries:
-            if rows is None:
-                rows = [row for _, pair in _commuting_maps(x, h) for row in pair]
-            p = _carried_from(rows, v, answered, bound)
+    sources = [v for v in sorted(region) if h.mapping.get(v) in region]
+    skipped = len(region) - len(sources)
+    table = lambda: [row for _, pair in _commuting_maps(x, h) for row in pair]
+    for v, p in _carry(x, sources, bound, table, answered):
+        hv = h.mapping[v]
         d = x.oracle.distance_capped(v, hv, bound) if p is None else values.get(p, INF)
         answered.add(v)
         if d == INF:
@@ -212,12 +285,10 @@ def displacement_profile(x: FlagComplex, h: Automorphism) -> DisplacementProfile
 @once
 def _commuting_maps(x: FlagComplex, h: Automorphism) -> list:
     """The verified declared maps g of x, with their rows
-    (``conditions._verified_maps``), that commute with h wherever both
-    composites are defined, for g and for g^-1: for every p in dom(g) ∩
-    dom(h) with g(p) in dom(h), g(h(p)) = h(g(p)) when h(p) lies in dom(g)
-    or h(g(p)) lies in im(g)."""
-    from .conditions import _verified_maps
-
+    (:func:`_verified_maps`), that commute with h wherever both composites
+    are defined, for g and for g^-1: for every p in dom(g) ∩ dom(h) with
+    g(p) in dom(h), g(h(p)) = h(g(p)) when h(p) lies in dom(g) or h(g(p))
+    lies in im(g)."""
     hm = h.mapping
     return [
         (g, rows)
@@ -315,7 +386,7 @@ def min_set(x: FlagComplex, h: Automorphism) -> FlagComplex:
     It declares the restriction v -> g(v), where v and g(v) both lie in
     Min(h), of each map g of x that commutes with h (:func:`_commuting_maps`);
     a restriction of a partial automorphism to a full subcomplex is one, so
-    it passes the check of ``conditions._verified_maps``.  Each declared
+    it passes the check of :func:`_verified_maps`.  Each declared
     function holds only its mapping.
     """
     mins = moving_profile(x, h).min_vertices

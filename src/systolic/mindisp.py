@@ -14,8 +14,9 @@ which is computed once per complex and map; candidate geodesics come in
 lexicographic order from ``DistanceOracle.geodesics``.
 
 The embedding check rides the target's verified declared maps, needing no
-h: a member that a map carries from a member that passed, with no member
-entering or leaving the set under the map near it, passes without a scan.
+h: a member that a map carries from a member that passed
+(``isometries._carry``), with no member entering or leaving the set under
+the map near it, passes without a scan.
 The Min complex's own declared maps (``isometries.min_set``) carry the link
 and cycle scans of the 5-wheel check.
 """
@@ -25,15 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ComplexError, FlagComplex
-from .conditions import (
-    _carried_from,
-    _transport_table,
-    find_extended_5_wheels,
-    first_link_cycle,
-)
+from .conditions import find_extended_5_wheels, first_link_cycle
 from .isometries import (
     Automorphism,
     PathChain,
+    _carry,
+    _transport_table,
     classify,
     is_invariant_simplex,
     moving_profile,
@@ -73,16 +71,20 @@ def _require_full_subcomplex(g: FlagComplex, sub: FlagComplex) -> None:
     outside = [v for v in sub.vertices if v not in g]
     if outside:
         raise ComplexError(f"subcomplex vertex {outside[0]} is not an ambient vertex")
+    inside = sub._adj.keys()
     for u in sub.vertices:
-        for v in sub.neighbors(u):
-            if u < v and not g.adjacent(u, v):
-                raise ComplexError(f"subcomplex edge {u}-{v} is absent from the ambient complex")
-        inner = sub.neighbors(u)
-        for v in sorted(g.neighbors(u)):
-            if u < v and v in sub and v not in inner:
-                raise ComplexError(
-                    f"not a full subcomplex: ambient edge {u}-{v} is missing inside"
-                )
+        inner, outer = sub.neighbors(u), g.neighbors(u) & inside
+        if inner == outer:
+            continue
+        # both sides are symmetric, so a fault at v < u was met at v first
+        absent = inner - outer
+        if absent:
+            raise ComplexError(
+                f"subcomplex edge {u}-{min(absent)} is absent from the ambient complex"
+            )
+        raise ComplexError(
+            f"not a full subcomplex: ambient edge {u}-{min(outer - inner)} is missing inside"
+        )
 
 
 def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingReport:
@@ -102,7 +104,7 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
     both ends, so ``pairs_checked`` is half the sum.  A member is passed
     without a scan, with the count of p, when a row of x's verified declared
     maps carries it from a passed member p at radius ``margin``
-    (``conditions._carried_from``) and the row's map g has no membership
+    (``isometries._carry``) and the row's map g has no membership
     flip within ``margin`` of p: no v in dom(g) whose membership in ``sub``
     or among the members differs from g(v)'s.  Proof: g maps ball(p, margin)
     onto ball(u, margin) keeping the distance from the centre, and by the
@@ -124,16 +126,12 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
     passed: set[int] = set()
     max_dev = 0.0
     witness: DistancePair | None = None
-    rows = None
-    for u in sorted(members):
-        if passed and x.symmetries:
-            if rows is None:
-                rows = _flip_guarded_rows(x, sub, members)
-            p = _carried_from(rows, u, passed, bound)
-            if p is not None:
-                counts[u] = counts[p]
-                passed.add(u)
-                continue
+    table = lambda: _flip_guarded_rows(x, sub, members)
+    for u, p in _carry(x, sorted(members), bound, table, passed):
+        if p is not None:
+            counts[u] = counts[p]
+            passed.add(u)
+            continue
         amb = x.oracle.ball(u, bound)
         inner = sub.oracle.ball(u, bound)
         near = [v for v, d in amb.items() if d <= bound and v in members and v != u]
@@ -154,7 +152,7 @@ def isometric_embedding_check(x: FlagComplex, sub: FlagComplex) -> EmbeddingRepo
 
 
 def _flip_guarded_rows(x: FlagComplex, sub: FlagComplex, members: set[int]) -> list:
-    """The rows of ``conditions._transport_table(x)`` with each row's
+    """The rows of ``isometries._transport_table(x)`` with each row's
     ``off_im`` measured from the images g(v) of the membership flips v of
     its map g as well as from the vertices outside im(g), by one
     multi-source BFS to ``margin``.  The carry rule then also asks that no

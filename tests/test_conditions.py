@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import systolic as S
-from systolic import ComplexError, FlagComplex, WindowView
+from systolic import ComplexError, FlagComplex, WindowView, conditions
 from systolic.conditions import (
     _cycle_free,
     _full_square,
@@ -733,6 +733,29 @@ class TestAfterSphereDomination:
         x = make()
         tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
         assert min(x.trusted_vertices) < sd.witness.v == tc.witness.u < qc.witness.u
+
+    @pytest.mark.parametrize("make", [
+        lambda: S.triangular_lattice_window(8, 3),
+        S.octahedron,
+    ])
+    def test_a_kept_sd_verdict_proves_connectivity(self, make, monkeypatch):
+        # SD requires connectivity before it keeps a verdict, so after it
+        # TC, QC and weak systolicity prove nothing again
+        calls = []
+        real = conditions.disconnection
+        monkeypatch.setattr(conditions, "disconnection", lambda g: calls.append(g) or real(g))
+        checks = (S.triangle_condition, S.quadrangle_condition, S.is_weakly_systolic)
+        before = make()
+        for check in checks:
+            calls.clear()
+            check(before)
+            assert calls == [before]
+        after = make()
+        S.sphere_domination_everywhere(after)
+        for check in checks:
+            calls.clear()
+            check(after)
+            assert calls == []
 
 
 def _t1(w):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import systolic as S
 from systolic import Automorphism, ComplexError, FlagComplex, WindowView
-from systolic.conditions import _transport_table, _verified_maps
+from systolic.conditions import first_link_cycle
 from systolic.generators import _row_translation
-from systolic.isometries import _commuting_maps
+from systolic.isometries import _commuting_maps, _transport_table, _verified_maps
 from systolic.verdict import MapViolation
 
 from _oracles import (
@@ -297,6 +297,55 @@ class TestCarriedProfile:
         prof = S.displacement_profile(x, shift)
         assert prof == reference_displacement_profile(x, shift)
         assert prof.values == {0: 1, 1: 1, 2: 1, 3: 3}
+
+
+def _counted(edges, n):
+    """The flag complex on range(n) with ``edges`` declaring its identity,
+    and the list of the complexes the declared function was called on."""
+    calls = []
+
+    def identity(x):
+        calls.append(x)
+        return Automorphism.identity(x)
+
+    return FlagComplex(range(n), edges, (identity,)), calls
+
+
+# scans of the 5-wheel (hub 0, rim 1..5) that pass their first source
+PASSING_SCANS = [
+    lambda x: first_link_cycle(x, 4),
+    S.sphere_domination_everywhere,
+    lambda x: S.displacement_profile(x, Automorphism({0: 0, 1: 2, 2: 3, 3: 4, 4: 5, 5: 1})),
+    lambda x: S.isometric_embedding_check(x, x.span(range(1, 6))),
+]
+
+
+class TestLazyTable:
+    """The transport table is built at the first source a scan asks about
+    while one has passed: never when the scan stops at its first source or
+    has one source only, once per complex otherwise."""
+
+    @pytest.mark.parametrize("edges, n, scan", [
+        # the hub of wheel(4) has a 4-cycle link
+        (S.wheel(4).edges(), 5, lambda x: first_link_cycle(x, 4)),
+        # sphere 2 of the octahedron's vertex 0 has a 4-cycle as inner set
+        (S.octahedron().edges(), 6, S.sphere_domination_everywhere),
+        ([(0, 1)], 2, lambda x: S.displacement_profile(x, Automorphism({0: 1}))),
+        ([(0, 1)], 2, lambda x: S.displacement_profile(x, Automorphism({}))),
+    ])
+    def test_a_scan_that_stops_at_its_first_source_builds_nothing(self, edges, n, scan):
+        x, calls = _counted(edges, n)
+        scan(x)
+        assert calls == []
+
+    @pytest.mark.parametrize("scan", PASSING_SCANS)
+    def test_one_build_per_complex_otherwise(self, scan):
+        x, calls = _counted(S.wheel(5).edges(), 6)
+        scan(x)
+        assert calls == [x]
+        for other in PASSING_SCANS:
+            other(x)
+        assert calls == [x]
 
 
 class TestInvariantSimplex:

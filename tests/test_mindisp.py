@@ -65,6 +65,19 @@ class TestEmbedding:
         with pytest.raises(ComplexError, match="subcomplex edge 0-1 is absent"):
             S.isometric_embedding_check(octa, FlagComplex([0, 1, 2], [(0, 1), (0, 2), (1, 2)]))
 
+    @pytest.mark.parametrize("ambient, inside, message", [
+        # at one vertex an absent edge wins over a missing one, and the
+        # least absent partner is named (8 before 1 in a set's order)
+        ([(0, 2)], [(0, 1), (0, 8)], "subcomplex edge 0-1 is absent from the ambient complex"),
+        # the least vertex with a fault wins, whatever its kind
+        ([(0, 8), (0, 9)], [(1, 2)], "not a full subcomplex: ambient edge 0-8 is missing inside"),
+    ])
+    def test_the_least_fault_is_named(self, ambient, inside, message):
+        g, sub = FlagComplex(range(10), ambient), FlagComplex(range(10), inside)
+        for check in (S.isometric_embedding_check, mindisp.wheel_domination_in_min):
+            with pytest.raises(ComplexError, match=f"^{message}$"):
+                check(g, sub)
+
     def test_rejects_foreign_vertices(self, octa):
         from systolic import FlagComplex
 
