@@ -10,7 +10,9 @@ complex trusts every vertex and every distance.  A :class:`WindowView` is
 the flag complex of a finite ball cut out of an infinite periodic complex,
 and trusts only what lies far enough from its boundary.  A complex owns its
 adjacency; the oracle only reads it and holds no reference back, so a
-complex and its cached tables are freed as soon as it is dropped.  A
+complex and its cached tables are freed as soon as it is dropped.  A span
+shares the immutable neighbourhoods that lie inside it with its ambient
+complex, never the ambient complex itself.  A
 builder may declare maps it knows to be symmetries (``symmetries``); the
 scans verify them before one carries a source (``isometries._carry``).
 """
@@ -113,12 +115,30 @@ class FlagComplex:
                 raise ComplexError(f"edge ({u}, {w}) mentions an unknown vertex")
             adj[u].add(w)
             adj[w].add(u)
-        self._vertices: tuple[int, ...] = tuple(vs)
-        self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
-        self.trusted_vertices = vset
-        self.oracle = DistanceOracle(self._adj)
+        self._adopt({v: frozenset(ns) for v, ns in adj.items()}, symmetries)
+
+    def _adopt(self, adj: dict[int, frozenset[int]], symmetries: tuple) -> None:
+        """Set up self on a checked adjacency, the one step every complex is
+        built through: its keys are the vertex ids in ascending order, and
+        each value is the set of neighbours of its key, never the key
+        itself, with every neighbour a key and every adjacency mutual.
+        ``__init__`` checks outside input and ends here; a builder that
+        makes such an adjacency itself comes in through
+        :meth:`_of_adjacency`."""
+        self._vertices: tuple[int, ...] = tuple(adj)
+        self._adj = adj
+        self.trusted_vertices = frozenset(adj)
+        self.oracle = DistanceOracle(adj)
         self._memo: dict = {}
         self.symmetries = tuple(symmetries)
+
+    @classmethod
+    def _of_adjacency(cls, adj: dict[int, frozenset[int]], symmetries: tuple = ()):
+        """A complex of this class on a checked adjacency (:meth:`_adopt`),
+        with nothing checked again."""
+        x = cls.__new__(cls)
+        x._adopt(adj, symmetries)
+        return x
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -170,14 +190,25 @@ class FlagComplex:
         return out
 
     def span(self, vertices: Iterable[int]) -> "FlagComplex":
-        """Full subcomplex on the given vertices, ids preserved."""
+        """Full subcomplex on the given vertices, ids preserved.
+
+        Its adjacency is this one restricted to them, so it is checked
+        already; a neighbourhood that lies inside them is this complex's
+        own frozenset, shared rather than copied.
+        """
+        adj = self._adj
         vs = sorted(set(vertices))
         for v in vs:
-            if v not in self._adj:
+            if v not in adj:
                 raise ComplexError(f"span over unknown vertex {v}")
-        vset = set(vs)
-        edges = [(u, v) for u in vs for v in self._adj[u] if u < v and v in vset]
-        return FlagComplex(vs, edges)
+        if not {int}.issuperset(map(type, vs)):
+            _vertex_ids(vs)  # a bool or float equal to a vertex id is refused
+        inside = frozenset(vs)
+        sub = {}
+        for v in vs:
+            a = adj[v]
+            sub[v] = a if a <= inside else a & inside
+        return FlagComplex._of_adjacency(sub)
 
     def link(self, simplex: Iterable[int]) -> "FlagComplex":
         """Full subcomplex on the common neighbors of a simplex."""
@@ -485,14 +516,21 @@ def is_flag(fc: FacetComplex) -> Verdict:
     return no(witness=best, reason="clique of the 1-skeleton spans no simplex")
 
 
+def _require_margin(radius: int, margin: int) -> None:
+    if margin < 1 or margin > radius:
+        raise ComplexError("margin must satisfy 1 <= margin <= radius")
+
+
 class WindowView(FlagComplex):
     """A finite radius-R ball cut out of an unbounded periodic complex.
 
     The window is the flag complex of the ball, built from its vertices and
-    edges like any complex.  ``margin`` controls conservatism: a vertex is
-    trusted when it lies at distance at most ``radius - margin`` from the
-    basepoint, and a distance d(u, v) is trusted when u and v are trusted
-    and v lies in ``ball(u, margin)``.  Trusted values agree with the
+    edges like any complex; the lattice generator computes the adjacency
+    itself and comes in through :meth:`_of_adjacency` and :meth:`_frame`.
+    ``margin`` controls conservatism: a vertex is trusted when it lies at
+    distance at most ``radius - margin`` from the basepoint, and a distance
+    d(u, v) is trusted when u and v are trusted and v lies in
+    ``ball(u, margin)``.  Trusted values agree with the
     unbounded parent complex: any parent geodesic between two trusted
     vertices of length at most ``margin`` stays inside the window, so the
     windowed distance is exact.
@@ -514,16 +552,21 @@ class WindowView(FlagComplex):
         coord_of: dict[int, tuple] | None = None,
         symmetries: tuple = (),
     ):
-        if margin < 1 or margin > radius:
-            raise ComplexError("margin must satisfy 1 <= margin <= radius")
+        _require_margin(radius, margin)
         super().__init__(vertices, edges, symmetries)
+        self._frame(basepoint, radius, margin, dict(coord_of) if coord_of else {})
+
+    def _frame(self, basepoint: int, radius: int, margin: int, coord_of: dict[int, tuple]) -> None:
+        """Set the window's frame on a set-up complex whose margin is
+        checked, and trust the vertices that one BFS from the basepoint
+        reaches by depth ``radius - margin``."""
         if basepoint not in self:
             raise ComplexError(f"basepoint {basepoint} is not a window vertex")
         self.basepoint = basepoint
         self.radius = radius
         self.margin = margin
-        self.coord_of = dict(coord_of) if coord_of else {}
-        self.id_of = {c: v for v, c in self.coord_of.items()}
+        self.coord_of = coord_of
+        self.id_of = {c: v for v, c in coord_of.items()}
         inner = radius - margin
         self.trusted_vertices = frozenset(
             v for v, d in self.oracle.ball(basepoint, inner).items() if d <= inner

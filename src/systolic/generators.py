@@ -4,7 +4,10 @@ The triangular lattice uses axial coordinates (q, r) with the six unit
 directions (1,0), (-1,0), (0,1), (0,-1), (1,-1), (-1,1); the hex distance of
 a difference vector is max(|q|, |r|, |q+r|).  Vertex ids in every generator
 are dense 0..n-1 and row-major where a grid is involved, so outputs are
-stable across runs and platforms.
+stable across runs and platforms.  The lattice window computes its
+adjacency from the row layout and is set up on it without a check; every
+other builder passes its vertices and edges through the checking
+constructor.
 
 A builder declares the symmetries it knows as ``symmetries``: the lattice
 window its unit translation t1 and the translation (q, r) -> (q - 1, r + 1)
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import ComplexError, FlagComplex, WindowView
+from .complexes import ComplexError, FlagComplex, WindowView, _require_margin
 from .isometries import Automorphism
 
 AXIAL_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
@@ -39,40 +42,46 @@ def triangular_lattice_window(radius: int, margin: int) -> WindowView:
 
     Vertices are the axial coordinates at hex distance <= radius, numbered
     row-major (sorted by (r, q)); edges join coordinates differing by a unit
-    direction.  Vertex count is 1 + 3 * radius * (radius + 1).  It declares
-    two translations: t1, which carries each trusted source to the next one
-    of its row, and (q, r) -> (q - 1, r + 1), which carries the first
-    (r < 0) or the second (r >= 0) trusted source of row r onto the first
-    one of row r + 1.  Together they carry every trusted source but the
-    first from an earlier one, so the glide would spare no further scan.
+    direction.  Vertex count is 1 + 3 * radius * (radius + 1).  The
+    adjacency is computed row by row: row r runs over q from
+    max(-radius, -radius - r) to min(radius, radius - r), and (q, r) meets
+    (q +- 1, r) in its own row, (q, r - 1) and (q + 1, r - 1) in the row
+    below and (q - 1, r + 1) and (q, r + 1) in the row above, where those
+    lie in the window; the window takes it without checking it again.  It
+    declares two translations: t1, which carries each trusted source to
+    the next one of its row, and (q, r) -> (q - 1, r + 1), which carries
+    the first (r < 0) or the second (r >= 0) trusted source of row r onto
+    the first one of row r + 1.  Together they carry every trusted source
+    but the first from an earlier one, so the glide would spare no further
+    scan.
     """
     if radius < 1:
         raise ComplexError("lattice window radius must be at least 1")
-    coords = sorted(
-        (
-            (q, r)
-            for q in range(-radius, radius + 1)
-            for r in range(-radius, radius + 1)
-            if hex_distance(q, r) <= radius
-        ),
-        key=lambda c: (c[1], c[0]),
-    )
-    id_of = {c: i for i, c in enumerate(coords)}
-    edges = []
-    for (q, r), i in id_of.items():
-        for dq, dr in AXIAL_DIRECTIONS:
-            j = id_of.get((q + dq, r + dr))
-            if j is not None and i < j:
-                edges.append((i, j))
-    return WindowView(
-        range(len(coords)),
-        edges,
-        id_of[(0, 0)],
-        radius,
-        margin,
-        coord_of={i: c for c, i in id_of.items()},
-        symmetries=(_unit_translation, _row_translation),
-    )
+    _require_margin(radius, margin)
+    # row r holds q from lo on; its vertices are row[q - lo], one int object
+    # each, shared by every neighbourhood so that lookups match by identity
+    rows, n = {}, 0
+    for r in range(-radius, radius + 1):
+        lo, hi = max(-radius, -radius - r), min(radius, radius - r)
+        rows[r] = (lo, list(range(n, n + hi - lo + 1)))
+        n += hi - lo + 1
+    adj, coord_of = {}, {}
+    for r, (lo, row) in rows.items():
+        near = [(lo, row, (-1, 1))]
+        if r > -radius:
+            near.append((*rows[r - 1], (0, 1)))
+        if r < radius:
+            near.append((*rows[r + 1], (-1, 0)))
+        for q, v in enumerate(row, lo):
+            # copied from a set, a frozenset of six takes the table of 16
+            # that __init__'s sets give it, not the 32 it grows to itself
+            adj[v] = frozenset(
+                {ids[k] for at, ids, ds in near for d in ds if 0 <= (k := q + d - at) < len(ids)}
+            )
+            coord_of[v] = (q, r)
+    window = WindowView._of_adjacency(adj, (_unit_translation, _row_translation))
+    window._frame(rows[0][1][radius], radius, margin, coord_of)
+    return window
 
 
 def _coord_map(window: WindowView, image, name: str) -> Automorphism:

@@ -134,7 +134,8 @@ def validate_automorphism(x: FlagComplex, h: Automorphism) -> Verdict:
     adj = x._adj
     for u in sorted(m):
         nu, nhu = adj[u], adj[m[u]]
-        image = {m[v] for v in nu if v in m}
+        image = set(map(m.get, nu))
+        image.discard(None)  # the neighbours outside the domain
         if image == nhu or image == nhu & inv.keys():
             continue
         around = {v for v in nu if v in m}

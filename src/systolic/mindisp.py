@@ -71,9 +71,13 @@ def _require_full_subcomplex(g: FlagComplex, sub: FlagComplex) -> None:
     outside = [v for v in sub.vertices if v not in g]
     if outside:
         raise ComplexError(f"subcomplex vertex {outside[0]} is not an ambient vertex")
-    inside = sub._adj.keys()
+    inside, amb = sub._adj.keys(), g._adj
     for u in sub.vertices:
-        inner, outer = sub.neighbors(u), g.neighbors(u) & inside
+        inner = sub._adj[u]
+        # a neighbourhood shared with g (see FlagComplex.span) lies inside
+        if inner is amb[u]:
+            continue
+        outer = amb[u] & inside
         if inner == outer:
             continue
         # both sides are symmetric, so a fault at v < u was met at v first

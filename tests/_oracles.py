@@ -12,7 +12,8 @@ import math
 
 from systolic import Automorphism, FlagComplex, PathChain, displacement_profile, is_extended_wheel5
 from systolic.collapse import collapse_to_point
-from systolic.complexes import ComplexError
+from systolic.complexes import ComplexError, WindowView
+from systolic.generators import AXIAL_DIRECTIONS, _row_translation, _unit_translation, hex_distance
 from systolic.isometries import DisplacementProfile
 from systolic.mindisp import EmbeddingReport
 from systolic.verdict import (
@@ -106,6 +107,40 @@ def _close_paths(g: FlagComplex, v: int, u: int, w: int, max_len: int, min_len: 
             if any(c in g.neighbors(p) for p in path[:-1]):
                 continue
             stack.append((path + (c,), blocked | {c}))
+
+
+def reference_lattice_window(radius: int, margin: int) -> WindowView:
+    """The triangular lattice window built the checked way: the sorted list
+    of coordinates at hex distance <= radius, numbered row-major, and the
+    edge list of unit steps found through a coordinate dictionary, passed
+    through ``WindowView.__init__`` with the generator's declared maps."""
+    if radius < 1:
+        raise ComplexError("lattice window radius must be at least 1")
+    coords = sorted(
+        (
+            (q, r)
+            for q in range(-radius, radius + 1)
+            for r in range(-radius, radius + 1)
+            if hex_distance(q, r) <= radius
+        ),
+        key=lambda c: (c[1], c[0]),
+    )
+    id_of = {c: i for i, c in enumerate(coords)}
+    edges = []
+    for (q, r), i in id_of.items():
+        for dq, dr in AXIAL_DIRECTIONS:
+            j = id_of.get((q + dq, r + dr))
+            if j is not None and i < j:
+                edges.append((i, j))
+    return WindowView(
+        range(len(coords)),
+        edges,
+        id_of[(0, 0)],
+        radius,
+        margin,
+        coord_of={i: c for c, i in id_of.items()},
+        symmetries=(_unit_translation, _row_translation),
+    )
 
 
 def floyd_warshall(g: FlagComplex) -> dict[tuple[int, int], float]:

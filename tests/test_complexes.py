@@ -58,6 +58,36 @@ class TestFlagComplex:
                 if u < v:
                     assert sub.adjacent(u, v) == icosa.adjacent(u, v)
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_span_matches_the_checked_build(self, data):
+        # against FlagComplex(S, edges) on random complexes and windows; an
+        # inside neighbourhood is the ambient frozenset itself
+        if data.draw(st.booleans()):
+            g = random_graph(*data.draw(graph_params))
+        else:
+            g = S.triangular_lattice_window(data.draw(st.integers(1, 6)), 1)
+        inside = data.draw(st.sets(st.sampled_from(g.vertices)))
+        sub = g.span(inside)
+        want = FlagComplex(inside, [(u, v) for u, v in g.edges() if u in inside and v in inside])
+        assert type(sub) is FlagComplex and sub.symmetries == () and sub.margin == INF
+        assert sub._adj == want._adj and list(sub._adj) == list(want._adj)
+        assert sub.vertices == want.vertices
+        assert sub.trusted_vertices == want.trusted_vertices
+        for v in sub.vertices:
+            assert (sub._adj[v] is g._adj[v]) == (g._adj[v] <= inside)
+        if sub.vertices:
+            v = data.draw(st.sampled_from(sub.vertices))
+            assert sub.oracle.distances_from(v) == want.oracle.distances_from(v)
+        unknown = g.n_vertices + data.draw(st.integers(0, 5))
+        with pytest.raises(ComplexError, match=f"^span over unknown vertex {unknown}$"):
+            g.span(sorted(inside) + [unknown])
+
+    def test_span_refuses_ids_that_only_equal_a_vertex(self, icosa):
+        for fake in (True, 2.0):
+            with pytest.raises(ComplexError, match="vertex ids are non-negative integers"):
+                icosa.span([fake, 3])
+
     def test_span_idempotent(self, icosa):
         sub = icosa.span([0, 1, 2, 6, 7])
         again = sub.span(sub.vertices)

@@ -7,6 +7,8 @@ import systolic as S
 from systolic import ComplexError
 from systolic.generators import AXIAL_DIRECTIONS, hex_distance
 
+from _oracles import reference_lattice_window
+
 coords = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
 
@@ -35,6 +37,42 @@ class TestHexMetric:
 
 
 class TestLatticeWindow:
+    @pytest.mark.parametrize("radius", range(1, 26))
+    def test_closed_form_matches_the_checked_build(self, radius):
+        # the adjacency computed row by row against the coordinate list and
+        # edge list of the checked build, at every margin, maps included
+        maps = [S.lattice_glide] + [
+            lambda w, s=s: S.lattice_translation(w, s) for s in (1, -1, 3, -3)
+        ]
+        for margin in range(1, radius + 1):
+            got = S.triangular_lattice_window(radius, margin)
+            want = reference_lattice_window(radius, margin)
+            assert got._adj == want._adj and list(got._adj) == list(want._adj)
+            assert got.vertices == want.vertices
+            assert got.trusted_vertices == want.trusted_vertices
+            assert (got.basepoint, got.radius, got.margin) == (want.basepoint, radius, margin)
+            assert list(got.coord_of.items()) == list(want.coord_of.items())
+            assert list(got.id_of.items()) == list(want.id_of.items())
+            assert len(got.symmetries) == len(want.symmetries) == 2
+            for f in list(got.symmetries) + maps:
+                a, b = f(got), f(want)
+                assert a.name == b.name and list(a.mapping.items()) == list(b.mapping.items())
+
+    @pytest.mark.parametrize("radius, margin, text", [
+        (0, 0, "lattice window radius must be at least 1"),
+        (0, 1, "lattice window radius must be at least 1"),
+        (-2, 5, "lattice window radius must be at least 1"),
+        (3, 0, "margin must satisfy 1 <= margin <= radius"),
+        (3, 4, "margin must satisfy 1 <= margin <= radius"),
+        (1, 2, "margin must satisfy 1 <= margin <= radius"),
+    ])
+    def test_refusals_match_the_checked_build(self, radius, margin, text):
+        # the radius is refused before the margin, as by the checked build
+        for build in (S.triangular_lattice_window, reference_lattice_window):
+            with pytest.raises(ComplexError) as err:
+                build(radius, margin)
+            assert str(err.value) == text
+
     @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8])
     def test_vertex_count(self, radius):
         win = S.triangular_lattice_window(radius, min(radius, 1))
