@@ -335,16 +335,6 @@ SUBCOMMANDS = {
 }
 
 
-def _first_sd_token(tokens: list[str], args) -> str | None:
-    """The first check token that computes sphere domination: ``sd``, or
-    ``weakly-systolic`` in sd or composite mode; None outside check or when
-    no token does, so TC, QC and weakly-modular alone never compute it."""
-    if args.command != "check":
-        return None
-    sd_tokens = {"sd", "weakly-systolic"} if args.mode != "graph" else {"sd"}
-    return next((t for t in tokens if t in sd_tokens), None)
-
-
 def cmd_run(args) -> int:
     """The command loop of check, isometry and theorems: one record per
     token, in the order given."""
@@ -368,25 +358,12 @@ def cmd_run(args) -> int:
             subject = subject.power(args.power)
         suffix = f"[{subject.name}]"
     trusted = isinstance(target, WindowView)
-    # SD first where the run computes it anyway: TC and QC then read its
-    # verdict.  Its time counts to the token that asks for it first.  A call
-    # that raises keeps nothing, so its error comes again at that token's
-    # turn, after the errors of the tokens before it.
-    first_sd = _first_sd_token(tokens, args)
-    sd_ms = 0.0
-    if first_sd is not None:
-        t0 = time.perf_counter()
-        try:
-            conditions.sphere_domination_everywhere(target)
-        except ComplexError:
-            pass
-        sd_ms = (time.perf_counter() - t0) * 1000
     records = []
     status = 0
     for token in tokens:
         t0 = time.perf_counter()
         verdict = table[token](target, subject, args)
-        wall = (time.perf_counter() - t0) * 1000 + (sd_ms if token == first_sd else 0.0)
+        wall = (time.perf_counter() - t0) * 1000
         records.append(CheckRecord.from_verdict(token + suffix, name, verdict, trusted, wall))
         if token in required and verdict.is_no:
             status = 1

@@ -225,9 +225,11 @@ def first_homology(x: FlagComplex) -> tuple[int, list[int]]:
     return n_edges - rank1 - units - len(diag), torsion
 
 
+@once
 def disconnection(x: FlagComplex) -> Verdict | None:
     """The No for a disconnected complex, witnessed by the least vertices of
-    its first two components in sorted order; None when it is connected."""
+    its first two components in sorted order; None when it is connected.
+    Decided once per complex; the empty complex is refused every time."""
     if x.n_vertices == 0:
         raise ComplexError("empty complex")
     comps = x.connected_components()

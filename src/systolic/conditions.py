@@ -13,8 +13,9 @@ A finite complex trusts every vertex and every distance.
 
 The scans that several checks share (TC, QC, SD, the 5-wheel condition and
 local k-largeness for each k) are computed once per complex
-(``complexes.once``).  TC and QC read sphere domination's verdict where it
-is already known and scan only the sources it leaves open.  SD, the
+(``complexes.once``), and so is connectivity (``collapse.disconnection``).
+TC and QC ask for sphere domination's verdict and scan only the sources
+from its witness source on.  SD, the
 vertex-link scan and the full-cycle certificate :func:`_cycle_free` skip
 every source that a verified declared symmetry carries from a source that
 already passed (``isometries._carry``).  The certificate spares the
@@ -264,27 +265,26 @@ def triangle_condition(x: FlagComplex) -> Verdict:
     Each source reads only its ball of the trust radius: the edges (v, w)
     with v < w are visited in sorted order of v inside the ball, then of w.
 
-    Where sphere domination's verdict is known, the scan starts at the first
-    source it has not settled (:func:`_first_unsettled`).  SD at a source u
-    scans the spheres 2..margin of ``ball(u, margin)``, untrusted vertices
-    included, and TC reads distances 2..margin.  TC's premise is an edge vw
-    inside sphere d; SD requires that edge's inner set, its common neighbors
-    in sphere d - 1, to be non-empty, which is exactly TC's conclusion.  So
-    TC holds at every source where SD holds: everywhere after SD's Yes, and
-    at every source before the witness source of SD's No, since both scan
-    the sorted trusted sources.  The first violation, and so the verdict,
-    is the same.  Only the source loop is shorter: the edge lists still
-    cover the whole trusted region.
+    The scan starts at the witness source of sphere domination
+    (:func:`_unsettled_sources`).  SD at a source u scans the spheres
+    2..margin of ``ball(u, margin)``, untrusted vertices included, and TC
+    reads distances 2..margin.  TC's premise is an edge vw inside sphere d;
+    SD requires that edge's inner set, its common neighbors in sphere d - 1,
+    to be non-empty, which is exactly TC's conclusion.  So TC holds at every
+    source where SD holds: everywhere after SD's Yes, and at every source
+    before the witness source of SD's No, since both scan the sorted
+    trusted sources.  The first violation, and so the verdict, is the one a
+    scan of every source finds.  Only the source loop is shorter: the edge
+    lists still cover the whole trusted region.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the triangle condition")
-    adj = x._adj
-    verts = sorted(region)
-    start = _first_unsettled(x, verts)
-    if start == len(verts):
+    sources = _unsettled_sources(x)
+    if not sources:
         return yes()
-    higher = {v: sorted(w for w in adj[v] if w > v and w in region) for v in verts}
-    for u in verts[start:]:
+    adj = x._adj
+    higher = {v: sorted(w for w in adj[v] if w > v and w in region) for v in region}
+    for u in sources:
         dist = x.oracle.ball(u, bound)
         get = dist.get
         for v in sorted(dist):
@@ -306,23 +306,20 @@ def triangle_condition(x: FlagComplex) -> Verdict:
     return yes()
 
 
-def _first_unsettled(x: FlagComplex, verts: list[int]) -> int:
-    """The index in the sorted trusted ``verts`` of the first source where
-    TC or QC may still fail, given what is known of sphere domination on x:
-    len(verts) after its Yes, its witness source after its No, 0 when it
-    has not been computed.  Never computes it."""
-    sd = sphere_domination_everywhere.known(x)
-    if sd is None:
-        return 0
-    return len(verts) if sd.is_yes else verts.index(sd.witness.v)
+def _unsettled_sources(x: FlagComplex) -> list[int]:
+    """The sorted trusted sources of a connected x where TC or QC may still
+    fail: none after sphere domination's Yes, those from its witness source
+    on after its No."""
+    sd = sphere_domination_everywhere(x)
+    if sd.is_yes:
+        return []
+    return [v for v in sorted(x.trusted_vertices) if v >= sd.witness.v]
 
 
 def _require_connected(g: FlagComplex, what: str) -> None:
     # Distance conditions quantify over finite distances; across components
     # they would compare infinities.  disconnection refuses the empty complex.
-    # Sphere domination requires connectivity before it keeps a verdict, so
-    # a kept verdict proves g connected.
-    if sphere_domination_everywhere.known(g) is None and disconnection(g) is not None:
+    if disconnection(g) is not None:
         raise ComplexError(f"{what} is about connected complexes")
 
 
@@ -344,27 +341,27 @@ def quadrangle_condition(x: FlagComplex) -> Verdict:
     Each source reads only its ball of the trust radius: z runs over it in
     sorted order, then the pairs v < w of neighbors of z one layer closer.
 
-    Where sphere domination's verdict is known, the scan starts at the first
-    source it has not settled (:func:`_first_unsettled`).  SD at a source u
-    scans the spheres 2..margin of ``ball(u, margin)``, untrusted vertices
-    included, and QC reads distances 3..margin.  QC's premise puts two
-    non-adjacent vertices v, w in the inner set of a vertex z, its neighbors
-    one sphere closer; SD requires that inner set to be a simplex, so where
-    SD holds the premise never arises.  So QC holds at every source where SD
-    holds: everywhere after SD's Yes, and at every source before the witness
+    The scan starts at the witness source of sphere domination
+    (:func:`_unsettled_sources`).  SD at a source u scans the spheres
+    2..margin of ``ball(u, margin)``, untrusted vertices included, and QC
+    reads distances 3..margin.  QC's premise puts two non-adjacent vertices
+    v, w in the inner set of a vertex z, its neighbors one sphere closer;
+    SD requires that inner set to be a simplex, so where SD holds the
+    premise never arises.  So QC holds at every source where SD holds:
+    everywhere after SD's Yes, and at every source before the witness
     source of SD's No, since both scan the sorted trusted sources.  The
-    first violation, and so the verdict, is the same.  Only the source loop
-    is shorter: the neighbor lists still cover the whole trusted region.
+    first violation, and so the verdict, is the one a scan of every source
+    finds.  Only the source loop is shorter: the neighbor lists still cover
+    the whole trusted region.
     """
     region, bound = x.trusted_vertices, x.margin
     _require_connected(x, "the quadrangle condition")
-    adj = x._adj
-    verts = sorted(region)
-    start = _first_unsettled(x, verts)
-    if start == len(verts):
+    sources = _unsettled_sources(x)
+    if not sources:
         return yes()
-    around = {z: sorted(n for n in adj[z] if n in region) for z in verts}
-    for u in verts[start:]:
+    adj = x._adj
+    around = {z: sorted(n for n in adj[z] if n in region) for z in region}
+    for u in sources:
         dist = x.oracle.ball(u, bound)
         get = dist.get
         for z in sorted(dist):
@@ -624,9 +621,8 @@ def is_weakly_systolic(
         return _weakly_systolic_graph(x)
     if mode == "sd":
         return sphere_domination_everywhere(x)
-    # SD first: the graph route's TC and QC then read its verdict
-    sd_v = sphere_domination_everywhere(x)
     graph_v = _weakly_systolic_graph(x)
+    sd_v = sphere_domination_everywhere(x)
     local_v = _weakly_systolic_local_to_global(x, oracle_budget)
     detail = {"graph": graph_v, "sd": sd_v, "local_to_global": local_v}
     for sub in (graph_v, sd_v, local_v):

@@ -160,6 +160,15 @@ def floyd_warshall(g: FlagComplex) -> dict[tuple[int, int], float]:
     return dist
 
 
+def bfs_pairs(g: FlagComplex) -> dict[tuple[int, int], float]:
+    """The table of :func:`floyd_warshall`, read from one :func:`bfs_table`
+    per vertex: fast enough for windows of a few hundred vertices."""
+    dist = dict.fromkeys(itertools.product(g.vertices, repeat=2), INF)
+    for u in g.vertices:
+        dist.update(((u, v), d) for v, d in bfs_table(g, u).items())
+    return dist
+
+
 def bfs_distance(g: FlagComplex, u: int, v: int) -> float:
     """d(u, v) by a plain layer-by-layer search over ``neighbors``, INF when
     v is unreachable; the reference for ``DistanceOracle.distance_capped``."""
@@ -340,12 +349,12 @@ def cycle_space_rank_mod2(g: FlagComplex, triangles: list[tuple[int, int, int]])
     return rank
 
 
-def first_triangle_violation(g: FlagComplex) -> tuple[int, int, int, float] | None:
+def first_triangle_violation(g: FlagComplex, dist=None) -> tuple[int, int, int, float] | None:
     """First (u, v, w, d) breaking the triangle condition on a connected
-    complex: trusted sources in sorted order, then every edge v < w of
-    trusted vertices in sorted order, with Floyd-Warshall distances; only
-    d up to ``g.margin`` counts."""
-    dist = floyd_warshall(g)
+    complex: every trusted source in sorted order, then every edge v < w of
+    trusted vertices in sorted order, with the distance table ``dist``
+    (Floyd-Warshall by default); only d up to ``g.margin`` counts."""
+    dist = floyd_warshall(g) if dist is None else dist
     trusted, bound = g.trusted_vertices, g.margin
     edges = sorted(e for e in g.edges() if set(e) <= trusted)
     for u in sorted(trusted):
@@ -359,12 +368,13 @@ def first_triangle_violation(g: FlagComplex) -> tuple[int, int, int, float] | No
     return None
 
 
-def first_quadrangle_violation(g: FlagComplex) -> tuple[int, int, int, int, float] | None:
+def first_quadrangle_violation(g: FlagComplex, dist=None) -> tuple[int, int, int, int, float] | None:
     """First (u, v, w, z, d) breaking the quadrangle condition on a connected
-    complex: trusted sources, then trusted z, then non-adjacent trusted
-    neighbor pairs v < w of z, all in sorted order, with Floyd-Warshall
-    distances; only d(u, z) up to ``g.margin`` counts."""
-    dist = floyd_warshall(g)
+    complex: every trusted source, then trusted z, then non-adjacent trusted
+    neighbor pairs v < w of z, all in sorted order, with the distance table
+    ``dist`` (Floyd-Warshall by default); only d(u, z) up to ``g.margin``
+    counts."""
+    dist = floyd_warshall(g) if dist is None else dist
     trusted, bound = g.trusted_vertices, g.margin
     for u in sorted(trusted):
         for z in sorted(trusted):

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 import systolic as S
+from systolic.complexes import once
 
 # Shared corpus.  Names are stable so reports can be compared across runs.
 
@@ -83,3 +86,25 @@ def hyperbolic_corpus(window10):
         ("lattice10/t2", window10, S.lattice_translation(window10, 2)),
         ("lattice10/glide", window10, S.lattice_glide(window10)),
     ]
+
+
+@pytest.fixture
+def count_sd(monkeypatch):
+    """count_sd(delay=0.0) installs a sphere domination that is still kept
+    per complex, and returns the list of the complexes it is computed on,
+    one entry per computation; each computation first sleeps ``delay``
+    seconds."""
+
+    def install(delay: float = 0.0) -> list:
+        calls = []
+        raw = S.conditions.sphere_domination_everywhere.__wrapped__
+
+        def counted(x):
+            calls.append(x)
+            time.sleep(delay)
+            return raw(x)
+
+        monkeypatch.setattr(S.conditions, "sphere_domination_everywhere", once(counted))
+        return calls
+
+    return install

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -268,63 +267,41 @@ class TestDisconnectedInput:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-class TestSphereDominationFirst:
-    """check computes SD before the other tokens when the run computes it
-    anyway, so TC and QC read its verdict; records, errors and exit codes
-    keep the given order."""
+class TestSphereDominationInTcAndQc:
+    """TC and QC ask for SD themselves, so check runs the tokens in the
+    given order and computes SD once, at the first token that needs it;
+    records, errors and exit codes keep the given order."""
 
-    @pytest.fixture
-    def sd_calls(self, monkeypatch):
-        """"sd" for each computation of SD and "tc" for each TC call, in
-        order; each SD computation sleeps 50 ms."""
-        calls = []
-        original = systolic.conditions.sphere_domination_everywhere
-
-        def counted(x):
-            if original.known(x) is None:
-                calls.append("sd")
-                time.sleep(0.05)
-            return original(x)
-
-        counted.known = original.known
-        monkeypatch.setattr(systolic.conditions, "sphere_domination_everywhere", counted)
-        tc = systolic.conditions.triangle_condition
-        monkeypatch.setattr(
-            systolic.conditions, "triangle_condition", lambda x: calls.append("tc") or tc(x)
-        )
-        return calls
+    @pytest.mark.parametrize(
+        "checks", ["tc", "qc", "weakly-modular", "tc,qc,weakly-modular", "sd,tc,weakly-systolic"]
+    )
+    @pytest.mark.parametrize("spec", ["octahedron", "lattice:radius=6,margin=3"])
+    def test_sd_is_computed_once(self, capsys, count_sd, checks, spec):
+        calls = count_sd()
+        code, out, err = run(capsys, "check", "--gen", spec, "--checks", checks)
+        assert code == 0 and err == ""
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "checks, mode, first",
-        [("tc,sd", "graph", 1), ("tc,weakly-systolic", "composite", 1),
-         ("tc,weakly-systolic,sd", "sd", 1), ("tc,sd,weakly-systolic", "composite", 1),
-         ("tc,qc,sd", "graph", 2)],
+        [("tc,sd", "graph", 0), ("sd,tc", "graph", 0), ("qc,tc,sd", "graph", 0),
+         ("flag,weakly-modular,sd", "graph", 1), ("systole,tc,weakly-systolic", "graph", 1),
+         ("flag,weakly-systolic,tc", "sd", 1), ("flag,tc,weakly-systolic,sd", "composite", 1)],
     )
-    def test_sd_runs_first_and_counts_to_its_token(self, capsys, sd_calls, checks, mode, first):
+    def test_sd_counts_to_the_first_token_that_computes_it(
+        self, capsys, count_sd, checks, mode, first
+    ):
+        # each computation of SD sleeps 50 ms
+        calls = count_sd(0.05)
         code, out, err = run(
             capsys, "check", "--gen", "octahedron", "--checks", checks, "--mode", mode,
             "--format", "json",
         )
         records = json.loads(out)["records"]
         assert code == 0 and [r["check"] for r in records] == checks.split(",")
-        assert sd_calls[:2] == ["sd", "tc"] and sd_calls.count("sd") == 1
+        assert len(calls) == 1
         walls = [r["wall_ms"] for r in records]
         assert walls[first] >= 50 and all(w < 50 for i, w in enumerate(walls) if i != first)
-
-    @pytest.mark.parametrize(
-        "checks", ["tc", "qc", "weakly-modular", "tc,qc,weakly-modular", "weakly-systolic"]
-    )
-    @pytest.mark.parametrize("spec", ["octahedron", "lattice:radius=6,margin=3"])
-    def test_tc_and_qc_alone_never_compute_sd(self, capsys, monkeypatch, checks, spec):
-        original = systolic.conditions.sphere_domination_everywhere
-
-        def refuse(x):
-            raise AssertionError("sphere domination was computed")
-
-        refuse.known = original.known
-        monkeypatch.setattr(systolic.conditions, "sphere_domination_everywhere", refuse)
-        code, out, err = run(capsys, "check", "--gen", spec, "--checks", checks)
-        assert code == 0 and err == ""
 
     @pytest.mark.parametrize(
         "checks, mode, what",

@@ -185,7 +185,9 @@ class TestOnce:
                 S.triangle_condition(g)
             with pytest.raises(ComplexError, match="connected"):
                 S.sphere_domination_everywhere(g)
-        assert g._memo == {}
+        # only the disconnection that both raised on is kept
+        raised = {S.triangle_condition.__wrapped__, S.sphere_domination_everywhere.__wrapped__}
+        assert raised.isdisjoint(f for f, *_ in g._memo)
 
 
 CAPS = tuple(range(8))
@@ -274,9 +276,8 @@ class TestDistances:
     @settings(max_examples=80, deadline=None)
     def test_distance_capped_matches_bfs(self, g, data):
         # finite caps first, on an oracle whose only table is a window's
-        # basepoint ball: they meet in the middle and cache nothing; then
-        # INF, which caches complete tables, and the finite caps again,
-        # now served from those tables
+        # basepoint ball; then INF, which caches complete tables, and the
+        # finite caps again, now served from those tables
         o = g.oracle
         vertex = st.sampled_from(g.vertices)
         pairs = [(u, u) for u in data.draw(st.lists(vertex, max_size=2))]
@@ -288,9 +289,7 @@ class TestDistances:
                 for cap in caps:
                     assert o.distance_capped(u, v, cap) == (d if d <= cap else INF)
 
-        tables = len(o._cache)
         check(CAPS)
-        assert len(o._cache) == tables
         check((INF,))
         check(CAPS)
         stranger = max(g.vertices) + 1

@@ -25,6 +25,7 @@ from systolic.verdict import (
 )
 
 from _oracles import (
+    bfs_pairs,
     brute_force_extended_wheels,
     brute_force_full_cycles,
     first_quadrangle_violation,
@@ -266,9 +267,9 @@ class TestWeaklyModular:
         _assert_first_witnesses_match(g)
 
 
-def _assert_first_witnesses_match(x):
+def _assert_first_witnesses_match(x, dist=None):
     tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
-    want_tc, want_qc = first_triangle_violation(x), first_quadrangle_violation(x)
+    want_tc, want_qc = first_triangle_violation(x, dist), first_quadrangle_violation(x, dist)
     assert tc.is_no == (want_tc is not None)
     assert qc.is_no == (want_qc is not None)
     if tc.is_no:
@@ -624,23 +625,21 @@ def _relabel(g, order):
     return FlagComplex(range(len(order)), [(new[a], new[b]) for a, b in g.edges()])
 
 
-def _same_after_sd(make):
-    """TC and QC computed after SD on make() equal them on a fresh make(),
-    which never computes SD; returns SD's verdict."""
-    x, fresh = make(), make()
-    sd = S.sphere_domination_everywhere(x)
-    assert S.sphere_domination_everywhere.known(x) is sd
-    assert S.triangle_condition(x) == S.triangle_condition(fresh)
-    assert S.quadrangle_condition(x) == S.quadrangle_condition(fresh)
-    assert S.is_weakly_modular(x) == S.is_weakly_modular(fresh)
-    assert S.sphere_domination_everywhere.known(fresh) is None
-    return sd
+def _tc_qc_match_references(x, dist=None):
+    """TC, QC and weak modularity on x, which scan only from SD's witness
+    source on, give the first witnesses of references that scan every
+    source, with the distance table ``dist`` (Floyd-Warshall by default);
+    returns SD's verdict."""
+    _assert_first_witnesses_match(x, dist)
+    tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
+    assert S.is_weakly_modular(x).witness == (tc.witness if tc.is_no else qc.witness)
+    return S.sphere_domination_everywhere(x)
 
 
-class TestAfterSphereDomination:
-    """Where SD holds at a source, so do TC and QC, so after SD they scan
-    only the sources from its witness on.  Their verdicts equal those of a
-    fresh copy that scans every source."""
+class TestFromSphereDominationsWitness:
+    """Where SD holds at a source, so do TC and QC, so they scan only the
+    sources from SD's witness on.  Their verdicts equal those of references
+    that scan every source."""
 
     @given(
         st.integers(min_value=1, max_value=16),
@@ -652,7 +651,7 @@ class TestAfterSphereDomination:
         st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=150, deadline=None)
-    def test_tc_and_qc_after_sd_equal_a_fresh_copy(self, n, p, seed, rng, window, margin, extra):
+    def test_tc_and_qc_equal_full_scans(self, n, p, seed, rng, window, margin, extra):
         g = _random_connected(n, p, seed)
         if g is None:
             return
@@ -663,9 +662,9 @@ class TestAfterSphereDomination:
         for _ in range(4):
             g = _relabel(g, order)
             if window:
-                sd = _same_after_sd(lambda: WindowView(g.vertices, g.edges(), 0, margin + extra, margin))
+                sd = _tc_qc_match_references(WindowView(g.vertices, g.edges(), 0, margin + extra, margin))
             else:
-                sd = _same_after_sd(lambda: FlagComplex(g.vertices, g.edges()))
+                sd = _tc_qc_match_references(g)
             if sd.is_yes or sd.witness.v == g.vertices[-1]:
                 break
             order = [v for v in g.vertices if v != sd.witness.v] + [sd.witness.v]
@@ -693,11 +692,9 @@ class TestAfterSphereDomination:
         new = {v: i for i, v in enumerate(order)}
         relabelled = [(new[a], new[b]) for a, b in edges]
 
-        def make():
-            return WindowView(range(len(order)), relabelled, new[w.basepoint], radius, margin)
-
-        if len(make().connected_components()) == 1:
-            _same_after_sd(make)
+        x = WindowView(range(len(order)), relabelled, new[w.basepoint], radius, margin)
+        if len(x.connected_components()) == 1:
+            _tc_qc_match_references(x, bfs_pairs(x))
 
     @pytest.mark.parametrize(
         "n, p, seed, sources",
@@ -712,7 +709,7 @@ class TestAfterSphereDomination:
     )
     def test_named_sources(self, n, p, seed, sources):
         g = S.random_flag_complex(n, p, seed)
-        sd = _same_after_sd(lambda: FlagComplex(g.vertices, g.edges()))
+        sd = _tc_qc_match_references(g)
         tc, qc = S.triangle_condition(g), S.quadrangle_condition(g)
         assert (sd.witness.v, tc.witness.u, qc.witness.u) == sources
 
@@ -726,36 +723,31 @@ class TestAfterSphereDomination:
         vertices = [v for v in w.vertices if v != gone]
         edges = [e for e in w.edges() if gone not in e]
 
-        def make():
-            return WindowView(vertices, edges, w.basepoint, radius, margin)
-
-        sd = _same_after_sd(make)
-        x = make()
+        x = WindowView(vertices, edges, w.basepoint, radius, margin)
+        sd = _tc_qc_match_references(x, bfs_pairs(x))
         tc, qc = S.triangle_condition(x), S.quadrangle_condition(x)
         assert min(x.trusted_vertices) < sd.witness.v == tc.witness.u < qc.witness.u
 
     @pytest.mark.parametrize("make", [
         lambda: S.triangular_lattice_window(8, 3),
         S.octahedron,
+        lambda: S.wheel(6),
     ])
-    def test_a_kept_sd_verdict_proves_connectivity(self, make, monkeypatch):
-        # SD requires connectivity before it keeps a verdict, so after it
-        # TC, QC and weak systolicity prove nothing again
+    @pytest.mark.parametrize("mode", S.MODES)
+    def test_connectivity_is_decided_once(self, make, mode, monkeypatch):
+        # TC, QC, SD, weak systolicity and systolicity all refuse
+        # disconnected input, and the components are found once
         calls = []
-        real = conditions.disconnection
-        monkeypatch.setattr(conditions, "disconnection", lambda g: calls.append(g) or real(g))
-        checks = (S.triangle_condition, S.quadrangle_condition, S.is_weakly_systolic)
-        before = make()
-        for check in checks:
-            calls.clear()
-            check(before)
-            assert calls == [before]
-        after = make()
-        S.sphere_domination_everywhere(after)
-        for check in checks:
-            calls.clear()
-            check(after)
-            assert calls == []
+        real = FlagComplex.connected_components
+        monkeypatch.setattr(FlagComplex, "connected_components",
+                            lambda g: calls.append(g) or real(g))
+        x = make()
+        S.triangle_condition(x)
+        S.quadrangle_condition(x)
+        S.sphere_domination_everywhere(x)
+        S.is_weakly_systolic(x, mode)
+        S.is_systolic(x)
+        assert calls == [x]
 
 
 def _t1(w):
@@ -1307,20 +1299,14 @@ class TestWeaklySystolic:
         assert set(v.detail) == {"graph", "sd", "local_to_global"}
         assert v.detail["graph"].is_no and v.detail["sd"].is_no
 
-    def test_composite_computes_sd_before_the_graph_route(self, monkeypatch):
-        # TC and QC of the graph route then read SD's verdict; the detail
-        # keeps its order
-        seen = []
-        tc = S.conditions.triangle_condition
-
-        def traced(x):
-            seen.append(S.sphere_domination_everywhere.known(x))
-            return tc(x)
-
-        monkeypatch.setattr(S.conditions, "triangle_condition", traced)
-        v = S.is_weakly_systolic(S.wheel(6), "composite")
+    def test_composite_computes_sd_once(self, count_sd):
+        # the graph route's TC and QC and the sd route read one SD verdict;
+        # the detail keeps its order
+        calls = count_sd()
+        x = S.wheel(6)
+        v = S.is_weakly_systolic(x, "composite")
         assert v.is_yes and list(v.detail) == ["graph", "sd", "local_to_global"]
-        assert seen == [v.detail["sd"]]
+        assert calls == [x] and conditions.sphere_domination_everywhere(x) is v.detail["sd"]
 
     def test_dominated_wheel_yes_all_modes(self):
         g = S.extended_wheel5(True)
